@@ -36,6 +36,7 @@ from .propagate import (
     integrate_moments_rk4,
     sigma_det_closed,
     sigma_pq_closed,
+    trajectory_lyapunov,
 )
 from .quadrature import simpson_refine
 from .states import (
@@ -104,7 +105,7 @@ def check_covariance_route_agreement() -> CriterionResult:
     times = [0.1 * i for i in range(141)]
     closed_det = [sigma_det_closed(spec, cfg, t) for t in times]
     closed_pq = [sigma_pq_closed(spec, cfg, t) for t in times]
-    lyap = [covariance_lyapunov(state0, cfg, d, t) for t in times]
+    lyap = trajectory_lyapunov(state0, cfg, d, times)
     rk4 = integrate_moments_rk4(state0, cfg, d, 14.0, 1e-4, record_every=1000)
     assert len(rk4) == len(times)
     amp_det = max(abs(v) for v in closed_det)

@@ -4,10 +4,12 @@
    explicit formulas for the covariance determinant and the position-momentum
    covariance from a correlated-coherent initial state under a thermal bath.
 2. Exact propagation: the first-moment drift matrix has the closed-form
-   exponential ``exp(Y t) = e^{-lam t}[cos(Om t) I + sin(Om t)/Om (Y + lam I)]``
-   in the underdamped regime, and the covariance obeys
-   ``Sigma(t) = E (Sigma0 - Sigma_inf) E^T + Sigma_inf`` with ``Sigma_inf`` the
-   steady-state (Lyapunov) solution.
+   exponential ``E(t) = exp(Y t) = e^{-lam t}[cos(Om t) I + sin(Om t)/Om K]``
+   with ``K = Y + lam I`` (so ``K^2 = -Om^2 I``), and the covariance is
+   ``Sigma(t) = E Sigma0 E^T + int_0^t E(s) 2D E(s)^T ds``.  The integrand is
+   ``e^{-2 lam s}[A0 + Ac cos(2 Om s) + As sin(2 Om s)]``, whose terms integrate
+   exactly, so one formula covers every ``lam >= 0`` and all sample times are
+   evaluated in one set of array operations.
 3. A fixed-step RK4 integration of the five-dimensional moment ODE system, used
    as an independent oracle.
 
@@ -29,7 +31,6 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
-    initial_state,
 )
 
 __all__ = [
@@ -152,34 +153,40 @@ def asymptotic_covariance(cfg: OscillatorConfig) -> GaussianState:
     )
 
 
-def _particular_integral(
-    cfg: OscillatorConfig, d: DiffusionCoefficients, t: float
-) -> np.ndarray:
-    # Undamped case: integral of exp(Y s) (2D) exp(Y^T s) ds over [0, t],
-    # evaluated by Simpson refinement (the integrand is bounded and smooth).
+def _propagate_moments(
+    state0: GaussianState,
+    cfg: OscillatorConfig,
+    d: DiffusionCoefficients,
+    times: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact means ``(n, 2)`` and covariances ``(n, 2, 2)`` at all ``times``."""
+    t = np.asarray(times, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be >= 0")
+    lam, big = cfg.lam, cfg.shifted_frequency
+    k = np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
+    cos_part = np.cos(big * t)[:, None, None]
+    sinc_part = (np.sin(big * t) / big)[:, None, None]
+    e = np.exp(-lam * t)[:, None, None] * (cos_part * np.eye(2) + sinc_part * k)
+    means = e @ state0.mean()
+    cov = e @ state0.covariance() @ e.transpose(0, 2, 1)
+
+    # E(s) 2D E(s)^T = e^{-2 lam s}[a0 + ac cos(2 Om s) + a_s sin(2 Om s)]
     two_d = 2.0 * d.matrix()
-
-    def integrand(s: float) -> np.ndarray:
-        e = propagator(cfg, s)
-        return e @ two_d @ e.T
-
-    n = 64
-    previous: np.ndarray | None = None
-    for _ in range(18):
-        step = t / n
-        nodes = [integrand(i * step) for i in range(n + 1)]
-        weights = np.ones(n + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        estimate = (step / 3.0) * sum(w * v for w, v in zip(weights, nodes))
-        if previous is not None:
-            err = float(np.max(np.abs(estimate - previous)))
-            scale = max(1.0, float(np.max(np.abs(estimate))))
-            if err < 1e-12 * scale:
-                return estimate
-        previous = estimate
-        n *= 2
-    raise NumericError("covariance quadrature did not converge")
+    k_d_k = k @ two_d @ k.T / (big * big)
+    a0 = 0.5 * (two_d + k_d_k)
+    ac = 0.5 * (two_d - k_d_k)
+    a_s = (k @ two_d + two_d @ k.T) / (2.0 * big)
+    # int_0^t e^{-2 lam s} ds, which is t itself at lam = 0
+    x = -2.0 * lam * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = np.where(x == 0.0, t, np.expm1(x) / (-2.0 * lam))
+    # int_0^t e^{z s} ds = (cos, sin) integrals; z is never 0 since Om > 0
+    z = complex(-2.0 * lam, 2.0 * big)
+    wave = np.expm1(z * t) / z
+    cov += flat[:, None, None] * a0 + wave.real[:, None, None] * ac
+    cov += wave.imag[:, None, None] * a_s
+    return means, cov
 
 
 def covariance_lyapunov(
@@ -188,26 +195,14 @@ def covariance_lyapunov(
     d: DiffusionCoefficients,
     t: float,
 ) -> GaussianState:
-    """Exact Gaussian state at time ``t`` from the matrix-exponential solution.
+    """Exact Gaussian state at time ``t``.
 
-    With damping, ``Sigma(t) = E (Sigma0 - Sigma_inf) E^T + Sigma_inf`` where
-    ``E = exp(Y t)`` and ``Sigma_inf`` solves the steady-state equation.  In the
-    undamped case there is no steady state and the inhomogeneous part is
-    evaluated as an explicit quadrature (skipped entirely for zero diffusion).
+    ``Sigma(t) = E Sigma0 E^T + int_0^t E(s) 2D E(s)^T ds`` with
+    ``E(s) = exp(Y s)``; the integral is evaluated in closed form, exactly for
+    every ``lam >= 0`` (see the module docstring).
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    e = propagator(cfg, t)
-    mean = e @ state0.mean()
-    cov0 = state0.covariance()
-    if cfg.lam > 0.0:
-        s_inf = steady_state_covariance(cfg, d)
-        cov = e @ (cov0 - s_inf) @ e.T + s_inf
-    else:
-        cov = e @ cov0 @ e.T
-        if not d.is_zero() and t > 0.0:
-            cov = cov + _particular_integral(cfg, d, t)
-    return GaussianState.from_moments(mean, cov, t=t)
+    means, covs = _propagate_moments(state0, cfg, d, [t])
+    return GaussianState.from_moments(means[0], covs[0], t=t)
 
 
 def _squeeze_terms(spec: InitialStateSpec) -> tuple[float, float, float]:
@@ -340,7 +335,14 @@ def trajectory_lyapunov(
     times: Sequence[float],
 ) -> Trajectory:
     """Exact-propagation trajectory sampled at the given times."""
-    states = tuple(covariance_lyapunov(state0, cfg, d, float(t)) for t in times)
+    times = [float(t) for t in times]
+    means, covs = _propagate_moments(state0, cfg, d, times)
+    s_pq = 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])
+    rows = np.column_stack([means, covs[:, 0, 0], covs[:, 1, 1], s_pq]).tolist()
+    states = tuple(
+        GaussianState(mean_q=q, mean_p=p, s_qq=sqq, s_pp=spp, s_pq=spq, t=t)
+        for t, (q, p, sqq, spp, spq) in zip(times, rows)
+    )
     return Trajectory(states=states, provenance="lyapunov")
 
 
@@ -425,7 +427,8 @@ def integrate_moments_rk4(
         sqq += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         spq += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         spp += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-        if not (math.isfinite(sqq) and math.isfinite(spp) and math.isfinite(q)):
+        if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(sqq)
+                and math.isfinite(spq) and math.isfinite(spp)):
             raise NumericError(
                 f"moment integration became non-finite at step {k}", step=k
             )
@@ -442,16 +445,3 @@ def integrate_moments_rk4(
                 )
             )
     return Trajectory(states=tuple(states), provenance="rk4-oracle")
-
-
-def closed_form_state_quantities(
-    spec: InitialStateSpec, cfg: OscillatorConfig, t: float
-) -> tuple[float, float, float, float]:
-    """Everything the closed forms provide at time ``t``:
-    (mean_q, mean_p, s_pq, sigma_det).
-
-    The individual variances have no published closed form; use the exact
-    propagation route for those.
-    """
-    q, p = mean_closed_form(initial_state(spec, cfg), cfg, t)
-    return q, p, sigma_pq_closed(spec, cfg, t), sigma_det_closed(spec, cfg, t)

@@ -11,6 +11,7 @@ from lindosc.model import (
     DiffusionCoefficients,
     GaussianState,
     InitialStateSpec,
+    NumericError,
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
@@ -20,7 +21,6 @@ from lindosc.propagate import (
     TRAJECTORY_HEADER,
     Trajectory,
     asymptotic_covariance,
-    closed_form_state_quantities,
     covariance_lyapunov,
     drift_matrix,
     format_float,
@@ -145,7 +145,9 @@ def test_closed_forms_agree_with_exact_propagation(seed):
     state0 = initial_state(spec, cfg)
     for t in rng.uniform(0.0, 30.0, size=6):
         exact = covariance_lyapunov(state0, cfg, d, float(t))
-        q, p, s_pq, sigma = closed_form_state_quantities(spec, cfg, float(t))
+        q, p = mean_closed_form(state0, cfg, float(t))
+        s_pq = sigma_pq_closed(spec, cfg, float(t))
+        sigma = sigma_det_closed(spec, cfg, float(t))
         assert q == pytest.approx(exact.mean_q, abs=1e-10)
         assert p == pytest.approx(exact.mean_p, abs=1e-10)
         assert abs(sigma - exact.sigma_det) / exact.sigma_det < 1e-8
@@ -199,6 +201,14 @@ def test_rk4_zero_time_returns_initial_state():
     assert traj.final == state0
 
 
+def test_rk4_non_finite_momentum_is_numeric_error():
+    # only mean_p overflows here; the other four moments stay finite
+    cfg = OscillatorConfig(m=1e10, omega=1e-5, lam=0.9, mu=0.0)
+    state0 = GaussianState(mean_q=0.0, mean_p=1.5e308, s_qq=1.0, s_pp=1.0, s_pq=0.0)
+    with pytest.raises(NumericError):
+        integrate_moments_rk4(state0, cfg, DiffusionCoefficients.zero(), 5.0, 1.0)
+
+
 def test_rk4_rejects_incommensurate_step():
     state0 = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), REF)
     with pytest.raises(ValueError):
@@ -242,8 +252,8 @@ def test_initial_condition_forgetting():
     assert late_a.mean_q == pytest.approx(0.0, abs=1e-10)
 
 
-def test_undamped_diffusion_uses_quadrature_route():
-    # lam = 0 with nonzero diffusion exercises the explicit integral
+def test_undamped_diffusion_matches_rk4():
+    # lam = 0 with nonzero diffusion: the diffusion integral grows linearly
     cfg = make_cfg(lam=0.0, mu=0.0)
     d = DiffusionCoefficients(d_pp=0.3, d_qq=0.1, d_pq=0.0)
     state0 = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), cfg)
@@ -252,6 +262,45 @@ def test_undamped_diffusion_uses_quadrature_route():
     assert got.s_qq == pytest.approx(ref.s_qq, abs=1e-9)
     assert got.s_pp == pytest.approx(ref.s_pp, abs=1e-9)
     assert got.s_pq == pytest.approx(ref.s_pq, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-11])
+def test_weak_damping_diffusion_matches_rk4(lam):
+    # as lam -> 0+ the steady state D/lam diverges; the exact integral must not
+    # lose the O(1) covariance to cancellation against it
+    cfg = make_cfg(lam=lam, mu=0.0)
+    d = DiffusionCoefficients(d_qq=0.05, d_pp=0.1)
+    state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.3), cfg)
+    ref = integrate_moments_rk4(state0, cfg, d, 10.0, 1e-3, record_every=500)
+    scale = max(max(abs(r.s_qq), abs(r.s_pp), abs(r.s_pq)) for r in ref)
+    worst = 0.0
+    for r in ref:
+        got = covariance_lyapunov(state0, cfg, d, r.t)
+        for attr in ("s_qq", "s_pp", "s_pq"):
+            worst = max(worst, abs(getattr(got, attr) - getattr(r, attr)))
+    assert worst / scale < 1e-11
+
+
+def test_trajectory_matches_pointwise_propagation():
+    state0 = initial_state(
+        InitialStateSpec(spread=4.0, correlation=0.3, center_q=1.0), REF
+    )
+    times = [0.0, 0.37, 1.0, 2.5, 13.0, 150.0]
+    traj = trajectory_lyapunov(state0, REF, REF_D, times)
+    assert list(traj.times) == times
+    pointwise = [covariance_lyapunov(state0, REF, REF_D, t) for t in times]
+    for attr in ("mean_q", "mean_p", "s_qq", "s_pp", "s_pq"):
+        want = np.array([getattr(s, attr) for s in pointwise])
+        got = np.array([getattr(s, attr) for s in traj])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_exact_route_rejects_negative_time():
+    state0 = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), REF)
+    with pytest.raises(ValueError):
+        covariance_lyapunov(state0, REF, REF_D, -0.1)
+    with pytest.raises(ValueError):
+        trajectory_lyapunov(state0, REF, REF_D, [0.0, -0.1])
 
 
 def test_uncertainty_floor_along_trajectory():
