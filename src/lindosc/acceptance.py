@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classicality import delta_qd, delta_qd_asymptotic
+from .classicality import classicality_degrees, delta_qd, delta_qd_asymptotic
 from .decoherence import (
     decoherence_rate,
     decoherence_time,
@@ -60,24 +60,13 @@ class CriterionResult:
     detail: str
 
 
-def _reference_cfg(c: float = 3.0) -> OscillatorConfig:
-    return OscillatorConfig(
-        m=1.0,
-        omega=1.0,
-        lam=0.2,
-        mu=0.1,
-        hbar=1.0,
-        temp=TemperatureSpec.from_coth(c),
-    )
-
-
 def check_asymptotic_decoherence_degree() -> CriterionResult:
     """The long-time decoherence degree equals the reciprocal coth factor,
     reproduced three independent ways per temperature."""
     worst = 0.0
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
     for c in (1.5, 3.0, 20.0):
-        cfg = _reference_cfg(c)
+        cfg = OscillatorConfig.reference(c)
         d = thermal_coefficients(cfg)
         state0 = initial_state(spec, cfg)
         closed = delta_qd_asymptotic(cfg)
@@ -98,27 +87,26 @@ def check_asymptotic_decoherence_degree() -> CriterionResult:
 def check_covariance_route_agreement() -> CriterionResult:
     """Closed-form covariance determinant and cross-covariance vs exact
     propagation vs fixed-step RK4 over t in [0, 14]."""
-    cfg = _reference_cfg(3.0)
+    cfg = OscillatorConfig.reference(3.0)
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
     d = thermal_coefficients(cfg)
     state0 = initial_state(spec, cfg)
-    times = [0.1 * i for i in range(141)]
-    closed_det = [sigma_det_closed(spec, cfg, t) for t in times]
-    closed_pq = [sigma_pq_closed(spec, cfg, t) for t in times]
+    times = 0.1 * np.arange(141)
     lyap = trajectory_lyapunov(state0, cfg, d, times)
     rk4 = integrate_moments_rk4(state0, cfg, d, 14.0, 1e-4, record_every=1000)
     assert len(rk4) == len(times)
-    amp_det = max(abs(v) for v in closed_det)
-    amp_pq = max(abs(v) for v in closed_pq)
     worst = 0.0
-    for i in range(len(times)):
-        dets = (closed_det[i], lyap[i].sigma_det, rk4[i].sigma_det)
-        pqs = (closed_pq[i], lyap[i].s_pq, rk4[i].s_pq)
-        worst = max(
-            worst,
-            max(abs(a - b) for a in dets for b in dets) / amp_det,
-            max(abs(a - b) for a in pqs for b in pqs) / amp_pq,
+    for closed, attr in ((sigma_det_closed, "sigma_det"), (sigma_pq_closed, "s_pq")):
+        routes = np.array(
+            [
+                closed(spec, cfg, times),
+                [getattr(s, attr) for s in lyap],
+                [getattr(s, attr) for s in rk4],
+            ]
         )
+        # the largest pairwise gap per time is max - min over the three routes
+        spread = routes.max(axis=0) - routes.min(axis=0)
+        worst = max(worst, float(spread.max() / np.abs(routes[0]).max()))
     passed = worst < 1e-6
     return CriterionResult(
         "covariance-route-agreement",
@@ -163,7 +151,7 @@ def check_decoherence_time_table() -> CriterionResult:
     failures = []
 
     spec4 = InitialStateSpec(spread=4.0, correlation=0.0)
-    cfg_warm = _reference_cfg(3.0)
+    cfg_warm = OscillatorConfig.reference(3.0)
     t1 = decoherence_time(spec4, cfg_warm)
     if abs(t1 - 1.0 / 6.6) > 1e-12 or round(t1, 5) != 0.15152:
         failures.append(f"warm-bath value {t1!r}")
@@ -245,7 +233,7 @@ def check_macroscopic_rate_ratio() -> CriterionResult:
 def check_grid_solver_oracle() -> CriterionResult:
     """The finite-difference transport solver holds the stationary state,
     matches the analytic Gaussian evolution, and converges at second order."""
-    cfg = _reference_cfg(3.0)
+    cfg = OscillatorConfig.reference(3.0)
     d = thermal_coefficients(cfg)
 
     # stationary fixed point over one time unit
@@ -283,7 +271,7 @@ def check_wigner_density_consistency() -> CriterionResult:
     Fourier transform of the density matrix is the Wigner function, at 100
     random (state, point) pairs."""
     rng = np.random.default_rng(_SEED)
-    cfg = _reference_cfg(3.0)
+    cfg = OscillatorConfig.reference(3.0)
     d = thermal_coefficients(cfg)
     worst_marginal = 0.0
     worst_fourier = 0.0
@@ -333,7 +321,7 @@ def check_regime_interpolation() -> CriterionResult:
         )
     )
     exact_floor = cold.sigma_be == cold.sigma_heisenberg == 0.25
-    hot = regime_report(_reference_cfg(100.0))
+    hot = regime_report(OscillatorConfig.reference(100.0))
     hot_gap = abs(hot.sigma_be / hot.sigma_mb - 1.0)
     passed = exact_floor and hot_gap < 1e-4
     return CriterionResult(
@@ -351,7 +339,8 @@ def check_monotonicity_battery() -> CriterionResult:
     failures = []
 
     asym = [
-        delta_qd_asymptotic(_reference_cfg(c)) for c in np.linspace(1.0, 20.0, 100)
+        delta_qd_asymptotic(OscillatorConfig.reference(c))
+        for c in np.linspace(1.0, 20.0, 100)
     ]
     if not all(b < a for a, b in zip(asym, asym[1:])):
         failures.append("asymptotic degree not decreasing in C")
@@ -374,13 +363,15 @@ def check_monotonicity_battery() -> CriterionResult:
         if not np.all(np.diff(table, axis=axis) < 0.0):
             failures.append(f"decoherence time not decreasing in {label}")
 
-    cfg = _reference_cfg(3.0)
+    cfg = OscillatorConfig.reference(3.0)
     qds, ccs = [], []
     for spread in (1.0, 2.0, 4.0, 8.0):
         spec = InitialStateSpec(spread=spread, correlation=0.0)
-        sigma = sigma_det_closed(spec, cfg, 0.5)
-        qds.append(cfg.hbar / (2.0 * math.sqrt(sigma)))
-        ccs.append(math.sqrt(sigma) / abs(sigma_pq_closed(spec, cfg, 0.5)))
+        qd, cc = classicality_degrees(
+            sigma_det_closed(spec, cfg, 0.5), sigma_pq_closed(spec, cfg, 0.5), cfg.hbar
+        )
+        qds.append(qd)
+        ccs.append(cc)
     if not all(b < a for a, b in zip(qds, qds[1:])):
         failures.append("decoherence degree not decreasing in delta at t=0.5")
     if not all(b < a for a, b in zip(ccs, ccs[1:])):

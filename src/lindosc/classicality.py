@@ -25,14 +25,16 @@ import numpy as np
 from .model import GaussianState, InitialStateSpec, OscillatorConfig
 from .propagate import (
     Trajectory,
-    format_float,
     sigma_det_closed,
     sigma_pq_closed,
+    time_grid,
+    write_csv,
 )
 from .states import alpha_beta_gamma
 
 __all__ = [
     "ClassicalityMetrics",
+    "classicality_degrees",
     "delta_qd",
     "delta_qd_asymptotic",
     "delta_cc",
@@ -50,9 +52,22 @@ __all__ = [
 METRICS_HEADER = "t,delta_qd,delta_cc,gamma,sigma_det,sigma_pq"
 
 
+def classicality_degrees(sigma, s_pq, hbar: float = 1.0):
+    """``(delta_qd, delta_cc)`` from the covariance determinant ``sigma`` and
+    the position-momentum covariance ``s_pq``, elementwise; ``delta_cc`` is
+    ``inf`` where ``s_pq == 0``.  Floats for scalars, arrays for arrays."""
+    scalar = isinstance(sigma, float) and isinstance(s_pq, float)
+    root = math.sqrt(sigma) if scalar else np.sqrt(sigma)
+    qd = hbar / (2.0 * root)
+    if scalar:
+        return qd, (math.inf if s_pq == 0.0 else root / abs(s_pq))
+    with np.errstate(divide="ignore", over="ignore"):  # inf, as for floats
+        return qd, root / np.abs(s_pq)
+
+
 def delta_qd(state: GaussianState, hbar: float = 1.0) -> float:
     """Degree of quantum decoherence, ``hbar/(2 sqrt(sigma_det))`` in (0, 1]."""
-    return hbar / (2.0 * math.sqrt(state.sigma_det))
+    return classicality_degrees(state.sigma_det, state.s_pq, hbar)[0]
 
 
 def delta_qd_asymptotic(cfg: OscillatorConfig) -> float:
@@ -74,9 +89,7 @@ def delta_cc(state: GaussianState) -> float:
     Returns ``math.inf`` when ``s_pq == 0`` — legitimately unbounded, not an
     error (the covariance crosses zero repeatedly during damped oscillation).
     """
-    if state.s_pq == 0.0:
-        return math.inf
-    return math.sqrt(state.sigma_det) / abs(state.s_pq)
+    return classicality_degrees(state.sigma_det, state.s_pq)[1]
 
 
 def delta_cc_closed_system(
@@ -110,10 +123,11 @@ class ClassicalityMetrics:
 
 def metrics_from_state(state: GaussianState, hbar: float = 1.0) -> ClassicalityMetrics:
     coeff = alpha_beta_gamma(state, hbar)
+    qd, cc = classicality_degrees(state.sigma_det, state.s_pq, hbar)
     return ClassicalityMetrics(
         t=state.t,
-        delta_qd=delta_qd(state, hbar),
-        delta_cc=delta_cc(state),
+        delta_qd=qd,
+        delta_cc=cc,
         gamma=coeff.gamma,
         sigma_det=state.sigma_det,
         sigma_pq=state.s_pq,
@@ -124,18 +138,11 @@ def write_metrics_csv(
     metrics: Iterable[ClassicalityMetrics], target: str | Path | IO[str]
 ) -> None:
     """Metrics CSV with infinity serialized as the literal ``inf``."""
-
-    def write(handle: IO[str]) -> None:
-        handle.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            row = (m.t, m.delta_qd, m.delta_cc, m.gamma, m.sigma_det, m.sigma_pq)
-            handle.write(",".join(format_float(x) for x in row) + "\n")
-
-    if hasattr(target, "write"):
-        write(target)  # type: ignore[arg-type]
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            write(handle)
+    rows = (
+        (m.t, m.delta_qd, m.delta_cc, m.gamma, m.sigma_det, m.sigma_pq)
+        for m in metrics
+    )
+    write_csv(target, METRICS_HEADER, rows)
 
 
 def contour_semi_axes(state: GaussianState) -> tuple[float, float]:
@@ -175,23 +182,26 @@ def one_sigma_contour(state: GaussianState, n_points: int = 256) -> np.ndarray:
 # -- simultaneous-classicality windows --------------------------------------
 
 
-def _condition(qd: float, cc: float, qd_threshold: float, cc_threshold: float) -> bool:
-    return qd < qd_threshold and cc < cc_threshold
+def _condition(qd, cc, qd_threshold: float, cc_threshold: float):
+    # scalars, or arrays elementwise
+    return (qd < qd_threshold) & (cc < cc_threshold)
+
+
+def _membership(
+    evaluator: Callable, qd_threshold: float, cc_threshold: float
+) -> Callable:
+    """t -> whether both degrees are below their thresholds at t (scalar or
+    array ``t``)."""
+    return lambda t: _condition(*evaluator(t), qd_threshold, cc_threshold)
 
 
 def _refine_crossing(
-    evaluator: Callable[[float], tuple[float, float]],
-    t_out: float,
-    t_in: float,
-    qd_threshold: float,
-    cc_threshold: float,
-    time_tol: float,
+    inside: Callable[[float], bool], t_out: float, t_in: float, time_tol: float
 ) -> float:
     # Bisect between a time outside the window and a time inside it.
     while abs(t_in - t_out) > time_tol:
         mid = 0.5 * (t_in + t_out)
-        qd, cc = evaluator(mid)
-        if _condition(qd, cc, qd_threshold, cc_threshold):
+        if inside(mid):
             t_in = mid
         else:
             t_out = mid
@@ -201,9 +211,7 @@ def _refine_crossing(
 def _windows_from_samples(
     times: Sequence[float],
     flags: Sequence[bool],
-    qd_threshold: float,
-    cc_threshold: float,
-    evaluator: Callable[[float], tuple[float, float]] | None,
+    inside: Callable[[float], bool] | None,
     time_tol: float,
 ) -> list[tuple[float, float]]:
     windows: list[tuple[float, float]] = []
@@ -213,31 +221,15 @@ def _windows_from_samples(
         if not flags[i]:
             i += 1
             continue
-        start_index = i
+        first = i
         while i + 1 < n and flags[i + 1]:
             i += 1
-        end_index = i
-        start = times[start_index]
-        end = times[end_index]
-        if evaluator is not None:
-            if start_index > 0:
-                start = _refine_crossing(
-                    evaluator,
-                    times[start_index - 1],
-                    start,
-                    qd_threshold,
-                    cc_threshold,
-                    time_tol,
-                )
-            if end_index + 1 < n:
-                end = _refine_crossing(
-                    evaluator,
-                    times[end_index + 1],
-                    end,
-                    qd_threshold,
-                    cc_threshold,
-                    time_tol,
-                )
+        start, end = times[first], times[i]
+        if inside is not None:
+            if first > 0:
+                start = _refine_crossing(inside, times[first - 1], start, time_tol)
+            if i + 1 < n:
+                end = _refine_crossing(inside, times[i + 1], end, time_tol)
         windows.append((start, end))
         i += 1
     return windows
@@ -266,26 +258,26 @@ def classicality_window(
     if len(traj) < 2:
         raise ValueError("need at least 2 trajectory samples to detect windows")
     times = [s.t for s in traj]
-    flags = [
-        _condition(delta_qd(s, hbar), delta_cc(s), qd_threshold, cc_threshold)
-        for s in traj
-    ]
-    return _windows_from_samples(
-        times, flags, qd_threshold, cc_threshold, evaluator, time_tol
+    qd, cc = classicality_degrees(
+        np.array([s.sigma_det for s in traj]), np.array([s.s_pq for s in traj]), hbar
     )
+    flags = _condition(qd, cc, qd_threshold, cc_threshold).tolist()
+    inside = None
+    if evaluator is not None:
+        inside = _membership(evaluator, qd_threshold, cc_threshold)
+    return _windows_from_samples(times, flags, inside, time_tol)
 
 
 def closed_form_metric_evaluator(
     spec: InitialStateSpec, cfg: OscillatorConfig
 ) -> Callable[[float], tuple[float, float]]:
-    """(delta_qd(t), delta_cc(t)) from the closed-form covariance expressions."""
+    """(delta_qd(t), delta_cc(t)) from the closed-form covariance expressions;
+    ``t`` may be a scalar or an array."""
 
-    def evaluate(t: float) -> tuple[float, float]:
+    def evaluate(t):
         sigma = sigma_det_closed(spec, cfg, t)
         s_pq = sigma_pq_closed(spec, cfg, t)
-        qd = cfg.hbar / (2.0 * math.sqrt(sigma))
-        cc = math.inf if s_pq == 0.0 else math.sqrt(sigma) / abs(s_pq)
-        return qd, cc
+        return classicality_degrees(sigma, s_pq, cfg.hbar)
 
     return evaluate
 
@@ -299,18 +291,15 @@ def find_windows(
     cc_threshold: float,
     time_tol: float = 1e-6,
 ) -> list[tuple[float, float]]:
-    """Closed-form window detection on a uniform sampling grid with bisection
-    refinement of the interval endpoints."""
+    """Closed-form window detection on a uniform sampling grid (see
+    :func:`~lindosc.propagate.time_grid`) with bisection refinement of the
+    interval endpoints."""
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
-    evaluator = closed_form_metric_evaluator(spec, cfg)
-    n = int(math.floor(t_end / dt + 1e-9))
-    times = [min(i * dt, t_end) for i in range(n + 1)]
-    if times[-1] < t_end:
-        times.append(t_end)
-    flags = [
-        _condition(*evaluator(t), qd_threshold, cc_threshold) for t in times
-    ]
+    inside = _membership(
+        closed_form_metric_evaluator(spec, cfg), qd_threshold, cc_threshold
+    )
+    times = time_grid(t_end, dt)
     return _windows_from_samples(
-        times, flags, qd_threshold, cc_threshold, evaluator, time_tol
+        times.tolist(), inside(times).tolist(), inside, time_tol
     )

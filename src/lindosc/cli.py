@@ -31,6 +31,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .classicality import (
+    classicality_degrees,
     closed_form_metric_evaluator,
     find_windows,
     metrics_from_state,
@@ -49,7 +50,6 @@ from .decoherence import (
 )
 from .fpe import FpeRunSpec, grid_linf_diff, run_fpe
 from .model import (
-    DiffusionCoefficients,
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
@@ -61,12 +61,15 @@ from .model import (
 from .propagate import (
     TRAJECTORY_HEADER,
     Trajectory,
+    asymptotic_covariance,
     format_float,
     integrate_moments_rk4,
     mean_closed_form,
     sigma_det_closed,
     sigma_pq_closed,
+    time_grid,
     trajectory_lyapunov,
+    write_csv,
 )
 from .states import (
     GridGeometry,
@@ -77,7 +80,6 @@ from .states import (
     stationary_density,
     stationary_grid,
 )
-from .propagate import asymptotic_covariance
 
 PROG = "lindosc"
 
@@ -126,6 +128,17 @@ def _emit_json(payload, target: str | None) -> None:
     text = json.dumps(json_safe(payload), indent=2, sort_keys=True) + "\n"
     with _open_out(target) as handle:
         handle.write(text)
+
+
+def _emit_report(payload: dict, target: str | None, as_json: bool) -> None:
+    """Sorted JSON, or one ``key = value`` line per entry in payload order."""
+    if as_json:
+        _emit_json(payload, target)
+        return
+    with _open_out(target) as handle:
+        for key, value in payload.items():
+            text = value if isinstance(value, str) else format_float(value)
+            handle.write(f"{key} = {text}\n")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -182,22 +195,6 @@ def _model_from_args(args) -> tuple[OscillatorConfig, InitialStateSpec]:
     return build_model(file_values, overrides)
 
 
-def _coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
-    return thermal_coefficients(cfg)  # returns zeros for a closed system
-
-
-def _time_grid(t_end: float, dt: float) -> list[float]:
-    if t_end < 0.0:
-        raise ValueError("t-end must be >= 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    n = int(math.floor(t_end / dt + 1e-9))
-    times = [i * dt for i in range(n + 1)]
-    if times[-1] < t_end - 1e-12 * max(1.0, t_end):
-        times.append(t_end)
-    return times
-
-
 # --------------------------------------------------------------------------- #
 # simple reports
 # --------------------------------------------------------------------------- #
@@ -205,14 +202,8 @@ def _time_grid(t_end: float, dt: float) -> list[float]:
 
 def _cmd_coeffs(args) -> int:
     cfg, _ = _model_from_args(args)
-    d = _coefficients(cfg)
-    payload = {"d_pp": d.d_pp, "d_qq": d.d_qq, "d_pq": d.d_pq}
-    if args.json:
-        _emit_json(payload, args.out)
-    else:
-        with _open_out(args.out) as handle:
-            for key in ("d_pp", "d_qq", "d_pq"):
-                handle.write(f"{key} = {format_float(payload[key])}\n")
+    d = thermal_coefficients(cfg)
+    _emit_report({"d_pp": d.d_pp, "d_qq": d.d_qq, "d_pq": d.d_pq}, args.out, args.json)
     return 0
 
 
@@ -250,13 +241,7 @@ def _cmd_deco(args) -> int:
     if args.separation is not None:
         payload["separation"] = args.separation
         payload["rate_ratio"] = rate_ratio(cfg, args.separation)
-    if args.json:
-        _emit_json(payload, args.out)
-    else:
-        with _open_out(args.out) as handle:
-            for key, value in payload.items():
-                text = value if isinstance(value, str) else format_float(float(value))
-                handle.write(f"{key} = {text}\n")
+    _emit_report(payload, args.out, args.json)
     return 0
 
 
@@ -265,42 +250,37 @@ def _cmd_deco(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _closed_rows(
-    spec: InitialStateSpec, cfg: OscillatorConfig, times: Sequence[float]
-) -> list[tuple[float, ...]]:
-    state0 = initial_state(spec, cfg)
-    rows = []
-    for t in times:
-        q, p = mean_closed_form(state0, cfg, t)
-        s_pq = sigma_pq_closed(spec, cfg, t)
-        sigma = sigma_det_closed(spec, cfg, t)
-        rows.append((t, q, p, math.nan, math.nan, s_pq, sigma))
-    return rows
+def _closed_columns(
+    spec: InitialStateSpec, cfg: OscillatorConfig, times: np.ndarray
+) -> np.ndarray:
+    """Trajectory columns from the closed forms; s_qq and s_pp are nan."""
+    q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
+    s_pq, sigma = sigma_pq_closed(spec, cfg, times), sigma_det_closed(spec, cfg, times)
+    blank = np.full_like(times, math.nan)
+    return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
 
-def _write_rows(handle: IO[str], header: str, rows) -> None:
-    handle.write(header + "\n")
-    for row in rows:
-        handle.write(",".join(format_float(float(x)) for x in row) + "\n")
+def _state_columns(traj: Trajectory) -> np.ndarray:
+    return np.array(
+        [(s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq, s.sigma_det) for s in traj]
+    )
 
 
 def _cmd_trajectory(args) -> int:
     cfg, spec = _model_from_args(args)
-    d = _coefficients(cfg)
+    d = thermal_coefficients(cfg)
     state0 = initial_state(spec, cfg)
-    times = _time_grid(args.t_end, args.dt)
+    times = time_grid(args.t_end, args.dt)
 
     if args.route == "closed":
         with _open_out(args.out) as handle:
-            _write_rows(handle, TRAJECTORY_HEADER, _closed_rows(spec, cfg, times))
+            write_csv(handle, TRAJECTORY_HEADER, _closed_columns(spec, cfg, times))
         return 0
-    if args.route == "lyapunov":
-        traj = trajectory_lyapunov(state0, cfg, d, times)
-        with _open_out(args.out) as handle:
-            traj.to_csv(handle)
-        return 0
-    if args.route == "rk4":
-        traj = integrate_moments_rk4(state0, cfg, d, args.t_end, args.dt)
+    if args.route in ("lyapunov", "rk4"):
+        if args.route == "lyapunov":
+            traj = trajectory_lyapunov(state0, cfg, d, times)
+        else:
+            traj = integrate_moments_rk4(state0, cfg, d, args.t_end, args.dt)
         with _open_out(args.out) as handle:
             traj.to_csv(handle)
         return 0
@@ -310,9 +290,8 @@ def _cmd_trajectory(args) -> int:
     n = int(round(args.t_end / args.dt))
     if args.t_end > 0 and abs(n * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
         raise ValueError("route=all needs t-end to be an integer multiple of dt")
-    times = [i * args.dt for i in range(n + 1)]
-    lyap = trajectory_lyapunov(state0, cfg, d, times)
-    closed = _closed_rows(spec, cfg, times)
+    lyap = _state_columns(trajectory_lyapunov(state0, cfg, d, times))
+    closed = _closed_columns(spec, cfg, times)
     if n == 0:
         rk4 = Trajectory(states=(state0,), provenance="rk4-oracle")
     else:
@@ -323,46 +302,24 @@ def _cmd_trajectory(args) -> int:
     if len(rk4) != len(times):
         raise NumericError("route grids fell out of alignment")
 
-    def amplitude(values: Sequence[float]) -> float:
-        peak = max(abs(v) for v in values)
-        return peak if peak > 0.0 else 1.0
-
-    scale_q = amplitude([s.mean_q for s in lyap])
-    scale_p = amplitude([s.mean_p for s in lyap])
-    scale_pq = amplitude([s.s_pq for s in lyap])
-    scale_det = amplitude([s.sigma_det for s in lyap])
-    scale_sqq = amplitude([s.s_qq for s in lyap])
-    scale_spp = amplitude([s.s_pp for s in lyap])
-
-    rows = []
-    for i, s in enumerate(lyap):
-        _, cq, cp, _, _, cpq, cdet = closed[i]
-        r = rk4[i]
-        dev = max(
-            abs(s.mean_q - cq) / scale_q,
-            abs(s.mean_p - cp) / scale_p,
-            abs(s.s_pq - cpq) / scale_pq,
-            abs(s.sigma_det - cdet) / scale_det,
-            abs(s.mean_q - r.mean_q) / scale_q,
-            abs(s.mean_p - r.mean_p) / scale_p,
-            abs(s.s_qq - r.s_qq) / scale_sqq,
-            abs(s.s_pp - r.s_pp) / scale_spp,
-            abs(s.s_pq - r.s_pq) / scale_pq,
-            abs(s.sigma_det - r.sigma_det) / scale_det,
-        )
-        rows.append(
-            (s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq, s.sigma_det, dev)
-        )
+    # deviations in every moment column (t excluded); the closed forms leave
+    # s_qq and s_pp as nan, which nanmax skips
+    peak = np.abs(lyap[:, 1:]).max(axis=0)
+    scale = np.where(peak > 0.0, peak, 1.0)
+    to_closed = np.abs(lyap[:, 1:] - closed[:, 1:]) / scale
+    to_rk4 = np.abs(lyap[:, 1:] - _state_columns(rk4)[:, 1:]) / scale
+    dev = np.nanmax(np.hstack([to_closed, to_rk4]), axis=1)
+    rows = np.column_stack([lyap, dev])
     with _open_out(args.out) as handle:
-        _write_rows(handle, TRAJECTORY_HEADER + ",max_route_dev", rows)
+        write_csv(handle, TRAJECTORY_HEADER + ",max_route_dev", rows)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     cfg, spec = _model_from_args(args)
-    d = _coefficients(cfg)
+    d = thermal_coefficients(cfg)
     state0 = initial_state(spec, cfg)
-    times = _time_grid(args.t_end, args.dt)
+    times = time_grid(args.t_end, args.dt)
     traj = trajectory_lyapunov(state0, cfg, d, times)
     metrics = [metrics_from_state(s, hbar=cfg.hbar) for s in traj]
     with _open_out(args.out) as handle:
@@ -372,6 +329,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_window(args) -> int:
     cfg, spec = _model_from_args(args)
+    thermal_coefficients(cfg)  # rejects a bath that is no Lindblad generator
     windows = find_windows(
         spec,
         cfg,
@@ -400,88 +358,57 @@ def _cmd_window(args) -> int:
 _FIGURES = ("1", "2a", "2b", "3a", "3b", "3c", "4a", "4b")
 
 
-def _figure_cfg(c: float) -> OscillatorConfig:
-    return OscillatorConfig(
-        m=1.0,
-        omega=1.0,
-        lam=0.2,
-        mu=0.1,
-        hbar=1.0,
-        temp=TemperatureSpec.from_coth(c),
-    )
-
-
 def _write_fig1(out_dir: Path, n_time: int) -> list[Path]:
-    cfg = _figure_cfg(3.0)
-    files = []
+    cfg = OscillatorConfig.reference(3.0)
     spec = InitialStateSpec(spread=1.0, correlation=0.0, center_q=6.0, center_p=4.0)
-    state0 = initial_state(spec, cfg)
+    times = 14.0 * np.arange(n_time) / (n_time - 1)
+    q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
     path = out_dir / "fig1_trajectory.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("t,mean_q,mean_p\n")
-        for i in range(n_time):
-            t = 14.0 * i / (n_time - 1)
-            q, p = mean_closed_form(state0, cfg, t)
-            handle.write(
-                ",".join(format_float(x) for x in (t, q, p)) + "\n"
-            )
-    files.append(path)
+    write_csv(path, "t,mean_q,mean_p", np.column_stack([times, q, p]))
+    files = [path]
     for spread in (1.0, 4.0):
         contour_spec = InitialStateSpec(
             spread=spread, correlation=0.0, center_q=6.0, center_p=4.0
         )
         points = one_sigma_contour(initial_state(contour_spec, cfg))
         path = out_dir / f"fig1_contour_delta{int(spread)}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("q,p\n")
-            for q, p in points:
-                handle.write(f"{format_float(q)},{format_float(p)}\n")
+        write_csv(path, "q,p", points)
         files.append(path)
     return files
 
 
 def _write_fig2(out_dir: Path, which: str, n_time: int) -> list[Path]:
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
-    c_values = [1.0 + 5.0 * i / 50 for i in range(51)]
-    t_values = [20.0 * i / (n_time - 1) for i in range(n_time)]
+    c_values = 1.0 + 5.0 * np.arange(51) / 50
+    t_values = 20.0 * np.arange(n_time) / (n_time - 1)
     column = "delta_qd" if which == "2a" else "delta_cc"
+    blocks = []
+    for c in c_values.tolist():
+        evaluate = closed_form_metric_evaluator(spec, OscillatorConfig.reference(c))
+        qd, cc = evaluate(t_values)
+        value = qd if which == "2a" else cc
+        blocks.append(np.column_stack([np.full_like(t_values, c), t_values, value]))
     path = out_dir / f"fig{which}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"C,t,{column}\n")
-        for c in c_values:
-            evaluate = closed_form_metric_evaluator(spec, _figure_cfg(c))
-            for t in t_values:
-                qd, cc = evaluate(t)
-                value = qd if which == "2a" else cc
-                handle.write(
-                    ",".join(format_float(x) for x in (c, t, value)) + "\n"
-                )
+    write_csv(path, f"C,t,{column}", np.concatenate(blocks))
     return [path]
 
 
 def _density_figure(which: str, n: int) -> PhaseSpaceGrid:
-    spec = InitialStateSpec(spread=4.0, correlation=0.0)
     if which == "3a":
-        cfg = _figure_cfg(3.0)
-        state0 = initial_state(spec, cfg)
+        cfg = OscillatorConfig.reference(3.0)
+        state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
         bound = 6.0 * math.sqrt(state0.s_qq)
-        values, _ = density_grid(state0, -bound, bound, n, hbar=cfg.hbar)
-        values = np.abs(values)
-    else:
-        cfg = _figure_cfg(3.0 if which == "3b" else 20.0)
-        std = math.sqrt(cfg.hbar * cfg.coth_epsilon / (2.0 * cfg.m * cfg.omega))
-        bound = 6.0 * std
-        step = 2.0 * bound / n
-        axis = -bound + (np.arange(n) + 0.5) * step
-        values = np.asarray(
-            stationary_density(cfg, axis[:, None], axis[None, :]), dtype=float
-        )
+        values = np.abs(density_grid(state0, -bound, bound, n, hbar=cfg.hbar)[0])
+        return PhaseSpaceGrid(GridGeometry(-bound, bound, -bound, bound, n, n), values)
+    cfg = OscillatorConfig.reference(3.0 if which == "3b" else 20.0)
+    bound = 6.0 * math.sqrt(asymptotic_covariance(cfg).s_qq)
     geom = GridGeometry(-bound, bound, -bound, bound, n, n)
-    return PhaseSpaceGrid(geom=geom, values=values)
+    axis = geom.q_centers()
+    return PhaseSpaceGrid(geom, stationary_density(cfg, axis[:, None], axis[None, :]))
 
 
 def _wigner_figure(which: str, n: int) -> PhaseSpaceGrid:
-    cfg = _figure_cfg(3.0)
+    cfg = OscillatorConfig.reference(3.0)
     if which == "4a":
         state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
         geom = geometry_for_states([state0], n)
@@ -503,13 +430,11 @@ def _cmd_figdata(args) -> int:
             written += _write_fig1(out_dir, args.t_samples)
         elif figure in ("2a", "2b"):
             written += _write_fig2(out_dir, figure, args.t_samples)
-        elif figure in ("3a", "3b", "3c"):
-            grid = _density_figure(figure, args.n)
-            path = out_dir / f"fig{figure}.csv"
-            grid.to_csv(path)
-            written.append(path)
-        else:  # 4a / 4b
-            grid = _wigner_figure(figure, args.n)
+        else:  # phase-space grids 3a-3c, 4a, 4b
+            if figure.startswith("3"):
+                grid = _density_figure(figure, args.n)
+            else:
+                grid = _wigner_figure(figure, args.n)
             path = out_dir / f"fig{figure}.csv"
             grid.to_csv(path)
             written.append(path)
@@ -612,6 +537,7 @@ def _sweep_point(
     records: tuple[str, ...],
     t_default: float,
 ) -> list[float]:
+    """Recorded values at one point; ``ValueError`` for an invalid point."""
     lam = assignments.get("lambda", base_cfg.lam)
     mu = assignments.get("mu", base_cfg.mu)
     temp = (
@@ -629,6 +555,7 @@ def _sweep_point(
         temp=temp,
         closed_system=(lam == 0.0 and mu == 0.0),
     )
+    thermal_coefficients(cfg)  # rejects lam <= |mu| outside the closed system
     spec = InitialStateSpec(
         spread=assignments.get("delta", base_spec.spread),
         correlation=assignments.get("r", base_spec.correlation),
@@ -636,6 +563,7 @@ def _sweep_point(
         center_p=base_spec.center_p,
     )
     t = assignments.get("t", t_default)
+    closed: dict[str, float] = {}
     values = []
     for record in records:
         if record == "t_deco":
@@ -645,18 +573,14 @@ def _sweep_point(
         elif record == "t_rel":
             values.append(relaxation_time(cfg))
         else:
-            sigma = sigma_det_closed(spec, cfg, t)
-            if record == "sigma_det":
-                values.append(sigma)
-            elif record == "sigma_pq":
-                values.append(sigma_pq_closed(spec, cfg, t))
-            elif record == "delta_qd":
-                values.append(cfg.hbar / (2.0 * math.sqrt(sigma)))
-            else:  # delta_cc
+            if not closed:
+                sigma = sigma_det_closed(spec, cfg, t)
                 s_pq = sigma_pq_closed(spec, cfg, t)
-                values.append(
-                    math.inf if s_pq == 0.0 else math.sqrt(sigma) / abs(s_pq)
-                )
+                qd, cc = classicality_degrees(sigma, s_pq, cfg.hbar)
+                closed = {
+                    "sigma_det": sigma, "sigma_pq": s_pq, "delta_qd": qd, "delta_cc": cc
+                }
+            values.append(closed[record])
     return values
 
 
@@ -669,26 +593,29 @@ def run_sweep(
     """Evaluate the sweep grid row-major (first axis slow) into CSV.
 
     Points where the parameter combination is invalid (e.g. |mu| >= omega, so
-    the motion is no longer underdamped, or C below 1) record ``nan`` for
-    every quantity rather than aborting the sweep.
+    the motion is no longer underdamped, C below 1, or lam <= |mu| outside
+    the closed system, so the bath is no Lindblad generator) record ``nan``
+    for every quantity rather than aborting the sweep.
     """
     names = [axis.name for axis in sweep.axes]
-    handle.write(",".join(names + list(sweep.records)) + "\n")
     grids = [axis.values() for axis in sweep.axes]
     if len(grids) == 1:
         points = [(v,) for v in grids[0]]
     else:
         points = [(a, b) for a in grids[0] for b in grids[1]]
-    for point in points:
-        assignments = dict(zip(names, point))
-        try:
-            values = _sweep_point(
-                base_cfg, base_spec, assignments, sweep.records, sweep.t
-            )
-        except ValueError:
-            values = [math.nan] * len(sweep.records)
-        row = list(point) + values
-        handle.write(",".join(format_float(float(x)) for x in row) + "\n")
+
+    def rows():
+        for point in points:
+            assignments = dict(zip(names, point))
+            try:
+                values = _sweep_point(
+                    base_cfg, base_spec, assignments, sweep.records, sweep.t
+                )
+            except ValueError:
+                values = [math.nan] * len(sweep.records)
+            yield list(point) + values
+
+    write_csv(handle, ",".join(names + list(sweep.records)), rows())
 
 
 def _cmd_sweep(args) -> int:
@@ -710,7 +637,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fpe(args) -> int:
     cfg, spec = _model_from_args(args)
-    d = _coefficients(cfg)
+    d = thermal_coefficients(cfg)
     if args.stationary:
         w0 = stationary_grid(cfg, args.grid_n, coverage=args.coverage)
         initial_desc: dict[str, object] = {"stationary": True}
@@ -768,8 +695,7 @@ def _cmd_fpe(args) -> int:
         },
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(json_safe(manifest), indent=2, sort_keys=True) + "\n")
+    _emit_json(manifest, str(manifest_path))
     print(f"linf_drift_vs_initial = {format_float(drift)}")
     print(manifest_path)
     return 0

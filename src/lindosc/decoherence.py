@@ -14,7 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DiffusionCoefficients, InitialStateSpec, OscillatorConfig
+from .model import (
+    DiffusionCoefficients,
+    InitialStateSpec,
+    OscillatorConfig,
+    squeeze_terms,
+)
 
 __all__ = [
     "TimeScales",
@@ -35,16 +40,9 @@ __all__ = [
 ]
 
 
-def _terms(spec: InitialStateSpec) -> tuple[float, float, float, float, float]:
-    """spread, r, and the squeezing combinations entering rates:
-    k_plus/minus = spread +/- 1/(spread*(1-r^2)), correction = r^2/(spread*(1-r^2))."""
-    d = spec.spread
-    r = spec.correlation
-    one_minus = 1.0 - r * r
-    k_plus = d + 1.0 / (d * one_minus)
-    k_minus = d - 1.0 / (d * one_minus)
-    correction = r * r / (d * one_minus)
-    return d, r, k_plus, k_minus, correction
+def _time_from_rate(rate: float) -> float:
+    """``1/rate``, or ``inf`` when the rate is <= 0 (the process never acts)."""
+    return math.inf if rate <= 0.0 else 1.0 / rate
 
 
 def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
@@ -56,14 +54,15 @@ def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     with ``corr = r^2/(spread*(1 - r^2))``.  May be <= 0 (no decoherence, e.g.
     the unsqueezed state at T=0).
     """
-    d, r, _, _, correction = _terms(spec)
+    d, r = spec.spread, spec.correlation
+    _, _, correction, root = squeeze_terms(spec)
     c = cfg.coth_epsilon
     rate = (
         cfg.lam * (d + correction) * c
         + cfg.mu * (d - correction) * c
         - cfg.lam
         - cfg.mu
-        - cfg.omega * r / (d * math.sqrt(1.0 - r * r))
+        - cfg.omega * r / (d * root)
     )
     return 2.0 * rate
 
@@ -71,10 +70,7 @@ def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
 def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Reciprocal of :func:`decoherence_rate`; ``+inf`` when the rate is <= 0
     (the state never loses coherence — e.g. spread=1, r=0 at T=0)."""
-    rate = decoherence_rate(spec, cfg)
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate
+    return _time_from_rate(decoherence_rate(spec, cfg))
 
 
 def decoherence_time_order(cfg: OscillatorConfig, s_qq0: float) -> float:
@@ -110,12 +106,12 @@ def decoherence_time_high_temperature(
 
     reducing to ``1/(2 (lam + mu) spread tau)`` for r=0.
     """
-    d, _, _, _, correction = _terms(spec)
+    d = spec.spread
+    _, _, correction, _ = squeeze_terms(spec)
     tau = _tau(cfg)
-    rate = 2.0 * tau * (cfg.lam * (d + correction) + cfg.mu * (d - correction))
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate
+    return _time_from_rate(
+        2.0 * tau * (cfg.lam * (d + correction) + cfg.mu * (d - correction))
+    )
 
 
 def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
@@ -127,19 +123,14 @@ def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     with ``k_plus/minus = spread +/- 1/(spread*(1 - r^2))``.  Diverges at T=0
     (tau = 0), where thermal fluctuations never take over.
     """
-    _, _, k_plus, k_minus, _ = _terms(spec)
+    k_plus, k_minus, _, _ = squeeze_terms(spec)
     tau = _tau(cfg)
-    rate = 2.0 * tau * (cfg.lam * k_plus + cfg.mu * k_minus)
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate
+    return _time_from_rate(2.0 * tau * (cfg.lam * k_plus + cfg.mu * k_minus))
 
 
 def relaxation_time(cfg: OscillatorConfig) -> float:
     """Energy-relaxation time scale, ``1/lam``; ``inf`` without damping."""
-    if cfg.lam <= 0.0:
-        return math.inf
-    return 1.0 / cfg.lam
+    return _time_from_rate(cfg.lam)
 
 
 def gamma_short_time(
@@ -165,7 +156,7 @@ def sigma_short_time(
 
     Slope zero for the unsqueezed state at T=0 (sigma stays minimal).
     """
-    _, _, k_plus, k_minus, _ = _terms(spec)
+    k_plus, k_minus, _, _ = squeeze_terms(spec)
     c = cfg.coth_epsilon
     slope = 2.0 * (cfg.lam * k_plus * c + cfg.mu * k_minus * c - 2.0 * cfg.lam)
     return (cfg.hbar * cfg.hbar / 4.0) * (1.0 + slope * t)

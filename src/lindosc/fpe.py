@@ -22,7 +22,7 @@ This solver is deliberately independent of the closed-form machinery in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "FpeResult",
     "stable_dt",
     "run_fpe",
-    "evolve_wigner",
     "grid_moments",
     "grid_l2_diff",
     "grid_linf_diff",
@@ -56,17 +55,14 @@ class FpeRunSpec:
     ``dt=None`` picks the largest stable step automatically.  ``safety`` is
     the fraction of the stability bound used by the automatic step; it may be
     lowered but not raised above 0.5.  ``snapshot_times`` are intermediate
-    times (each in (0, t_end]) at which the grid is captured.  ``geom``, when
-    given, must match the geometry of the initial grid (a consistency check
-    for callers that build the two separately).
+    times (each in (0, t_end]) at which the grid is captured.  The boundary
+    is always zero-inflow (see the module docstring).
     """
 
     t_end: float
     dt: float | None = None
     snapshot_times: tuple[float, ...] = ()
     safety: float = 0.5
-    boundary: str = "zero-inflow"
-    geom: GridGeometry | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
@@ -75,8 +71,6 @@ class FpeRunSpec:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not 0.0 < self.safety <= 0.5:
             raise ValueError(f"safety must be in (0, 0.5], got {self.safety!r}")
-        if self.boundary != "zero-inflow":
-            raise ValueError(f"unsupported boundary policy {self.boundary!r}")
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         for t in self.snapshot_times:
             if not 0.0 < t <= self.t_end:
@@ -240,7 +234,6 @@ class FpeResult:
     mass_initial: float
     mass_final: float
     min_value: float
-    boundary: str = "zero-inflow"
 
     def summary(self) -> dict:
         g = self.final.geom
@@ -248,7 +241,7 @@ class FpeResult:
             "t_end": self.t_end,
             "dt": self.dt,
             "steps": self.steps,
-            "boundary": self.boundary,
+            "boundary": "zero-inflow",
             "mass_initial": self.mass_initial,
             "mass_final": self.mass_final,
             "mass_drift": self.mass_final - self.mass_initial,
@@ -272,13 +265,11 @@ def run_fpe(
     """Integrate the transport equation from ``w0`` to ``run.t_end``.
 
     Raises ``ValueError`` for an unnormalized initial grid (|mass - 1| >
-    1e-3), a geometry mismatch, or a time step above the stability bound, and
+    1e-3) or a time step above the stability bound, and
     ``NumericError`` (with the offending step index) if the solution stops
     being finite mid-run.
     """
     geom = w0.geom
-    if run.geom is not None and run.geom != geom:
-        raise ValueError("run geometry does not match the initial grid")
     mass0 = w0.mass()
     if abs(mass0 - 1.0) > _MASS_TOL:
         raise ValueError(
@@ -336,18 +327,7 @@ def run_fpe(
         mass_initial=mass0,
         mass_final=final.mass(),
         min_value=min_value,
-        boundary=run.boundary,
     )
-
-
-def evolve_wigner(
-    w0: PhaseSpaceGrid,
-    cfg: OscillatorConfig,
-    d: DiffusionCoefficients,
-    run: FpeRunSpec,
-) -> PhaseSpaceGrid:
-    """Final grid of :func:`run_fpe` (convenience wrapper)."""
-    return run_fpe(w0, cfg, d, run).final
 
 
 def grid_moments(grid: PhaseSpaceGrid, t: float = 0.0) -> GaussianState:
@@ -374,20 +354,18 @@ def grid_moments(grid: PhaseSpaceGrid, t: float = 0.0) -> GaussianState:
     )
 
 
-def _check_same_geometry(a: PhaseSpaceGrid, b: PhaseSpaceGrid) -> None:
+def _difference(a: PhaseSpaceGrid, b: PhaseSpaceGrid) -> np.ndarray:
     if a.geom != b.geom:
         raise ValueError("grids have different geometries")
+    return np.asarray(a.values, dtype=float) - np.asarray(b.values, dtype=float)
 
 
 def grid_l2_diff(a: PhaseSpaceGrid, b: PhaseSpaceGrid) -> float:
     """L2 distance sqrt(sum (a-b)^2 dq dp) between two grids."""
-    _check_same_geometry(a, b)
-    diff = np.asarray(a.values, dtype=float) - np.asarray(b.values, dtype=float)
+    diff = _difference(a, b)
     return float(math.sqrt((diff * diff).sum() * a.geom.dq * a.geom.dp))
 
 
 def grid_linf_diff(a: PhaseSpaceGrid, b: PhaseSpaceGrid) -> float:
     """Largest absolute cell difference between two grids."""
-    _check_same_geometry(a, b)
-    diff = np.asarray(a.values, dtype=float) - np.asarray(b.values, dtype=float)
-    return float(np.abs(diff).max())
+    return float(np.abs(_difference(a, b)).max())

@@ -35,6 +35,7 @@ __all__ = [
     "OscillatorConfig",
     "DiffusionCoefficients",
     "InitialStateSpec",
+    "squeeze_terms",
     "GaussianState",
     "CheckResult",
     "ValidationReport",
@@ -200,6 +201,12 @@ class OscillatorConfig:
     def closed(cls, *, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0) -> "OscillatorConfig":
         """Zero-damping configuration (no bath, zero diffusion)."""
         return cls(m=m, omega=omega, hbar=hbar, closed_system=True)
+
+    @classmethod
+    def reference(cls, coth: float = 3.0) -> "OscillatorConfig":
+        """The reference bath of the figures and the acceptance suite:
+        ``lam = 0.2``, ``mu = 0.1`` in natural units, ``C = coth``."""
+        return cls(lam=0.2, mu=0.1, temp=TemperatureSpec.from_coth(coth))
 
     @classmethod
     def si(
@@ -478,6 +485,17 @@ class InitialStateSpec:
             raise ValueError(
                 f"correlation must satisfy |r| < 1, got {self.correlation!r}"
             )
+
+
+def squeeze_terms(spec: InitialStateSpec) -> tuple[float, float, float, float]:
+    """Squeezing combinations entering the closed forms and the rates:
+    ``k_plus/minus = spread +/- 1/(spread*(1 - r^2))``,
+    ``correction = r^2/(spread*(1 - r^2))`` and ``sqrt(1 - r^2)``."""
+    d = spec.spread
+    r = spec.correlation
+    one_minus = 1.0 - r * r
+    inverse = 1.0 / (d * one_minus)
+    return d + inverse, d - inverse, r * r / (d * one_minus), math.sqrt(one_minus)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
+    squeeze_terms,
 )
 
 __all__ = [
@@ -46,14 +47,70 @@ __all__ = [
     "Trajectory",
     "trajectory_lyapunov",
     "format_float",
+    "write_csv",
+    "time_grid",
 ]
 
 TRAJECTORY_HEADER = "t,mean_q,mean_p,s_qq,s_pp,s_pq,sigma_det"
+_FLOAT = "%.17g"  # locale-independent, round-trips every double
 
 
 def format_float(x: float) -> str:
     """Locale-independent formatting with 17 significant digits."""
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
+
+
+def write_csv(
+    target: str | Path | IO[str], header: str, rows: Iterable[Sequence[float]]
+) -> None:
+    """Write ``header`` and then one line of :func:`format_float` cells per
+    row, to a path or an open text handle.  Rows (sequences, or the rows of a
+    2-D array) are streamed, not stored."""
+    if not hasattr(target, "write"):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            return write_csv(handle, header, rows)
+    target.write(header + "\n")
+    line = None
+    for row in rows:
+        if isinstance(row, np.ndarray):
+            row = row.tolist()
+        if line is None:
+            line = ",".join([_FLOAT] * len(row)) + "\n"
+        target.write(line % tuple(row))
+
+
+def _elementwise(t):
+    """``(math, float(t))`` for a scalar ``t``, else ``(numpy, float array)``;
+    ``t >= 0`` is checked.  The closed forms are elementwise in ``t``, so one
+    formula written against the returned module serves both, and a scalar
+    skips NumPy's per-call overhead and comes back as a float."""
+    if isinstance(t, (int, float)):
+        xp, t = math, float(t)
+        negative = t < 0.0
+    else:
+        xp, t = np, np.asarray(t, dtype=float)
+        negative = bool(np.any(t < 0.0))
+    if negative:
+        raise ValueError("t must be >= 0")
+    return xp, t
+
+
+def time_grid(t_end: float, dt: float) -> np.ndarray:
+    """Uniform sample times ``0, dt, 2 dt, ...`` up to ``t_end``.
+
+    ``t_end`` itself is the last sample: it is appended unless the last
+    multiple of ``dt`` already lies within ``1e-12 * max(1, t_end)`` of it, and
+    no sample lies past it.
+    """
+    if t_end < 0.0:
+        raise ValueError("t-end must be >= 0")
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    n = int(math.floor(t_end / dt + 1e-9))
+    times = np.minimum(np.arange(n + 1) * dt, t_end)
+    if times[-1] < t_end - 1e-12 * max(1.0, t_end):
+        times = np.append(times, t_end)
+    return times
 
 
 def drift_matrix(cfg: OscillatorConfig) -> np.ndarray:
@@ -71,38 +128,29 @@ def drift_matrix(cfg: OscillatorConfig) -> np.ndarray:
     )
 
 
-def propagator(cfg: OscillatorConfig, t: float) -> np.ndarray:
-    """``exp(Y t)`` evaluated in closed form (exact for all t >= 0)."""
-    big_omega = cfg.shifted_frequency
-    phase = big_omega * t
-    decay = math.exp(-cfg.lam * t)
-    cos_part = math.cos(phase)
-    sinc_part = math.sin(phase) / big_omega
+def propagator(cfg: OscillatorConfig, t) -> np.ndarray:
+    """``exp(Y t)`` evaluated in closed form (exact for all t >= 0); shape
+    ``(2, 2)`` for a scalar ``t``, ``t.shape + (2, 2)`` for an array."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    big = cfg.shifted_frequency
     # Y + lam*I, the traceless oscillatory generator.
-    k00, k01 = cfg.mu, 1.0 / cfg.m
-    k10, k11 = -cfg.m * cfg.omega**2, -cfg.mu
-    return decay * np.array(
-        [
-            [cos_part + sinc_part * k00, sinc_part * k01],
-            [sinc_part * k10, cos_part + sinc_part * k11],
-        ]
-    )
+    k = np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
+    rotation = np.cos(big * t) * np.eye(2) + (np.sin(big * t) / big) * k
+    return np.exp(-cfg.lam * t) * rotation
 
 
-def mean_closed_form(
-    state0: GaussianState, cfg: OscillatorConfig, t: float
-) -> tuple[float, float]:
+def mean_closed_form(state0: GaussianState, cfg: OscillatorConfig, t):
     """Mean coordinate and momentum at time ``t`` (damped oscillation).
 
     Decays to (0, 0) as ``t -> inf`` whenever ``lam > 0``; pure rotation with
-    frequency ``omega`` in the closed system.
+    frequency ``omega`` in the closed system.  Floats for a scalar ``t``,
+    arrays for an array.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    e = propagator(cfg, t)
-    q = e[0, 0] * state0.mean_q + e[0, 1] * state0.mean_p
-    p = e[1, 0] * state0.mean_q + e[1, 1] * state0.mean_p
-    return float(q), float(p)
+    xp, times = _elementwise(t)
+    e = propagator(cfg, times)
+    q = e[..., 0, 0] * state0.mean_q + e[..., 0, 1] * state0.mean_p
+    p = e[..., 1, 0] * state0.mean_q + e[..., 1, 1] * state0.mean_p
+    return (float(q), float(p)) if xp is math else (q, p)
 
 
 def steady_state_covariance(
@@ -160,9 +208,7 @@ def _propagate_moments(
     times: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact means ``(n, 2)`` and covariances ``(n, 2, 2)`` at all ``times``."""
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
+    _, t = _elementwise(times)
     lam, big = cfg.lam, cfg.shifted_frequency
     k = np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
     cos_part = np.cos(big * t)[:, None, None]
@@ -205,72 +251,57 @@ def covariance_lyapunov(
     return GaussianState.from_moments(means[0], covs[0], t=t)
 
 
-def _squeeze_terms(spec: InitialStateSpec) -> tuple[float, float, float]:
-    d = spec.spread
-    r = spec.correlation
-    one_minus = 1.0 - r * r
-    k_plus = d + 1.0 / (d * one_minus)
-    k_minus = d - 1.0 / (d * one_minus)
-    return k_plus, k_minus, math.sqrt(one_minus)
-
-
-def sigma_det_closed(
-    spec: InitialStateSpec, cfg: OscillatorConfig, t: float
-) -> float:
+def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath).
 
     Starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant
-    in the closed system.
+    in the closed system.  A float for a scalar ``t``, an array for an array.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    xp, t = _elementwise(t)
     c = cfg.coth_epsilon
     w2 = cfg.omega * cfg.omega
     mu2 = cfg.mu * cfg.mu
     big2 = w2 - mu2
     big = cfg.shifted_frequency
-    k_plus, k_minus, root = _squeeze_terms(spec)
+    k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    cos2 = math.cos(2.0 * big * t)
-    sin2 = math.sin(2.0 * big * t)
-    term_fast = math.exp(-4.0 * cfg.lam * t) * (1.0 - k_plus * c + c * c)
+    cos2 = xp.cos(2.0 * big * t)
+    sin2 = xp.sin(2.0 * big * t)
+    term_fast = xp.exp(-4.0 * cfg.lam * t) * (1.0 - k_plus * c + c * c)
     inner = (
         (k_plus - 2.0 * c) * (w2 - mu2 * cos2) / big2
         + k_minus * cfg.mu * sin2 / big
         + 2.0 * r * cfg.mu * cfg.omega * (1.0 - cos2) / (big2 * root)
     )
-    term_slow = math.exp(-2.0 * cfg.lam * t) * c * inner
+    term_slow = xp.exp(-2.0 * cfg.lam * t) * c * inner
     return (cfg.hbar * cfg.hbar / 4.0) * (term_fast + term_slow + c * c)
 
 
-def sigma_pq_closed(
-    spec: InitialStateSpec, cfg: OscillatorConfig, t: float
-) -> float:
+def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Position-momentum covariance s_pq(t) in closed form (thermal bath).
 
     Sign convention: this is cov(q, p) of the moment system, so
     ``sigma_pq_closed(spec, cfg, 0)`` equals the initial-state value
     ``+hbar*r/(2*sqrt(1-r^2))``.  Oscillates at twice the shifted frequency and
-    decays to zero.
+    decays to zero.  A float for a scalar ``t``, an array for an array.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    xp, t = _elementwise(t)
     c = cfg.coth_epsilon
     w = cfg.omega
     mu = cfg.mu
     big = cfg.shifted_frequency
     big2 = big * big
-    k_plus, k_minus, root = _squeeze_terms(spec)
+    k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    cos2 = math.cos(2.0 * big * t)
-    sin2 = math.sin(2.0 * big * t)
+    cos2 = xp.cos(2.0 * big * t)
+    sin2 = xp.sin(2.0 * big * t)
     bracket = (
         (mu * w * (2.0 * c - k_plus) - 2.0 * w * w * r / root) * cos2
         + w * big * k_minus * sin2
         + mu * w * (k_plus - 2.0 * c)
         + 2.0 * mu * mu * r / root
     )
-    return -(cfg.hbar / (4.0 * big2)) * math.exp(-2.0 * cfg.lam * t) * bracket
+    return -(cfg.hbar / (4.0 * big2)) * xp.exp(-2.0 * cfg.lam * t) * bracket
 
 
 @dataclass(frozen=True)
@@ -306,26 +337,11 @@ class Trajectory:
 
     def to_csv(self, target: str | Path | IO[str]) -> None:
         """Write the pinned trajectory CSV (header + one row per state)."""
-        if hasattr(target, "write"):
-            _write_trajectory(self.states, target)  # type: ignore[arg-type]
-        else:
-            with open(target, "w", encoding="utf-8", newline="\n") as handle:
-                _write_trajectory(self.states, handle)
-
-
-def _write_trajectory(states: Iterable[GaussianState], handle: IO[str]) -> None:
-    handle.write(TRAJECTORY_HEADER + "\n")
-    for s in states:
-        row = (
-            s.t,
-            s.mean_q,
-            s.mean_p,
-            s.s_qq,
-            s.s_pp,
-            s.s_pq,
-            s.sigma_det,
+        rows = (
+            (s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq, s.sigma_det)
+            for s in self.states
         )
-        handle.write(",".join(format_float(x) for x in row) + "\n")
+        write_csv(target, TRAJECTORY_HEADER, rows)
 
 
 def trajectory_lyapunov(

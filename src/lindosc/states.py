@@ -30,7 +30,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .model import GaussianState, OscillatorConfig
-from .propagate import asymptotic_covariance, format_float
+from .propagate import asymptotic_covariance, format_float, write_csv
 from .quadrature import simpson_refine
 
 __all__ = [
@@ -313,23 +313,11 @@ class PhaseSpaceGrid:
     def to_csv(self, target: str | Path | IO[str]) -> None:
         """Header line ``# q_min q_max p_min p_max n_q n_p`` then one
         comma-separated row per q-line (row-major, q slow)."""
-        if hasattr(target, "write"):
-            self._write(target)  # type: ignore[arg-type]
-        else:
-            with open(target, "w", encoding="utf-8", newline="\n") as handle:
-                self._write(handle)
-
-    def _write(self, handle: IO[str]) -> None:
         g = self.geom
-        handle.write(
-            "# "
-            + " ".join(
-                format_float(x) for x in (g.q_min, g.q_max, g.p_min, g.p_max)
-            )
-            + f" {g.n_q} {g.n_p}\n"
+        bounds = " ".join(
+            format_float(x) for x in (g.q_min, g.q_max, g.p_min, g.p_max)
         )
-        for row in self.values:
-            handle.write(",".join(format_float(x) for x in row) + "\n")
+        write_csv(target, f"# {bounds} {g.n_q} {g.n_p}", self.values)
 
     @classmethod
     def from_csv(cls, source: str | Path | IO[str]) -> "PhaseSpaceGrid":

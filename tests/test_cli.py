@@ -119,6 +119,26 @@ def test_trajectory_all_routes_agree(tmp_path):
     assert max(deviations) < 1e-6
 
 
+@pytest.mark.parametrize("route", ["lyapunov", "closed"])
+def test_trajectory_last_time_is_t_end(tmp_path, route):
+    # 3 * 0.1 rounds to 0.30000000000000004; the grid never passes t_end
+    out = tmp_path / "grid.csv"
+    argv = ["trajectory", *SQUEEZED, "--route", route, "--t-end", "0.3", "--dt", "0.1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    times = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert times[:3] == ["0", "0.10000000000000001", "0.20000000000000001"]
+    assert times[3:] == ["0.29999999999999999"]  # "%.17g" of 0.3
+    assert float(times[-1]) == 0.3
+
+
+def test_trajectory_all_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
+    # the RK4 substep 0.002 divides 2.05, so only the route's own guard
+    # keeps this a validation failure (exit 1) rather than a grid mismatch
+    argv = ["trajectory", *SQUEEZED, "--route", "all", "--t-end", "2.05", "--dt", "0.1"]
+    assert main(argv + ["--out", str(tmp_path / "all.csv")]) == 1
+    assert "integer multiple of dt" in capsys.readouterr().err
+
+
 def test_trajectory_zero_time(tmp_path):
     out = tmp_path / "zero.csv"
     assert main(["trajectory", *SQUEEZED, "--t-end", "0", "--out", str(out)]) == 0
@@ -169,6 +189,17 @@ def test_window_reports_intervals(capsys):
     assert payload["empty"] is False
     for a, b in payload["windows"]:
         assert 0.0 <= a < b <= 5.0
+
+
+@pytest.mark.parametrize("lam", ["0", "0.05"])
+def test_window_rejects_inadmissible_bath(lam, capsys):
+    # lam <= |mu| is no Lindblad generator; trajectory and metrics reject it too
+    argv = ["--lambda", lam, "--mu", "0.1", "--coth", "3", "--t-end", "5"]
+    assert main(["window", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "thermal coefficients need lam > |mu|" in err
+    assert main(["metrics", *argv]) == 1
+    assert capsys.readouterr().err == err
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +384,36 @@ def test_sweep_invalid_points_become_nan(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows[0][1] != "nan"
     assert rows[1][1] == "nan"  # mu = 1.25 >= omega: not underdamped
+
+
+def test_sweep_inadmissible_bath_points_are_nan(tmp_path):
+    out = tmp_path / "bath.csv"
+    code = main(
+        [
+            "sweep",
+            "--mu",
+            "0.1",
+            "--coth",
+            "3",
+            "--delta-sq",
+            "4",
+            "--axis",
+            "lambda:0:0.2:3",
+            "--record",
+            "sigma_det,delta_qd",
+            "--t",
+            "5",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [0.0, 0.1, 0.2]
+    # lam = 0 and lam = 0.1 give lam <= |mu|: no valid bath, so nan
+    assert rows[0][1:] == ["nan", "nan"] and rows[1][1:] == ["nan", "nan"]
+    sigma, qd = float(rows[2][1]), float(rows[2][2])
+    assert sigma >= 0.25 and 0.0 < qd <= 1.0
 
 
 def test_sweep_rejects_three_axes():

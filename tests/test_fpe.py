@@ -7,7 +7,6 @@ import pytest
 
 from lindosc.fpe import (
     FpeRunSpec,
-    evolve_wigner,
     grid_l2_diff,
     grid_linf_diff,
     grid_moments,
@@ -56,10 +55,6 @@ class TestRunSpec:
             FpeRunSpec(t_end=1.0, safety=0.6)
         with pytest.raises(ValueError):
             FpeRunSpec(t_end=1.0, safety=0.0)
-
-    def test_unknown_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            FpeRunSpec(t_end=1.0, boundary="periodic")
 
     def test_snapshots_must_lie_inside_run(self):
         with pytest.raises(ValueError):
@@ -120,12 +115,6 @@ class TestGuards:
         bad = PhaseSpaceGrid(geom=grid.geom, values=2.0 * grid.values)
         with pytest.raises(ValueError):
             run_fpe(bad, CFG, D, FpeRunSpec(t_end=0.1))
-
-    def test_rejects_geometry_mismatch_in_run_spec(self):
-        grid = stationary_grid(CFG, 64)
-        other = GridGeometry.centered(4.0, 4.0, 64)
-        with pytest.raises(ValueError):
-            run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1, geom=other))
 
     def test_numeric_blowup_reports_step(self):
         # a dt below the documented bound but far above the sharp combined
@@ -264,11 +253,10 @@ class TestBookkeeping:
         ):
             assert key in summary
 
-    def test_evolve_wigner_returns_final_grid(self):
+    def test_summary_reports_zero_inflow_boundary(self):
         grid = stationary_grid(CFG, 64)
-        out = evolve_wigner(grid, CFG, D, FpeRunSpec(t_end=0.1))
-        assert isinstance(out, PhaseSpaceGrid)
-        assert out.geom == grid.geom
+        result = run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.05))
+        assert result.summary()["boundary"] == "zero-inflow"
 
     def test_determinism(self):
         state = initial_state(InitialStateSpec(spread=2.0, correlation=0.0), CFG)

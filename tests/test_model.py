@@ -11,6 +11,7 @@ from lindosc.model import (
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
+    squeeze_terms,
     thermal_coefficients,
     validate,
 )
@@ -87,6 +88,12 @@ class TestOscillatorConfig:
     def test_closed_constructor(self):
         cfg = OscillatorConfig.closed()
         assert cfg.closed_system and cfg.lam == 0.0 and cfg.mu == 0.0
+
+    def test_reference_constructor(self):
+        cfg = OscillatorConfig.reference(20.0)
+        assert (cfg.m, cfg.omega, cfg.hbar, cfg.lam, cfg.mu) == (1.0, 1.0, 1.0, 0.2, 0.1)
+        assert cfg.coth_epsilon == 20.0
+        assert OscillatorConfig.reference().coth_epsilon == 3.0
 
     def test_thermal_energy_natural_units(self):
         cfg = make_cfg(c=3.0)
@@ -194,6 +201,17 @@ class TestInitialState:
         spec = InitialStateSpec(spread=1.0, correlation=0.0)
         state = initial_state(spec, make_cfg(hbar=2.0))
         assert state.sigma_det == pytest.approx(1.0, rel=1e-15)
+
+    def test_squeeze_terms(self):
+        assert squeeze_terms(InitialStateSpec(spread=4.0)) == (4.25, 3.75, 0.0, 1.0)
+        # r = 0.6: 1 - r^2 = 0.64, so 1/(spread (1 - r^2)) = 1.5625 at spread 1
+        k_plus, k_minus, correction, root = squeeze_terms(
+            InitialStateSpec(spread=1.0, correlation=0.6)
+        )
+        assert k_plus == pytest.approx(2.5625, rel=1e-15)
+        assert k_minus == pytest.approx(-0.5625, rel=1e-15)
+        assert correction == pytest.approx(0.5625, rel=1e-15)
+        assert root == pytest.approx(0.8, rel=1e-15)
 
 
 class TestGaussianState:

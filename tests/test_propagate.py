@@ -30,6 +30,7 @@ from lindosc.propagate import (
     sigma_det_closed,
     sigma_pq_closed,
     steady_state_covariance,
+    time_grid,
     trajectory_lyapunov,
 )
 
@@ -338,3 +339,28 @@ def test_trajectory_csv_layout():
 def test_format_float_round_trips():
     for x in (0.1, 1.0 / 3.0, 2.25, 1e-17, 123456.789):
         assert float(format_float(x)) == x
+
+
+def test_closed_forms_take_arrays_and_reject_negative_times():
+    spec = InitialStateSpec(spread=4.0, correlation=0.3)
+    state0 = initial_state(spec, REF)
+    t = np.array([0.0, 0.7, 3.0])
+    q, p = mean_closed_form(state0, REF, t)
+    assert q.shape == p.shape == sigma_det_closed(spec, REF, t).shape == (3,)
+    assert sigma_pq_closed(spec, REF, t).shape == (3,)
+    assert sigma_det_closed(spec, REF, 0) == pytest.approx(0.25, rel=1e-15)
+    for f in (sigma_det_closed, sigma_pq_closed):
+        with pytest.raises(ValueError):
+            f(spec, REF, np.array([0.0, -1.0]))
+    with pytest.raises(ValueError):
+        mean_closed_form(state0, REF, [1.0, -1e-9])
+
+
+def test_time_grid_rules():
+    assert time_grid(0.0, 0.1).tolist() == [0.0]
+    assert time_grid(0.25, 0.1).tolist() == [0.0, 0.1, 0.2, 0.25]
+    assert time_grid(0.3, 0.1)[-1] == 0.3  # 3 * 0.1 would pass t_end
+    with pytest.raises(ValueError):
+        time_grid(-1.0, 0.1)
+    with pytest.raises(ValueError):
+        time_grid(1.0, 0.0)

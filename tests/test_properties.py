@@ -1,0 +1,175 @@
+"""Property-based checks of the shared kernels: the time grid, the CSV writer,
+the classicality degrees and the array forms of the closed-form moments.
+
+Hypothesis runs derandomised with a bounded example count, so the suite stays
+deterministic and fast.
+"""
+
+import io
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lindosc.classicality import classicality_degrees
+from lindosc.model import (
+    InitialStateSpec,
+    OscillatorConfig,
+    TemperatureSpec,
+    initial_state,
+    squeeze_terms,
+)
+from lindosc.propagate import (
+    mean_closed_form,
+    sigma_det_closed,
+    sigma_pq_closed,
+    time_grid,
+    write_csv,
+)
+
+PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+# ---------------------------------------------------------------------------
+# time grid
+# ---------------------------------------------------------------------------
+
+
+# (t_end, dt) pairs: arbitrary floats, and decimal grids such as (0.3, 0.1)
+# where k * dt rounds past t_end = k * dt in exact arithmetic
+GRIDS = st.tuples(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=1e-3, max_value=100.0),
+) | st.tuples(st.integers(1, 1000), st.integers(0, 1000)).map(
+    lambda p: (p[0] * p[1] / 1000, p[0] / 1000)
+)
+
+
+@PROFILE
+@given(grid=GRIDS)
+def test_time_grid_is_increasing_and_ends_at_t_end(grid):
+    t_end, dt = grid
+    times = time_grid(t_end, dt)
+    assert times[0] == 0.0
+    assert np.all(np.diff(times) > 0.0)
+    assert times[-1] <= t_end
+    assert t_end - times[-1] <= 1e-12 * max(1.0, t_end)
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+ROWS = st.lists(st.lists(ANY_FLOAT, min_size=3, max_size=3), max_size=8)
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+
+
+@PROFILE
+@given(rows=ROWS, special=SPECIAL)
+def test_write_csv_matches_format_17g(rows, special):
+    rows = rows + [[special, -special, 0.0]]
+    expected = "a,b,c\n" + "".join(
+        ",".join(format(x, ".17g") for x in row) + "\n" for row in rows
+    )
+    handle = io.StringIO()
+    write_csv(handle, "a,b,c", rows)
+    assert handle.getvalue() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, "a,b,c", iter(rows))
+        with open(path, "rb") as f:
+            assert f.read() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# array kernels agree with scalar calls
+# ---------------------------------------------------------------------------
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+FINITE = st.floats(min_value=-1e300, max_value=1e300) | st.just(0.0)
+
+
+@PROFILE
+@given(pairs=st.lists(st.tuples(POSITIVE, FINITE), min_size=1, max_size=20))
+def test_classicality_degrees_array_matches_scalar(pairs):
+    sigma = np.array([p[0] for p in pairs])
+    s_pq = np.array([p[1] for p in pairs])
+    qd, cc = classicality_degrees(sigma, s_pq, 1.5)
+    for i, (sig, spq) in enumerate(pairs):
+        qd_i, cc_i = classicality_degrees(sig, spq, 1.5)
+        assert isinstance(qd_i, float) and isinstance(cc_i, float)
+        assert math.isclose(qd[i], qd_i, rel_tol=1e-15)
+        if spq == 0.0:
+            assert cc[i] == cc_i == math.inf
+        else:
+            assert math.isclose(cc[i], cc_i, rel_tol=1e-15)
+
+
+@st.composite
+def admissible_models(draw):
+    """Thermal baths with lam > |mu| and (lam^2 - mu^2) C^2 >= lam^2, and
+    correlated coherent initial states, over several decades."""
+    lam = 10.0 ** draw(st.floats(min_value=-3.0, max_value=0.0))
+    mu = lam * draw(st.floats(min_value=-0.95, max_value=0.95))
+    c_min = lam / math.sqrt(lam * lam - mu * mu)
+    c = c_min * 10.0 ** draw(st.floats(min_value=0.0, max_value=2.0))
+    cfg = OscillatorConfig(lam=lam, mu=mu, temp=TemperatureSpec.from_coth(c))
+    spec = InitialStateSpec(
+        spread=10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0)),
+        correlation=draw(st.floats(min_value=-0.99, max_value=0.99)),
+        center_q=draw(st.floats(min_value=-5.0, max_value=5.0)),
+        center_p=draw(st.floats(min_value=-5.0, max_value=5.0)),
+    )
+    return cfg, spec
+
+
+def _term_scales(spec, cfg):
+    """Sums of the magnitudes of the time-dependent terms of sigma_det and
+    s_pq.  ``np.exp``/``np.cos``/``np.sin`` may differ from their ``math``
+    counterparts by an ulp, so array and scalar results agree to a few ulps of
+    these sums, not of the (possibly cancelling) result."""
+    c, w, mu = cfg.coth_epsilon, cfg.omega, cfg.mu
+    big2 = w * w - mu * mu
+    k_plus, k_minus, _, root = squeeze_terms(spec)
+    r = spec.correlation
+    det = (cfg.hbar**2 / 4.0) * (
+        abs(1.0 - k_plus * c + c * c)
+        + c * abs(k_plus - 2.0 * c) * (w * w + mu * mu) / big2
+        + c * abs(k_minus * mu) / math.sqrt(big2)
+        + 4.0 * c * abs(r * mu * w) / (big2 * root)
+        + c * c
+    )
+    pq = (cfg.hbar / (4.0 * big2)) * (
+        2.0 * abs(mu * w * (2.0 * c - k_plus)) + 2.0 * w * w * abs(r) / root
+        + w * math.sqrt(big2) * abs(k_minus) + 2.0 * mu * mu * abs(r) / root
+    )
+    return det, pq
+
+
+@PROFILE
+@given(
+    model=admissible_models(),
+    times=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20),
+)
+def test_closed_forms_array_matches_scalar(model, times):
+    cfg, spec = model
+    state0 = initial_state(spec, cfg)
+    t = np.array(times)
+    det_scale, pq_scale = _term_scales(spec, cfg)
+    det = sigma_det_closed(spec, cfg, t)
+    pq = sigma_pq_closed(spec, cfg, t)
+    q, p = mean_closed_form(state0, cfg, t)
+    amp_mean = max(abs(spec.center_q), abs(spec.center_p), 1e-300)
+    for i, ti in enumerate(times):
+        det_i = sigma_det_closed(spec, cfg, ti)
+        pq_i = sigma_pq_closed(spec, cfg, ti)
+        q_i, p_i = mean_closed_form(state0, cfg, ti)
+        assert all(isinstance(x, float) for x in (det_i, pq_i, q_i, p_i))
+        assert abs(det[i] - det_i) <= 1e-15 * det_scale
+        assert abs(pq[i] - pq_i) <= 1e-15 * pq_scale
+        assert math.isclose(q[i], q_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
+        assert math.isclose(p[i], p_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
