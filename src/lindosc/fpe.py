@@ -15,6 +15,11 @@ CFL-style bound.  The boundary is zero-inflow Dirichlet: ghost cells hold
 W = 0, so nothing is advected in and diffusion may leak mass out through the
 tails (tracked and reported).
 
+The operator is linear and time-invariant, so the upwind choice, the
+diffusion terms and the cell widths are folded once into four coefficient
+arrays per face direction; each step then reads one preallocated padded grid
+and writes its fluxes and divergence into preallocated arrays (``_Stepper``).
+
 This solver is deliberately independent of the closed-form machinery in
 ``propagate``/``states`` so the two can be compared as oracles.
 """
@@ -147,12 +152,31 @@ def stable_dt(
 
 
 class _Stepper:
-    """Precomputed face velocities and one forward-Euler update.
+    """Precomputed face coefficients and one forward-Euler update.
 
     Grid layout: ``values[i, j] = W(q_i, p_j)`` with q along axis 0.  Faces in
-    q sit at ``q_min + k*dq`` (k = 0..n_q); the advective face value is the
-    two-cell linear-upwind extrapolation from the side the interface velocity
-    blows from, with two ghost cells of zeros beyond each boundary.
+    q sit at ``q_min + k*dq`` (k = 0..n_q).  The operator is linear and
+    time-invariant, so the flux through face f, divided by the cell width,
+    is a fixed four-cell stencil along the face normal,
+
+        F_f / dx = a W[f-2] + b W[f-1] + c W[f] + e W[f+1],
+        a = -v+ / (2 dx),  b = (1.5 v+ + D/dx) / dx,
+        c = (1.5 v- - D/dx) / dx,  e = -v- / (2 dx),
+
+    with v+ = max(v, 0) and v- = min(v, 0): the two-cell linear-upwind
+    extrapolation from the side the face velocity blows from, plus the
+    centered diffusive flux.  With cross diffusion each face adds
+    ``-d_pq dW/d(other axis)``, the centered cell derivative averaged over
+    the two cells beside the face: four more cells with one scalar weight.
+
+    The coefficients are built once, here.  ``step`` works in one
+    preallocated grid padded by two ghost cells of zeros on each side (the
+    zero-inflow boundary).  A face sits at the flat index of the padded cell
+    on its high side, so every stencil term is a shifted contiguous slice of
+    the flattened padded grid (by one padded row per q cell, by one per p
+    cell) and each ufunc writes into a preallocated array.  Coefficients are
+    zero away from real faces, and the divergence in the ghost columns is
+    reset to zero before the update, so the ghost cells stay zero.
     """
 
     def __init__(
@@ -161,61 +185,101 @@ class _Stepper:
         cfg: OscillatorConfig,
         d: DiffusionCoefficients,
     ) -> None:
-        self.geom = geom
-        self.d = d
-        q = geom.q_centers()
-        p = geom.p_centers()
-        q_faces = geom.q_min + geom.dq * np.arange(geom.n_q + 1)
-        p_faces = geom.p_min + geom.dp * np.arange(geom.n_p + 1)
-        # v_q on q-faces: shape (n_q + 1, n_p)
-        self.vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
-        # v_p on p-faces: shape (n_q, n_p + 1)
-        self.vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
-        self.vq_pos = self.vq >= 0.0
-        self.vp_pos = self.vp >= 0.0
-
-    def step(self, w: np.ndarray, dt: float) -> np.ndarray:
-        geom = self.geom
-        d = self.d
         nq, npp = geom.n_q, geom.n_p
         dq, dp = geom.dq, geom.dp
+        q = geom.q_centers()
+        p = geom.p_centers()
+        q_faces = geom.q_min + dq * np.arange(nq + 1)
+        p_faces = geom.p_min + dp * np.arange(npp + 1)
+        # v_q on q-faces: shape (n_q + 1, n_p)
+        vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
+        # v_p on p-faces: shape (n_q, n_p + 1)
+        vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
 
-        pq = np.zeros((nq + 4, npp))
-        pq[2:-2, :] = w
-        adv_q = np.where(
-            self.vq_pos,
-            1.5 * pq[1 : nq + 2, :] - 0.5 * pq[0 : nq + 1, :],
-            1.5 * pq[2 : nq + 3, :] - 0.5 * pq[3 : nq + 4, :],
+        row = npp + 4
+        self.padded = np.zeros((nq + 4, row))
+        self.w = self.padded[2:-2, 2:-2]
+        flat = self.padded.ravel()
+        # Face arrays span padded rows 2..n_q+2 and the divergence rows
+        # 2..n_q+1, ghost columns included.
+        start, size, n_cells = 2 * row, (nq + 1) * row, nq * row
+
+        def cells(shift: int) -> np.ndarray:
+            return flat[start + shift : start + shift + size]
+
+        taps = (-2, -1, 0, 1)
+        coef_q = _face_coefficients(vq, d.d_qq, dq, (nq + 1, row))
+        coef_p = _face_coefficients(vp, d.d_pp, dp, (nq + 1, row))
+        stencils = (
+            [(c, cells(k * row)) for c, k in zip(coef_q, taps)],
+            [(c, cells(k)) for c, k in zip(coef_p, taps)],
         )
-        flux_q = self.vq * adv_q
-        if d.d_qq != 0.0:
-            flux_q -= d.d_qq * (pq[2 : nq + 3, :] - pq[1 : nq + 2, :]) / dq
-
-        pp = np.zeros((nq, npp + 4))
-        pp[:, 2:-2] = w
-        adv_p = np.where(
-            self.vp_pos,
-            1.5 * pp[:, 1 : npp + 2] - 0.5 * pp[:, 0 : npp + 1],
-            1.5 * pp[:, 2 : npp + 3] - 0.5 * pp[:, 3 : npp + 4],
-        )
-        flux_p = self.vp * adv_p
-        if d.d_pp != 0.0:
-            flux_p -= d.d_pp * (pp[:, 2 : npp + 3] - pp[:, 1 : npp + 2]) / dp
-
         if d.d_pq != 0.0:
-            # Cross-derivative on faces: average the centered cell-derivative
-            # of the transverse direction onto the face (ghost cells are 0).
-            dwdp = np.zeros((nq + 2, npp))
-            dwdp[1:-1, :] = (pp[:, 3 : npp + 3] - pp[:, 1 : npp + 1]) / (2.0 * dp)
-            flux_q -= d.d_pq * 0.5 * (dwdp[0 : nq + 1, :] + dwdp[1 : nq + 2, :])
-            dwdq = np.zeros((nq, npp + 2))
-            dwdq[:, 1:-1] = (pq[3 : nq + 3, :] - pq[1 : nq + 1, :]) / (2.0 * dq)
-            flux_p -= d.d_pq * 0.5 * (dwdq[:, 0 : npp + 1] + dwdq[:, 1 : npp + 2])
+            # cells beside the face (shift -normal and 0), one step up and
+            # one step down the transverse axis
+            cross = -d.d_pq / (4.0 * dq * dp)
+            for stencil, normal, across in zip(stencils, (row, 1), (1, row)):
+                stencil += [
+                    (side * cross, cells(side * across - below))
+                    for side in (1, -1)
+                    for below in (normal, 0)
+                ]
+        self.stencils = stencils
+        self.flux = (np.empty(size), np.empty(size))
+        self.term = np.empty(size)
+        self.div = np.empty(n_cells)
+        self.div_2d = self.div.reshape(nq, row)
+        self.rows = flat[start : start + n_cells]
+        # the fluxes through the high and the low face of every cell
+        q_flux, p_flux = self.flux
+        self.q_faces = (q_flux[row : row + n_cells], q_flux[:n_cells])
+        self.p_faces = (p_flux[1 : n_cells + 1], p_flux[:n_cells])
 
-        div = (flux_q[1:, :] - flux_q[:-1, :]) / dq + (
-            flux_p[:, 1:] - flux_p[:, :-1]
-        ) / dp
-        return w - dt * div
+    def step(self, w: np.ndarray, dt: float) -> np.ndarray:
+        """Advance ``w`` by ``dt`` and return the new grid.
+
+        The result is a view of the stepper's padded grid, which the next
+        call overwrites; passing it back in saves copying it.
+        """
+        if w is not self.w:
+            self.w[...] = w
+        term = self.term
+        for flux, ((c0, cells0), *rest) in zip(self.flux, self.stencils):
+            np.multiply(c0, cells0, out=flux)
+            for c, cells in rest:
+                np.multiply(c, cells, out=term)
+                flux += term
+        div = self.div
+        np.subtract(*self.q_faces, out=div)
+        div += self.p_faces[0]
+        div -= self.p_faces[1]
+        div *= dt
+        self.div_2d[:, :2] = 0.0  # the ghost columns stay zero
+        self.div_2d[:, -2:] = 0.0
+        self.rows -= div
+        return self.w
+
+
+def _face_coefficients(
+    v: np.ndarray, diff: float, dx: float, shape: tuple[int, int]
+) -> list[np.ndarray]:
+    """The stencil weights (a, b, c, e) of ``_Stepper``'s face flux for face
+    velocities ``v``, each placed from column 2 on in a zero array of
+    ``shape`` and flattened."""
+    v_pos = np.maximum(v, 0.0)
+    v_neg = np.minimum(v, 0.0)
+    g = diff / dx
+    weights = []
+    for weight in (
+        -v_pos / (2.0 * dx),
+        (1.5 * v_pos + g) / dx,
+        (1.5 * v_neg - g) / dx,
+        -v_neg / (2.0 * dx),
+    ):
+        placed = np.zeros(shape)
+        placed[: v.shape[0], 2 : 2 + v.shape[1]] = weight
+        weights.append(placed.ravel())
+    return weights
 
 
 @dataclass(frozen=True)
@@ -264,14 +328,14 @@ def run_fpe(
 ) -> FpeResult:
     """Integrate the transport equation from ``w0`` to ``run.t_end``.
 
-    Raises ``ValueError`` for an unnormalized initial grid (|mass - 1| >
-    1e-3) or a time step above the stability bound, and
-    ``NumericError`` (with the offending step index) if the solution stops
-    being finite mid-run.
+    Raises ``ValueError`` for an unnormalized or non-finite initial grid
+    (|mass - 1| > 1e-3, or a NaN or infinite mass) or a time step above the
+    stability bound, and ``NumericError`` (with the offending step index) if
+    the solution stops being finite mid-run.
     """
     geom = w0.geom
     mass0 = w0.mass()
-    if abs(mass0 - 1.0) > _MASS_TOL:
+    if not abs(mass0 - 1.0) <= _MASS_TOL:  # also rejects a NaN mass
         raise ValueError(
             f"initial grid mass {mass0:.6g} deviates from 1 by more than {_MASS_TOL}"
         )
@@ -290,7 +354,7 @@ def run_fpe(
         events = [t for t in events if t > 0.0]
 
     stepper = _Stepper(geom, cfg, d)
-    w = np.array(w0.values, dtype=float, copy=True)
+    w = w0.values  # read only: the stepper copies it into its own buffer
     min_value = float(w.min())
     snapshots: list[tuple[float, PhaseSpaceGrid]] = []
     steps = 0
@@ -302,22 +366,21 @@ def run_fpe(
         # an unstable run overflows before the finite check trips; keep numpy
         # quiet about it so the NumericError below is the only signal
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n):
+            for k in range(1, n + 1):
                 w = stepper.step(w, h)
                 steps += 1
                 lo = float(w.min())
                 if not (math.isfinite(lo) and math.isfinite(float(w.max()))):
                     raise NumericError(
-                        f"non-finite grid value at step {steps} (t ~ {t_cur + h:.6g})",
+                        f"non-finite grid value at step {steps} (t ~ {t_cur + k * h:.6g})",
                         step=steps,
                     )
                 if lo < min_value:
                     min_value = lo
         t_cur = t_event
-        grid = PhaseSpaceGrid(geom, w.copy())
         if t_event in run.snapshot_times:
-            snapshots.append((t_event, grid))
-    final = PhaseSpaceGrid(geom, w)
+            snapshots.append((t_event, PhaseSpaceGrid(geom, w.copy())))
+    final = PhaseSpaceGrid(geom, w.copy())
     return FpeResult(
         final=final,
         snapshots=tuple(snapshots),

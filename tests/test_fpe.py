@@ -7,6 +7,7 @@ import pytest
 
 from lindosc.fpe import (
     FpeRunSpec,
+    _Stepper,
     grid_l2_diff,
     grid_linf_diff,
     grid_moments,
@@ -126,7 +127,21 @@ class TestGuards:
         assert dt > auto  # genuinely in the gap between the two limits
         with pytest.raises(NumericError) as err:
             run_fpe(grid, CFG, D, FpeRunSpec(t_end=6.0, dt=dt))
-        assert err.value.step >= 1
+        step = err.value.step
+        assert step >= 1
+        # one segment of equal steps h = t_end / n: step k ends at k * h
+        h = 6.0 / math.ceil(6.0 / dt - 1e-12)
+        reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
+        assert reported == pytest.approx(step * h, rel=1e-5)
+
+    @pytest.mark.parametrize("t_end", [0.0, 0.1])
+    def test_rejects_non_finite_input(self, t_end):
+        grid = stationary_grid(CFG, 64)
+        values = grid.values.copy()
+        values[10, 20] = np.nan
+        bad = PhaseSpaceGrid(geom=grid.geom, values=values)
+        with pytest.raises(ValueError):
+            run_fpe(bad, CFG, D, FpeRunSpec(t_end=t_end))
 
     def test_diff_helpers_require_matching_geometry(self):
         a = stationary_grid(CFG, 64)
@@ -209,6 +224,116 @@ class TestPhysics:
         assert got.s_pp == pytest.approx(state.s_pp, rel=1e-5)
         assert got.s_pq == pytest.approx(state.s_pq, abs=1e-5)
 
+    @pytest.mark.parametrize("d_pq", [0.1, -0.1])
+    def test_cross_diffusion_moments_track_exact_solution(self, d_pq):
+        d = DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=d_pq)
+        state = initial_state(
+            InitialStateSpec(spread=4.0, correlation=0.0, center_q=1.0), CFG
+        )
+        cover = [state, asymptotic_covariance(CFG)]
+        grid = render_grid(state, geometry_for_states(cover, 192))
+        got = grid_moments(run_fpe(grid, CFG, d, FpeRunSpec(t_end=0.5)).final, t=0.5)
+        want = covariance_lyapunov(state, CFG, d, 0.5)
+        assert got.mean_q == pytest.approx(want.mean_q, abs=2e-3)
+        assert got.mean_p == pytest.approx(want.mean_p, abs=2e-3)
+        assert got.s_qq == pytest.approx(want.s_qq, rel=2e-3)
+        assert got.s_pp == pytest.approx(want.s_pp, rel=2e-3)
+        assert got.s_pq == pytest.approx(want.s_pq, abs=2e-3)
+        # the shift the cross term causes, against the same run without it:
+        # the spatial error common to both runs cancels
+        got0 = grid_moments(run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.5)).final, t=0.5)
+        want0 = covariance_lyapunov(state, CFG, D, 0.5)
+        shift = want.s_pq - want0.s_pq
+        assert abs(shift) > 0.05
+        assert got.s_pq - got0.s_pq == pytest.approx(shift, abs=2e-4)
+
+
+# ---------------------------------------------------------------------------
+# the step kernel against the direct upwind form
+# ---------------------------------------------------------------------------
+
+
+def _direct_step(geom, cfg, d):
+    """The forward-Euler step written out directly: zero-padded copies of
+    the grid per axis, both linear-upwind branches selected with np.where,
+    diffusion and cross diffusion as separate face terms."""
+    nq, npp = geom.n_q, geom.n_p
+    dq, dp = geom.dq, geom.dp
+    q = geom.q_centers()
+    p = geom.p_centers()
+    q_faces = geom.q_min + dq * np.arange(nq + 1)
+    p_faces = geom.p_min + dp * np.arange(npp + 1)
+    vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
+    vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
+
+    def step(w, dt):
+        pq = np.zeros((nq + 4, npp))
+        pq[2:-2, :] = w
+        adv_q = np.where(
+            vq >= 0.0,
+            1.5 * pq[1 : nq + 2, :] - 0.5 * pq[0 : nq + 1, :],
+            1.5 * pq[2 : nq + 3, :] - 0.5 * pq[3 : nq + 4, :],
+        )
+        flux_q = vq * adv_q - d.d_qq * (pq[2 : nq + 3, :] - pq[1 : nq + 2, :]) / dq
+
+        pp = np.zeros((nq, npp + 4))
+        pp[:, 2:-2] = w
+        adv_p = np.where(
+            vp >= 0.0,
+            1.5 * pp[:, 1 : npp + 2] - 0.5 * pp[:, 0 : npp + 1],
+            1.5 * pp[:, 2 : npp + 3] - 0.5 * pp[:, 3 : npp + 4],
+        )
+        flux_p = vp * adv_p - d.d_pp * (pp[:, 2 : npp + 3] - pp[:, 1 : npp + 2]) / dp
+
+        dwdp = np.zeros((nq + 2, npp))
+        dwdp[1:-1, :] = (pp[:, 3 : npp + 3] - pp[:, 1 : npp + 1]) / (2.0 * dp)
+        flux_q -= d.d_pq * 0.5 * (dwdp[0 : nq + 1, :] + dwdp[1 : nq + 2, :])
+        dwdq = np.zeros((nq, npp + 2))
+        dwdq[:, 1:-1] = (pq[3 : nq + 3, :] - pq[1 : nq + 1, :]) / (2.0 * dq)
+        flux_p -= d.d_pq * 0.5 * (dwdq[:, 0 : npp + 1] + dwdq[:, 1 : npp + 2])
+
+        div = (flux_q[1:, :] - flux_q[:-1, :]) / dq + (flux_p[:, 1:] - flux_p[:, :-1]) / dp
+        return w - dt * div
+
+    return step
+
+
+class TestStepKernel:
+    # a tight, off-centre box: both velocity signs on every axis and
+    # non-negligible values at the boundary faces
+    GEOM = GridGeometry(q_min=-2.5, q_max=3.0, p_min=-3.0, p_max=2.0, n_q=40, n_p=56)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            D,
+            DiffusionCoefficients(d_pp=D.d_pp, d_qq=0.0, d_pq=0.0),
+            DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=0.1),
+            DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=-0.1),
+        ],
+        ids=["d_qq", "no_d_qq", "d_pq+", "d_pq-"],
+    )
+    def test_matches_direct_step(self, d):
+        state = initial_state(
+            InitialStateSpec(spread=2.0, correlation=0.4, center_q=0.8, center_p=-0.6),
+            CFG,
+        )
+        w0 = render_grid(state, self.GEOM).values
+        assert abs(w0[0, :]).max() > 1e-3 * w0.max()  # mass reaches the boundary
+        dt = stable_dt(self.GEOM, CFG, d)
+        direct = _direct_step(self.GEOM, CFG, d)
+        stepper = _Stepper(self.GEOM, CFG, d)
+        want, got = w0, w0
+        for _ in range(50):
+            want = direct(want, dt)
+            got = stepper.step(got, dt)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(want - w0).max() > 1e-3 * np.abs(w0).max()  # it moved
+        # the ghost cells of the padded buffer are still zero
+        outside = stepper.padded.copy()
+        outside[2:-2, 2:-2] = 0.0
+        assert not outside.any()
+
 
 # ---------------------------------------------------------------------------
 # bookkeeping
@@ -223,6 +348,16 @@ class TestBookkeeping:
         assert [t for t, _ in result.snapshots] == [0.1, 0.2]
         for _, snap in result.snapshots:
             assert snap.geom == grid.geom
+
+    def test_snapshot_is_not_overwritten_by_later_steps(self):
+        state = initial_state(InitialStateSpec(spread=2.0, correlation=0.3), CFG)
+        grid = render_grid(state, geometry_for_states([state, asymptotic_covariance(CFG)], 64))
+        long = run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.3, snapshot_times=(0.1,)))
+        short = run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1))
+        (t, snap), = long.snapshots
+        assert t == 0.1
+        assert np.array_equal(snap.values, short.final.values)
+        assert not np.array_equal(snap.values, long.final.values)
 
     def test_zero_time_run_returns_input(self):
         grid = stationary_grid(CFG, 64)
