@@ -40,6 +40,7 @@ from .propagate import (
 )
 from .quadrature import simpson_refine
 from .states import (
+    alpha_beta_gamma,
     density_matrix,
     geometry_for_states,
     render_grid,
@@ -100,8 +101,8 @@ def check_covariance_route_agreement() -> CriterionResult:
         routes = np.array(
             [
                 closed(spec, cfg, times),
-                [getattr(s, attr) for s in lyap],
-                [getattr(s, attr) for s in rk4],
+                getattr(lyap, attr),
+                getattr(rk4, attr),
             ]
         )
         # the largest pairwise gap per time is max - min over the three routes
@@ -170,14 +171,10 @@ def check_decoherence_time_table() -> CriterionResult:
     # finite-difference growth rate of gamma(t) = sigma / (2 hbar^2 s_qq)
     d = thermal_coefficients(cfg_warm)
     state0 = initial_state(spec4, cfg_warm)
-
-    def gamma_at(t: float) -> float:
-        s = covariance_lyapunov(state0, cfg_warm, d, t)
-        return s.sigma_det / (2.0 * cfg_warm.hbar**2 * s.s_qq)
-
     h = 1e-3
-    g0 = gamma_at(0.0)
-    rate_fd = (-3.0 * g0 + 4.0 * gamma_at(h) - gamma_at(2.0 * h)) / (2.0 * h * g0)
+    traj = trajectory_lyapunov(state0, cfg_warm, d, [0.0, h, 2.0 * h])
+    g0, g1, g2 = alpha_beta_gamma(traj, cfg_warm.hbar).gamma.tolist()
+    rate_fd = (-3.0 * g0 + 4.0 * g1 - g2) / (2.0 * h * g0)
     rate = decoherence_rate(spec4, cfg_warm)
     fd_err = abs(rate_fd - rate) / rate
     if fd_err > 0.01:

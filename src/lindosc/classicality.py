@@ -257,15 +257,12 @@ def classicality_window(
         raise ValueError("thresholds must be positive")
     if len(traj) < 2:
         raise ValueError("need at least 2 trajectory samples to detect windows")
-    times = [s.t for s in traj]
-    qd, cc = classicality_degrees(
-        np.array([s.sigma_det for s in traj]), np.array([s.s_pq for s in traj]), hbar
-    )
+    qd, cc = classicality_degrees(traj.sigma_det, traj.s_pq, hbar)
     flags = _condition(qd, cc, qd_threshold, cc_threshold).tolist()
     inside = None
     if evaluator is not None:
         inside = _membership(evaluator, qd_threshold, cc_threshold)
-    return _windows_from_samples(times, flags, inside, time_tol)
+    return _windows_from_samples(traj.times.tolist(), flags, inside, time_tol)
 
 
 def closed_form_metric_evaluator(

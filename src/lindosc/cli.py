@@ -31,12 +31,11 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .classicality import (
+    METRICS_HEADER,
     classicality_degrees,
     closed_form_metric_evaluator,
     find_windows,
-    metrics_from_state,
     one_sigma_contour,
-    write_metrics_csv,
 )
 from .config_io import ConfigError, build_model, load_config_file
 from .decoherence import (
@@ -60,7 +59,6 @@ from .model import (
 )
 from .propagate import (
     TRAJECTORY_HEADER,
-    Trajectory,
     asymptotic_covariance,
     format_float,
     integrate_moments_rk4,
@@ -74,6 +72,7 @@ from .propagate import (
 from .states import (
     GridGeometry,
     PhaseSpaceGrid,
+    alpha_beta_gamma,
     density_grid,
     geometry_for_states,
     render_grid,
@@ -260,12 +259,6 @@ def _closed_columns(
     return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
 
-def _state_columns(traj: Trajectory) -> np.ndarray:
-    return np.array(
-        [(s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq, s.sigma_det) for s in traj]
-    )
-
-
 def _cmd_trajectory(args) -> int:
     cfg, spec = _model_from_args(args)
     d = thermal_coefficients(cfg)
@@ -287,18 +280,14 @@ def _cmd_trajectory(args) -> int:
 
     # route == "all": pinned columns from the exact propagation, plus the
     # worst per-row cross-route deviation (amplitude-normalized per quantity).
-    n = int(round(args.t_end / args.dt))
-    if args.t_end > 0 and abs(n * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
+    if abs(round(args.t_end / args.dt) * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
         raise ValueError("route=all needs t-end to be an integer multiple of dt")
-    lyap = _state_columns(trajectory_lyapunov(state0, cfg, d, times))
+    lyap = trajectory_lyapunov(state0, cfg, d, times).table
     closed = _closed_columns(spec, cfg, times)
-    if n == 0:
-        rk4 = Trajectory(states=(state0,), provenance="rk4-oracle")
-    else:
-        sub = max(1, math.ceil(args.dt / 2e-3))
-        rk4 = integrate_moments_rk4(
-            state0, cfg, d, args.t_end, args.dt / sub, record_every=sub
-        )
+    sub = max(1, math.ceil(args.dt / 2e-3))
+    rk4 = integrate_moments_rk4(
+        state0, cfg, d, args.t_end, args.dt / sub, record_every=sub
+    ).table
     if len(rk4) != len(times):
         raise NumericError("route grids fell out of alignment")
 
@@ -307,7 +296,7 @@ def _cmd_trajectory(args) -> int:
     peak = np.abs(lyap[:, 1:]).max(axis=0)
     scale = np.where(peak > 0.0, peak, 1.0)
     to_closed = np.abs(lyap[:, 1:] - closed[:, 1:]) / scale
-    to_rk4 = np.abs(lyap[:, 1:] - _state_columns(rk4)[:, 1:]) / scale
+    to_rk4 = np.abs(lyap[:, 1:] - rk4[:, 1:]) / scale
     dev = np.nanmax(np.hstack([to_closed, to_rk4]), axis=1)
     rows = np.column_stack([lyap, dev])
     with _open_out(args.out) as handle:
@@ -321,9 +310,11 @@ def _cmd_metrics(args) -> int:
     state0 = initial_state(spec, cfg)
     times = time_grid(args.t_end, args.dt)
     traj = trajectory_lyapunov(state0, cfg, d, times)
-    metrics = [metrics_from_state(s, hbar=cfg.hbar) for s in traj]
+    qd, cc = classicality_degrees(traj.sigma_det, traj.s_pq, cfg.hbar)
+    gamma = alpha_beta_gamma(traj, cfg.hbar).gamma  # the state formula, on columns
+    rows = np.column_stack([traj.times, qd, cc, gamma, traj.sigma_det, traj.s_pq])
     with _open_out(args.out) as handle:
-        write_metrics_csv(metrics, handle)
+        write_csv(handle, METRICS_HEADER, rows.tolist())
     return 0
 
 

@@ -14,6 +14,8 @@
    as an independent oracle.
 
 All three must agree to tight tolerances; the test suite enforces this.
+The exact and RK4 routes return a :class:`Trajectory`, one validated array of
+the trajectory CSV columns; states are built on access only.
 """
 
 from __future__ import annotations
@@ -247,8 +249,7 @@ def covariance_lyapunov(
     ``E(s) = exp(Y s)``; the integral is evaluated in closed form, exactly for
     every ``lam >= 0`` (see the module docstring).
     """
-    means, covs = _propagate_moments(state0, cfg, d, [t])
-    return GaussianState.from_moments(means[0], covs[0], t=t)
+    return trajectory_lyapunov(state0, cfg, d, [t]).final
 
 
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
@@ -304,44 +305,66 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     return -(cfg.hbar / (4.0 * big2)) * xp.exp(-2.0 * cfg.lam * t) * bracket
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Immutable sequence of Gaussian states at strictly increasing times."""
+    """Moments at strictly increasing times: ``rows`` is one read-only
+    ``(n, 6)`` array of rows ``(t, mean_q, mean_p, s_qq, s_pp, s_pq)``, the
+    trajectory CSV columns but the derived ``sigma_det``.  Every row is checked
+    as :class:`GaussianState` checks a state (``ValueError``).  Columns are
+    read by their state names; ``traj[i]``, iteration and :attr:`final` build
+    states on access only, and no other module knows the row layout."""
 
-    states: tuple[GaussianState, ...]
-    provenance: str  # "closed-form" | "lyapunov" | "rk4-oracle"
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.states:
-            raise ValueError("trajectory must contain at least one state")
-        times = [s.t for s in self.states]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        rows = np.array(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 6 or len(rows) == 0:
+            raise ValueError("trajectory needs an (n >= 1, 6) array of samples")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        t = self.times
+        if not np.isfinite(rows[:, 1:]).all():
+            raise ValueError("moments must be finite")
+        if np.isnan(t).any():
+            raise ValueError("t must not be NaN")
+        if (self.s_qq <= 0.0).any() or (self.s_pp <= 0.0).any():
+            raise ValueError("variances must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (self.sigma_det <= 0.0).any():
+                raise ValueError("covariance matrix must be positive definite")
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("trajectory times must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.states)
+    times = property(lambda self: self.rows[:, 0])
+    mean_q = property(lambda self: self.rows[:, 1])
+    mean_p = property(lambda self: self.rows[:, 2])
+    s_qq = property(lambda self: self.rows[:, 3])
+    s_pp = property(lambda self: self.rows[:, 4])
+    s_pq = property(lambda self: self.rows[:, 5])
+    sigma_det = GaussianState.sigma_det  # the same formula, on whole columns
 
-    def __iter__(self) -> Iterator[GaussianState]:
-        return iter(self.states)
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def __getitem__(self, index: int) -> GaussianState:
-        return self.states[index]
+        t, q, p, s_qq, s_pp, s_pq = self.rows[index].tolist()
+        return GaussianState(mean_q=q, mean_p=p, s_qq=s_qq, s_pp=s_pp, s_pq=s_pq, t=t)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def __iter__(self) -> Iterator[GaussianState]:
+        return (self[i] for i in range(len(self)))
 
     @property
     def final(self) -> GaussianState:
-        return self.states[-1]
+        return self[-1]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The seven trajectory CSV columns, ``sigma_det`` appended."""
+        return np.column_stack([self.rows, self.sigma_det])
 
     def to_csv(self, target: str | Path | IO[str]) -> None:
-        """Write the pinned trajectory CSV (header + one row per state)."""
-        rows = (
-            (s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq, s.sigma_det)
-            for s in self.states
-        )
-        write_csv(target, TRAJECTORY_HEADER, rows)
+        """Write the pinned trajectory CSV (header + one row per sample)."""
+        write_csv(target, TRAJECTORY_HEADER, self.table.tolist())
 
 
 def trajectory_lyapunov(
@@ -351,15 +374,12 @@ def trajectory_lyapunov(
     times: Sequence[float],
 ) -> Trajectory:
     """Exact-propagation trajectory sampled at the given times."""
-    times = [float(t) for t in times]
+    times = np.asarray(times, dtype=float)
     means, covs = _propagate_moments(state0, cfg, d, times)
     s_pq = 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])
-    rows = np.column_stack([means, covs[:, 0, 0], covs[:, 1, 1], s_pq]).tolist()
-    states = tuple(
-        GaussianState(mean_q=q, mean_p=p, s_qq=sqq, s_pp=spp, s_pq=spq, t=t)
-        for t, (q, p, sqq, spp, spq) in zip(times, rows)
+    return Trajectory(
+        np.column_stack([times, means, covs[:, 0, 0], covs[:, 1, 1], s_pq])
     )
-    return Trajectory(states=states, provenance="lyapunov")
 
 
 def integrate_moments_rk4(
@@ -408,11 +428,7 @@ def integrate_moments_rk4(
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")
 
-    states = [
-        GaussianState(
-            mean_q=q, mean_p=p, s_qq=sqq, s_pp=spp, s_pq=spq, t=0.0
-        )
-    ]
+    rows = [(0.0, q, p, sqq, spp, spq)]
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(1, n_steps + 1):
@@ -455,9 +471,5 @@ def integrate_moments_rk4(
                 f"covariance lost positivity at step {k}; decrease dt", step=k
             )
         if k % record_every == 0 or k == n_steps:
-            states.append(
-                GaussianState(
-                    mean_q=q, mean_p=p, s_qq=sqq, s_pp=spp, s_pq=spq, t=k * dt
-                )
-            )
-    return Trajectory(states=tuple(states), provenance="rk4-oracle")
+            rows.append((k * dt, q, p, sqq, spp, spq))
+    return Trajectory(rows)

@@ -1,11 +1,20 @@
 """End-to-end command-line interface checks (driven through main())."""
 
+import io
 import json
 import math
 
 import pytest
 
+from lindosc.classicality import metrics_from_state, write_metrics_csv
 from lindosc.cli import main, parse_sweep_axis
+from lindosc.model import (
+    InitialStateSpec,
+    OscillatorConfig,
+    initial_state,
+    thermal_coefficients,
+)
+from lindosc.propagate import time_grid, trajectory_lyapunov
 
 MODEL = ["--lambda", "0.2", "--mu", "0.1", "--coth", "3"]
 SQUEEZED = MODEL + ["--delta-sq", "4"]
@@ -139,10 +148,15 @@ def test_trajectory_all_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     assert "integer multiple of dt" in capsys.readouterr().err
 
 
-def test_trajectory_zero_time(tmp_path):
+@pytest.mark.parametrize("route", ["lyapunov", "closed", "rk4", "all"])
+def test_trajectory_zero_time(tmp_path, route):
     out = tmp_path / "zero.csv"
-    assert main(["trajectory", *SQUEEZED, "--t-end", "0", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2
+    argv = ["trajectory", *SQUEEZED, "--route", route, "--t-end", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    if route == "all":
+        assert float(lines[1].split(",")[-1]) == 0.0
 
 
 def test_trajectory_determinism(tmp_path):
@@ -169,6 +183,20 @@ def test_metrics_csv(tmp_path):
     # r = 0 start: no correlations yet, so delta_cc is infinite at t = 0
     assert lines[1].split(",")[2] == "inf"
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
+
+
+def test_metrics_columns_match_per_state_metrics(tmp_path):
+    # the command's column arithmetic against metrics_from_state, row by row
+    out = tmp_path / "metrics.csv"
+    argv = ["metrics", *SQUEEZED, "--t-end", "30", "--dt", "0.05"]
+    assert main(argv + ["--out", str(out)]) == 0
+    cfg = OscillatorConfig.reference(3.0)
+    state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
+    d = thermal_coefficients(cfg)
+    traj = trajectory_lyapunov(state0, cfg, d, time_grid(30.0, 0.05))
+    want = io.StringIO()
+    write_metrics_csv([metrics_from_state(s, cfg.hbar) for s in traj], want)
+    assert out.read_text() == want.getvalue()
 
 
 def test_window_empty_for_closed_symmetric_state(capsys):

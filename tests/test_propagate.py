@@ -318,8 +318,9 @@ def test_uncertainty_floor_along_trajectory():
 
 def test_trajectory_requires_increasing_times():
     s = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), REF)
+    row = (s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq)
     with pytest.raises(ValueError):
-        Trajectory(states=(s, s), provenance="lyapunov")
+        Trajectory([row, row])
 
 
 def test_trajectory_csv_layout():

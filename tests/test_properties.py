@@ -1,5 +1,6 @@
 """Property-based checks of the shared kernels: the time grid, the CSV writer,
-the classicality degrees and the array forms of the closed-form moments.
+the classicality degrees, the array forms of the closed-form moments and the
+validation of trajectory rows.
 
 Hypothesis runs derandomised with a bounded example count, so the suite stays
 deterministic and fast.
@@ -11,11 +12,13 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lindosc.classicality import classicality_degrees
 from lindosc.model import (
+    GaussianState,
     InitialStateSpec,
     OscillatorConfig,
     TemperatureSpec,
@@ -23,6 +26,7 @@ from lindosc.model import (
     squeeze_terms,
 )
 from lindosc.propagate import (
+    Trajectory,
     mean_closed_form,
     sigma_det_closed,
     sigma_pq_closed,
@@ -173,3 +177,94 @@ def test_closed_forms_array_matches_scalar(model, times):
         assert abs(pq[i] - pq_i) <= 1e-15 * pq_scale
         assert math.isclose(q[i], q_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
         assert math.isclose(p[i], p_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
+
+
+# ---------------------------------------------------------------------------
+# trajectory rows are validated as GaussianState validates one state
+# ---------------------------------------------------------------------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# at most one fault per trajectory, so that every check is needed on its own
+FAULTS = st.sampled_from(
+    ["none", "time", "moment", "variance", "determinant", "overflow", "underflow",
+     "repeat", "order", "none"]
+)
+
+
+@st.composite
+def trajectory_rows(draw):
+    """Rows ``(t, mean_q, mean_p, s_qq, s_pp, s_pq)`` of valid states at
+    increasing times, with at most one fault: a NaN or infinite time or
+    moment, a zero or negative variance, an ``s_pq`` on or past the
+    positivity boundary, extreme variances whose determinant overflows to NaN
+    or underflows to 0, or a repeated or decreasing time."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.floats(min_value=-10.0, max_value=10.0))
+    rows = []
+    for _ in range(n):
+        s_qq = draw(st.floats(min_value=1e-3, max_value=1e3))
+        s_pp = draw(st.floats(min_value=1e-3, max_value=1e3))
+        s_pq = draw(st.floats(min_value=-0.999, max_value=0.999)) * math.sqrt(s_qq * s_pp)
+        rows.append([t, draw(FINITE), draw(FINITE), s_qq, s_pp, s_pq])
+        t += draw(st.floats(min_value=1e-3, max_value=2.0))
+    i = draw(st.integers(0, n - 1))
+    row, fault = rows[i], draw(FAULTS)
+    if fault == "time":  # only NaN is rejected; +-inf is valid if increasing
+        row[0] = draw(NON_FINITE)
+    elif fault == "moment":
+        row[draw(st.integers(1, 5))] = draw(NON_FINITE)
+    elif fault == "variance":  # one, or both (the determinant may stay > 0)
+        bad = draw(st.sampled_from([0.0, -1.0, -5e-324]))
+        for cell in draw(st.sampled_from([[3], [4], [3, 4]])):
+            row[cell] = bad
+    elif fault == "determinant":  # |s_pq| at or past sqrt(s_qq s_pp)
+        scale = draw(st.sampled_from([1.0, -1.0, 1.001, -2.0]))
+        row[5] = scale * math.sqrt(row[3] * row[4])
+    elif fault == "overflow":  # inf - inf: GaussianState accepts a NaN determinant
+        row[3:] = [1e200, 1e200, draw(st.sampled_from([1e200, -1e200]))]
+    elif fault == "underflow":
+        row[3:] = [5e-324, 1e-3, 0.0]
+    elif fault == "repeat" and n > 1:  # inf - inf is NaN, but inf <= inf
+        row[0] = rows[i - 1][0] = draw(st.sampled_from([rows[i - 1][0], math.inf]))
+    elif fault == "order" and n > 1:
+        row[0] = rows[i - 1][0] - draw(st.floats(min_value=0.0, max_value=1.0))
+    return rows
+
+
+def _state_or_none(row):
+    t, q, p, s_qq, s_pp, s_pq = row
+    try:
+        return GaussianState(mean_q=q, mean_p=p, s_qq=s_qq, s_pp=s_pp, s_pq=s_pq, t=t)
+    except ValueError:
+        return None
+
+
+def _row(t=0.0, s_qq=1.0, s_pp=1.0, s_pq=0.0):
+    return [t, 0.0, 0.0, s_qq, s_pp, s_pq]
+
+
+@PROFILE
+@given(rows=trajectory_rows())
+# one example per check, whatever the draws
+@example(rows=[_row(t=math.nan)])
+@example(rows=[_row(s_pq=math.nan)])
+@example(rows=[_row(s_qq=-1.0, s_pp=-1.0)])
+@example(rows=[_row(s_pq=1.0)])
+@example(rows=[_row(s_qq=1e200, s_pp=1e200, s_pq=1e200)])
+@example(rows=[_row(), _row(t=math.inf), _row(t=math.inf)])
+def test_trajectory_validates_rows_as_gaussian_state(rows):
+    states = [_state_or_none(row) for row in rows]
+    times = [row[0] for row in rows]
+    increasing = all(b > a for a, b in zip(times, times[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if None in states or not increasing:
+            with pytest.raises(ValueError):
+                Trajectory(rows)
+            return
+        traj = Trajectory(rows)
+        assert len(traj) == len(rows)
+        assert repr(traj.final) == repr(states[-1])
+        assert [repr(s) for s in traj] == [repr(s) for s in states]
+        for i, state in enumerate(states):
+            assert repr(traj[i]) == repr(state)
+            assert repr(float(traj.sigma_det[i])) == repr(state.sigma_det)
