@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -439,15 +440,8 @@ def _cmd_figdata(args) -> int:
 # --------------------------------------------------------------------------- #
 
 _SWEEP_AXES = ("lambda", "mu", "delta", "r", "C", "t")
-_SWEEP_RECORDS = (
-    "delta_qd",
-    "delta_cc",
-    "sigma_det",
-    "sigma_pq",
-    "t_deco",
-    "t_d",
-    "t_rel",
-)
+_T_RECORDS = ("delta_qd", "delta_cc", "sigma_det", "sigma_pq")  # depend on t
+_SWEEP_RECORDS = _T_RECORDS + ("t_deco", "t_d", "t_rel")
 
 
 @dataclass(frozen=True)
@@ -469,6 +463,8 @@ class SweepAxis:
             raise ValueError("axis count must be >= 1")
         if self.log and (self.lo <= 0.0 or self.hi <= 0.0):
             raise ValueError("log spacing needs positive bounds")
+        if not all(map(math.isfinite, [self.lo, self.hi, *self.values()])):
+            raise ValueError(f"axis {self.name!r}: bounds and values must be finite")
 
     def values(self) -> list[float]:
         if self.count == 1:
@@ -526,9 +522,12 @@ def _sweep_point(
     base_spec: InitialStateSpec,
     assignments: dict[str, float],
     records: tuple[str, ...],
-    t_default: float,
-) -> list[float]:
-    """Recorded values at one point; ``ValueError`` for an invalid point."""
+    t,
+) -> list:
+    """Recorded values of one configuration at time ``t``: floats for a float
+    ``t``; for an array ``t`` the t-dependent records are arrays over it and
+    the others floats.  ``ValueError`` for an invalid configuration, or a
+    negative ``t`` when a t-dependent record is asked for."""
     lam = assignments.get("lambda", base_cfg.lam)
     mu = assignments.get("mu", base_cfg.mu)
     temp = (
@@ -553,8 +552,7 @@ def _sweep_point(
         center_q=base_spec.center_q,
         center_p=base_spec.center_p,
     )
-    t = assignments.get("t", t_default)
-    closed: dict[str, float] = {}
+    closed: dict = {}
     values = []
     for record in records:
         if record == "t_deco":
@@ -586,27 +584,56 @@ def run_sweep(
     Points where the parameter combination is invalid (e.g. |mu| >= omega, so
     the motion is no longer underdamped, C below 1, or lam <= |mu| outside
     the closed system, so the bath is no Lindblad generator) record ``nan``
-    for every quantity rather than aborting the sweep.
+    for every quantity rather than aborting the sweep; so do points at
+    ``t < 0`` when a t-dependent quantity is recorded.
+
+    A ``t`` axis is evaluated in one array call per point of the other axis,
+    which shares everything but ``t``; without one, every point is a scalar
+    call at ``sweep.t``.
     """
     names = [axis.name for axis in sweep.axes]
     grids = [axis.values() for axis in sweep.axes]
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
+    width = len(sweep.records)
+
+    def evaluate(assignments: dict[str, float], t) -> list:
+        try:
+            return _sweep_point(base_cfg, base_spec, assignments, sweep.records, t)
+        except ValueError:
+            return [math.nan] * width
+
+    points = itertools.product(*grids)
+    if "t" not in names:
+        rows = (
+            list(point) + evaluate(dict(zip(names, point)), sweep.t)
+            for point in points
+        )
     else:
-        points = [(a, b) for a in grids[0] for b in grids[1]]
+        times = np.array(grids[names.index("t")])
+        # the t-independent records are defined at every t
+        keep = (times >= 0.0) | set(_T_RECORDS).isdisjoint(sweep.records)
+        kept = times[keep]
 
-    def rows():
-        for point in points:
-            assignments = dict(zip(names, point))
-            try:
-                values = _sweep_point(
-                    base_cfg, base_spec, assignments, sweep.records, sweep.t
-                )
-            except ValueError:
-                values = [math.nan] * len(sweep.records)
-            yield list(point) + values
+        def block(assignments: dict[str, float]) -> np.ndarray:
+            """``(len(times), width)`` values of one configuration over the t
+            axis; nan outside ``keep``."""
+            out = np.full((times.size, width), math.nan)
+            for j, column in enumerate(evaluate(assignments, kept)):
+                out[keep, j] = column
+            return out
 
-    write_csv(handle, ",".join(names + list(sweep.records)), rows())
+        other_names = [name for name in names if name != "t"]
+        other_grids = [grid for name, grid in zip(names, grids) if name != "t"]
+        blocks = (
+            block(dict(zip(other_names, point)))
+            for point in itertools.product(*other_grids)
+        )
+        if names[0] == "t":  # t varies slowest: its first row needs every block
+            blocks = [np.stack(list(blocks), axis=1).reshape(-1, width)]
+        rows = (
+            list(point) + row.tolist()
+            for point, row in zip(points, itertools.chain.from_iterable(blocks))
+        )
+    write_csv(handle, ",".join(names + list(sweep.records)), rows)
 
 
 def _cmd_sweep(args) -> int:

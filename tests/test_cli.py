@@ -6,15 +6,28 @@ import math
 
 import pytest
 
-from lindosc.classicality import metrics_from_state, write_metrics_csv
+from test_properties import _term_scales
+
+from lindosc.classicality import (
+    classicality_degrees,
+    metrics_from_state,
+    write_metrics_csv,
+)
 from lindosc.cli import main, parse_sweep_axis
+from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
 from lindosc.model import (
     InitialStateSpec,
     OscillatorConfig,
+    TemperatureSpec,
     initial_state,
     thermal_coefficients,
 )
-from lindosc.propagate import time_grid, trajectory_lyapunov
+from lindosc.propagate import (
+    sigma_det_closed,
+    sigma_pq_closed,
+    time_grid,
+    trajectory_lyapunov,
+)
 
 MODEL = ["--lambda", "0.2", "--mu", "0.1", "--coth", "3"]
 SQUEEZED = MODEL + ["--delta-sq", "4"]
@@ -334,6 +347,11 @@ def test_parse_sweep_axis():
         parse_sweep_axis("speed:1:8:4")
     with pytest.raises(ValueError):
         parse_sweep_axis("delta:1:8:0")
+    # non-finite bounds, or a spacing that overflows to inf or nan values
+    for text in ("t:0:nan:3", "t:0:inf:3", "C:2:nan:2", "C:-inf:2:2", "C:2:nan:1",
+                 "t:-1e308:1e308:3", "C:1e-300:1e300:3:log"):
+        with pytest.raises(ValueError):
+            parse_sweep_axis(text)
     # a single-point axis is legal: it pins one parameter
     assert parse_sweep_axis("delta:2:2:1").values() == [2.0]
 
@@ -442,6 +460,102 @@ def test_sweep_inadmissible_bath_points_are_nan(tmp_path):
     assert rows[0][1:] == ["nan", "nan"] and rows[1][1:] == ["nan", "nan"]
     sigma, qd = float(rows[2][1]), float(rows[2][2])
     assert sigma >= 0.25 and 0.0 < qd <= 1.0
+
+
+SWEEP_RECORDS = "delta_qd,delta_cc,sigma_det,sigma_pq,t_deco,t_d,t_rel"
+
+
+def _pointwise(lam, mu, coth, spread, corr, t):
+    """``(cfg, spec, values)`` of one sweep point, every record evaluated by
+    its own scalar call (``None`` for an invalid point): the reference for
+    ``run_sweep``."""
+    try:
+        cfg = OscillatorConfig(
+            lam=lam, mu=mu, temp=TemperatureSpec.from_coth(coth),
+            closed_system=(lam == 0.0 and mu == 0.0),
+        )
+        thermal_coefficients(cfg)
+        spec = InitialStateSpec(spread=spread, correlation=corr)
+        sigma = sigma_det_closed(spec, cfg, float(t))
+        s_pq = sigma_pq_closed(spec, cfg, float(t))
+    except ValueError:
+        return None
+    qd, cc = classicality_degrees(sigma, s_pq, cfg.hbar)
+    values = [
+        qd, cc, sigma, s_pq,
+        decoherence_time(spec, cfg), statistical_time(spec, cfg), relaxation_time(cfg),
+    ]
+    return cfg, spec, dict(zip(SWEEP_RECORDS.split(","), values))
+
+
+@pytest.mark.parametrize(
+    "order, records",
+    [(("C", "t"), SWEEP_RECORDS), (("t", "C"), SWEEP_RECORDS), (("t", "C"), "t_rel,t_deco")],
+)
+def test_t_axis_sweep_matches_pointwise_evaluation(tmp_path, order, records):
+    axes = {"C": "C:0.5:4:4", "t": "t:-1:1:5"}  # C = 0.5 < 1 is invalid
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", *SQUEEZED, "--corr-r", "0.3", "--record", records]
+    for name in order:
+        argv += ["--axis", axes[name]]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(order) + "," + records
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    grids = [parse_sweep_axis(axes[name]).values() for name in order]
+    # row-major, first axis slow; axis columns exactly as SweepAxis.values()
+    assert [row[:2] for row in rows] == [[a, b] for a in grids[0] for b in grids[1]]
+    # t < 0 leaves only the t-independent records defined
+    t_dependent = "delta_qd" in records
+    checked = 0
+    for row in rows:
+        point = dict(zip(order, row[:2]))
+        got = dict(zip(records.split(","), row[2:]))
+        if point["C"] < 1.0 or (t_dependent and point["t"] < 0.0):
+            assert all(math.isnan(x) for x in got.values())
+            continue
+        # t-independent records at t < 0 compare with their values at t = 0
+        t = max(point["t"], 0.0)
+        cfg, spec, expected = _pointwise(0.2, 0.1, point["C"], 4.0, 0.3, t)
+        for name in ("t_deco", "t_d", "t_rel"):
+            assert got.get(name, expected[name]) == expected[name]
+        checked += 1
+        if not t_dependent:
+            continue
+        det_scale, pq_scale = _term_scales(spec, cfg)
+        assert abs(got["sigma_det"] - expected["sigma_det"]) <= 1e-15 * det_scale
+        assert abs(got["sigma_pq"] - expected["sigma_pq"]) <= 1e-15 * pq_scale
+        # the degrees are exactly those of the row's own sigma and s_pq
+        degrees = classicality_degrees(got["sigma_det"], got["sigma_pq"], cfg.hbar)
+        assert (got["delta_qd"], got["delta_cc"]) == degrees
+    assert checked == 3 * (3 if t_dependent else 5)
+
+
+def test_sweep_without_t_axis_writes_scalar_closed_forms(tmp_path):
+    # at t = 3.3 NumPy's exp/cos/sin differ from math's in the last bit at
+    # some of these points, so an array evaluation would not pass
+    out = tmp_path / "lm.csv"
+    argv = ["sweep", *SQUEEZED, "--corr-r", "0.3", "--record", SWEEP_RECORDS,
+            "--axis", "lambda:0:0.5:6", "--axis", "mu:-0.4:0.4:5", "--t", "3.3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = ["lambda,mu," + SWEEP_RECORDS]
+    invalid = 0
+    for lam in parse_sweep_axis("lambda:0:0.5:6").values():
+        for mu in parse_sweep_axis("mu:-0.4:0.4:5").values():
+            ref = _pointwise(lam, mu, 3.0, 4.0, 0.3, 3.3)
+            invalid += ref is None
+            values = [math.nan] * 7 if ref is None else ref[2].values()
+            lines.append(",".join("%.17g" % x for x in [lam, mu, *values]))
+    assert invalid == 16  # lam <= |mu| outside the closed system lam = mu = 0
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("axis", ["t:0:nan:3", "t:0:inf:3", "C:2:nan:2"])
+def test_sweep_rejects_non_finite_bounds(tmp_path, axis):
+    out = tmp_path / "bad.csv"
+    argv = ["sweep", *MODEL, "--axis", axis, "--record", "delta_qd,t_deco"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_rejects_three_axes():
