@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from .model import GaussianState, InitialStateSpec, OscillatorConfig
 from .propagate import (
-    Trajectory,
     sigma_det_closed,
     sigma_pq_closed,
     time_grid,
@@ -44,7 +43,6 @@ __all__ = [
     "one_sigma_contour",
     "contour_semi_axes",
     "contour_area",
-    "classicality_window",
     "closed_form_metric_evaluator",
     "find_windows",
 ]
@@ -181,88 +179,7 @@ def one_sigma_contour(state: GaussianState, n_points: int = 256) -> np.ndarray:
 
 # -- simultaneous-classicality windows --------------------------------------
 
-
-def _condition(qd, cc, qd_threshold: float, cc_threshold: float):
-    # scalars, or arrays elementwise
-    return (qd < qd_threshold) & (cc < cc_threshold)
-
-
-def _membership(
-    evaluator: Callable, qd_threshold: float, cc_threshold: float
-) -> Callable:
-    """t -> whether both degrees are below their thresholds at t (scalar or
-    array ``t``)."""
-    return lambda t: _condition(*evaluator(t), qd_threshold, cc_threshold)
-
-
-def _refine_crossing(
-    inside: Callable[[float], bool], t_out: float, t_in: float, time_tol: float
-) -> float:
-    # Bisect between a time outside the window and a time inside it.
-    while abs(t_in - t_out) > time_tol:
-        mid = 0.5 * (t_in + t_out)
-        if inside(mid):
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_in + t_out)
-
-
-def _windows_from_samples(
-    times: Sequence[float],
-    flags: Sequence[bool],
-    inside: Callable[[float], bool] | None,
-    time_tol: float,
-) -> list[tuple[float, float]]:
-    windows: list[tuple[float, float]] = []
-    i = 0
-    n = len(times)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        first = i
-        while i + 1 < n and flags[i + 1]:
-            i += 1
-        start, end = times[first], times[i]
-        if inside is not None:
-            if first > 0:
-                start = _refine_crossing(inside, times[first - 1], start, time_tol)
-            if i + 1 < n:
-                end = _refine_crossing(inside, times[i + 1], end, time_tol)
-        windows.append((start, end))
-        i += 1
-    return windows
-
-
-def classicality_window(
-    traj: Trajectory,
-    qd_threshold: float,
-    cc_threshold: float,
-    *,
-    hbar: float = 1.0,
-    evaluator: Callable[[float], tuple[float, float]] | None = None,
-    time_tol: float = 1e-6,
-) -> list[tuple[float, float]]:
-    """Maximal time intervals where ``delta_qd < qd_threshold`` and
-    ``delta_cc < cc_threshold`` hold simultaneously.
-
-    Thresholds are mandatory (they are conventions, not physics).  The window
-    membership is decided on the trajectory samples; when ``evaluator`` is
-    given (mapping t -> (delta_qd, delta_cc), typically the cheap closed
-    forms), interval endpoints are refined by bisection to ``time_tol``.
-    Returns an empty list when the condition never holds.
-    """
-    if not (0.0 < qd_threshold and 0.0 < cc_threshold):
-        raise ValueError("thresholds must be positive")
-    if len(traj) < 2:
-        raise ValueError("need at least 2 trajectory samples to detect windows")
-    qd, cc = classicality_degrees(traj.sigma_det, traj.s_pq, hbar)
-    flags = _condition(qd, cc, qd_threshold, cc_threshold).tolist()
-    inside = None
-    if evaluator is not None:
-        inside = _membership(evaluator, qd_threshold, cc_threshold)
-    return _windows_from_samples(traj.times.tolist(), flags, inside, time_tol)
+_EDGE_TOL = 1e-6  # width of the bracket at which an edge's bisection stops
 
 
 def closed_form_metric_evaluator(
@@ -286,17 +203,42 @@ def find_windows(
     dt: float,
     qd_threshold: float,
     cc_threshold: float,
-    time_tol: float = 1e-6,
 ) -> list[tuple[float, float]]:
-    """Closed-form window detection on a uniform sampling grid (see
-    :func:`~lindosc.propagate.time_grid`) with bisection refinement of the
-    interval endpoints."""
+    """Maximal time intervals where ``delta_qd < qd_threshold`` and
+    ``delta_cc < cc_threshold`` hold simultaneously, from the closed forms.
+
+    Membership is sampled on :func:`~lindosc.propagate.time_grid` ``(t_end,
+    dt)``; every change of membership between neighbouring samples is bisected
+    until its bracket is at most 1e-6 wide, and the edge is the bracket's
+    midpoint.  A window that opens at the first sample or closes at the last
+    one keeps that sample as its edge.  A window (or a gap) shorter than
+    ``dt`` can be missed.  Returns an empty list when no sample is inside.
+    """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
-    inside = _membership(
-        closed_form_metric_evaluator(spec, cfg), qd_threshold, cc_threshold
-    )
+    evaluate = closed_form_metric_evaluator(spec, cfg)
+
+    def inside(t: np.ndarray) -> np.ndarray:
+        qd, cc = evaluate(t)
+        return (qd < qd_threshold) & (cc < cc_threshold)
+
     times = time_grid(t_end, dt)
-    return _windows_from_samples(
-        times.tolist(), inside(times).tolist(), inside, time_tol
-    )
+    flags = inside(times)
+    # samples left[j] and left[j] + 1 differ; all crossings are bisected
+    # together, each on the midpoint sequence of its own bracket
+    left = np.flatnonzero(flags[1:] != flags[:-1])
+    t_in = np.where(flags[left], times[left], times[left + 1])
+    t_out = np.where(flags[left], times[left + 1], times[left])
+    active = np.abs(t_in - t_out) > _EDGE_TOL
+    while active.any():
+        mid = 0.5 * (t_in + t_out)
+        hit = inside(mid)
+        t_in = np.where(active & hit, mid, t_in)
+        t_out = np.where(active & ~hit, mid, t_out)
+        active = np.abs(t_in - t_out) > _EDGE_TOL
+    edges = (0.5 * (t_in + t_out)).tolist()
+    if flags[0]:
+        edges.insert(0, times[0].item())
+    if flags[-1]:
+        edges.append(times[-1].item())
+    return list(zip(edges[::2], edges[1::2]))

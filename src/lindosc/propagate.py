@@ -130,14 +130,19 @@ def drift_matrix(cfg: OscillatorConfig) -> np.ndarray:
     )
 
 
+def _generator(cfg: OscillatorConfig) -> np.ndarray:
+    """``K = Y + lam I``, the traceless oscillatory generator (``K^2 =
+    -Omega^2 I``), written entry by entry: ``-(lam - mu) + lam`` need not round
+    to ``mu``."""
+    return np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
+
+
 def propagator(cfg: OscillatorConfig, t) -> np.ndarray:
     """``exp(Y t)`` evaluated in closed form (exact for all t >= 0); shape
     ``(2, 2)`` for a scalar ``t``, ``t.shape + (2, 2)`` for an array."""
     t = np.asarray(t, dtype=float)[..., None, None]
     big = cfg.shifted_frequency
-    # Y + lam*I, the traceless oscillatory generator.
-    k = np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
-    rotation = np.cos(big * t) * np.eye(2) + (np.sin(big * t) / big) * k
+    rotation = np.cos(big * t) * np.eye(2) + (np.sin(big * t) / big) * _generator(cfg)
     return np.exp(-cfg.lam * t) * rotation
 
 
@@ -212,10 +217,8 @@ def _propagate_moments(
     """Exact means ``(n, 2)`` and covariances ``(n, 2, 2)`` at all ``times``."""
     _, t = _elementwise(times)
     lam, big = cfg.lam, cfg.shifted_frequency
-    k = np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
-    cos_part = np.cos(big * t)[:, None, None]
-    sinc_part = (np.sin(big * t) / big)[:, None, None]
-    e = np.exp(-lam * t)[:, None, None] * (cos_part * np.eye(2) + sinc_part * k)
+    k = _generator(cfg)
+    e = propagator(cfg, t)
     means = e @ state0.mean()
     cov = e @ state0.covariance() @ e.transpose(0, 2, 1)
 

@@ -83,12 +83,6 @@ def alpha_beta_gamma(state: GaussianState, hbar: float = 1.0) -> AlphaBetaGamma:
     )
 
 
-def _maybe_item(result, *inputs):
-    if all(np.ndim(x) == 0 for x in inputs):
-        return result[()] if isinstance(result, np.ndarray) else result
-    return result
-
-
 def density_sigma_delta(state: GaussianState, center, offset, hbar: float = 1.0):
     """Density matrix in center/offset coordinates (complex value).
 
@@ -105,8 +99,7 @@ def density_sigma_delta(state: GaussianState, center, offset, hbar: float = 1.0)
         + 1j * coeff.beta * dq * offset
         + 1j * state.mean_p * offset / hbar
     )
-    value = math.sqrt(coeff.alpha / math.pi) * np.exp(exponent)
-    return _maybe_item(value, center, offset)
+    return math.sqrt(coeff.alpha / math.pi) * np.exp(exponent)
 
 
 def density_matrix(state: GaussianState, q, qp, hbar: float = 1.0):
@@ -132,8 +125,7 @@ def wigner(state: GaussianState, q, p):
         - 2.0 * state.s_pq * dq * dp
         + state.s_qq * dp * dp
     )
-    value = np.exp(-quad / (2.0 * sigma)) / (2.0 * math.pi * math.sqrt(sigma))
-    return _maybe_item(value, q, p)
+    return np.exp(-quad / (2.0 * sigma)) / (2.0 * math.pi * math.sqrt(sigma))
 
 
 def wigner_from_coefficients(state: GaussianState, q, p, hbar: float = 1.0):
@@ -150,7 +142,7 @@ def wigner_from_coefficients(state: GaussianState, q, p, hbar: float = 1.0):
     coeff = alpha_beta_gamma(state, hbar)
     dq = q - state.mean_q
     shifted = p - state.mean_p - hbar * coeff.beta * dq
-    value = (
+    return (
         math.sqrt(coeff.alpha / (4.0 * coeff.gamma))
         / (math.pi * hbar)
         * np.exp(
@@ -158,7 +150,6 @@ def wigner_from_coefficients(state: GaussianState, q, p, hbar: float = 1.0):
             - shifted * shifted / (4.0 * hbar * hbar * coeff.gamma)
         )
     )
-    return _maybe_item(value, q, p)
 
 
 def wigner_from_density(
@@ -202,10 +193,9 @@ def stationary_density(cfg: OscillatorConfig, q, qp):
     pref = math.sqrt(scale / (math.pi * cfg.hbar * c))
     plus = q + qp
     minus = q - qp
-    value = pref * np.exp(
+    return pref * np.exp(
         -(scale / (4.0 * cfg.hbar)) * (plus * plus / c + c * minus * minus)
     )
-    return _maybe_item(value, q, qp)
 
 
 def stationary_wigner(cfg: OscillatorConfig, q, p):
@@ -222,12 +212,11 @@ def stationary_wigner(cfg: OscillatorConfig, q, p):
     p = np.asarray(p, dtype=float)
     c = cfg.coth_epsilon
     scale = cfg.m * cfg.omega
-    value = (
+    return (
         1.0
         / (math.pi * cfg.hbar * c)
         * np.exp(-(scale * q * q + p * p / scale) / (cfg.hbar * c))
     )
-    return _maybe_item(value, q, p)
 
 
 # -- grids -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-based checks of the shared kernels: the time grid, the CSV writer,
-the classicality degrees, the array forms of the closed-form moments and the
-validation of trajectory rows.
+the classicality degrees, the array forms of the closed-form moments, the
+window finder and the validation of trajectory rows.
 
 Hypothesis runs derandomised with a bounded example count, so the suite stays
 deterministic and fast.
@@ -16,7 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lindosc.classicality import classicality_degrees
+from lindosc.classicality import (
+    classicality_degrees,
+    closed_form_metric_evaluator,
+    find_windows,
+)
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
@@ -177,6 +181,47 @@ def test_closed_forms_array_matches_scalar(model, times):
         assert abs(pq[i] - pq_i) <= 1e-15 * pq_scale
         assert math.isclose(q[i], q_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
         assert math.isclose(p[i], p_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
+
+
+# ---------------------------------------------------------------------------
+# window finder
+# ---------------------------------------------------------------------------
+
+
+@PROFILE
+@given(
+    model=admissible_models(),
+    qd_thr=st.floats(min_value=0.5, max_value=0.999, exclude_min=True, exclude_max=True),
+    cc_thr=st.floats(min_value=1.2, max_value=50.0, exclude_min=True, exclude_max=True),
+    dt=st.floats(min_value=0.01, max_value=0.2),
+    t_end=st.floats(min_value=1.0, max_value=30.0, exclude_min=True),
+)
+def test_find_windows_agrees_with_sampled_membership(model, qd_thr, cc_thr, dt, t_end):
+    # windows are ordered, disjoint and in [0, t_end]; each edge inside the
+    # grid is a change of membership; a grid sample is inside a window exactly
+    # when it is a member.  That a window's midpoint is a member is not a
+    # property of a sampled finder: see test_window_misses_gap_shorter_than_dt
+    cfg, spec = model
+    evaluate = closed_form_metric_evaluator(spec, cfg)
+
+    def member(t):
+        qd, cc = evaluate(np.asarray(t, dtype=float))
+        return (qd < qd_thr) & (cc < cc_thr)
+
+    windows = find_windows(spec, cfg, t_end, dt, qd_thr, cc_thr)
+    flat = [x for w in windows for x in w]
+    assert flat == sorted(flat)
+    assert all(end < start for end, start in zip(flat[1::2], flat[2::2]))
+    assert all(0.0 <= x <= t_end for x in flat)
+    times = time_grid(t_end, dt)
+    interior = np.array([x for x in flat if x not in (times[0], times[-1])])
+    if len(interior):
+        before = member(np.maximum(interior - 1e-6, 0.0))
+        assert (before != member(interior + 1e-6)).all()
+    inside = np.zeros(len(times), dtype=bool)
+    for a, b in windows:
+        inside |= (a <= times) & (times <= b)
+    np.testing.assert_array_equal(inside, member(times))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from lindosc.states import (
     alpha_beta_gamma,
     density_grid,
     density_matrix,
+    density_sigma_delta,
     geometry_for_states,
     render_grid,
     stationary_density,
@@ -243,6 +244,23 @@ class TestStationary:
         narrow = stationary_density(make_cfg(c=1.0), 1.0, -1.0)
         hot = stationary_density(make_cfg(c=10.0), 1.0, -1.0)
         assert abs(hot) < abs(narrow)
+
+
+def test_scalar_coordinates_give_numpy_scalars():
+    # NumPy ufuncs and arithmetic unwrap 0-d arrays, so scalar coordinates
+    # (floats or 0-d arrays) give a 0-d NumPy scalar, never an ndarray
+    state = evolved_state(0.5, correlation=0.4)
+    for q, p in [(0.3, -0.2), (np.array(0.3), np.array(-0.2))]:
+        values = {
+            "wigner": wigner(state, q, p),
+            "wigner_from_coefficients": wigner_from_coefficients(state, q, p),
+            "density_matrix": density_matrix(state, q, p),
+            "density_sigma_delta": density_sigma_delta(state, q, p),
+            "stationary_density": stationary_density(CFG, q, p),
+            "stationary_wigner": stationary_wigner(CFG, q, p),
+        }
+        for name, value in values.items():
+            assert isinstance(value, np.generic), name
 
 
 # ---------------------------------------------------------------------------
