@@ -213,9 +213,14 @@ def find_windows(
     midpoint.  A window that opens at the first sample or closes at the last
     one keeps that sample as its edge.  A window (or a gap) shorter than
     ``dt`` can be missed.  Returns an empty list when no sample is inside.
+    ``ValueError`` unless both thresholds are finite and positive: no state
+    has a negative degree, so no window could exist.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("t_end and dt must be positive")
+    for name, threshold in (("qd", qd_threshold), ("cc", cc_threshold)):
+        if not (math.isfinite(threshold) and threshold > 0.0):
+            raise ValueError(f"{name} threshold must be finite and > 0, got {threshold!r}")
     evaluate = closed_form_metric_evaluator(spec, cfg)
 
     def inside(t: np.ndarray) -> np.ndarray:

@@ -16,9 +16,11 @@ W = 0, so nothing is advected in and diffusion may leak mass out through the
 tails (tracked and reported).
 
 The operator is linear and time-invariant, so the upwind choice, the
-diffusion terms and the cell widths are folded once into four coefficient
-arrays per face direction; each step then reads one preallocated padded grid
-and writes its fluxes and divergence into preallocated arrays (``_Stepper``).
+diffusion terms, the cell widths and the divergence of the two face fluxes
+are folded once into a table of per-cell weights, one per neighbour the
+update reads: the cell itself, two cells each way along q and along p, and
+with cross diffusion the four diagonal neighbours.  Each step evaluates that
+table against shifted views of one preallocated padded grid (``_Stepper``).
 
 This solver is deliberately independent of the closed-form machinery in
 ``propagate``/``states`` so the two can be compared as oracles.
@@ -27,9 +29,12 @@ This solver is deliberately independent of the closed-form machinery in
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import (
     DiffusionCoefficients,
@@ -152,12 +157,12 @@ def stable_dt(
 
 
 class _Stepper:
-    """Precomputed face coefficients and one forward-Euler update.
+    """Per-cell tap table, precomputed, and one forward-Euler update.
 
     Grid layout: ``values[i, j] = W(q_i, p_j)`` with q along axis 0.  Faces in
     q sit at ``q_min + k*dq`` (k = 0..n_q).  The operator is linear and
     time-invariant, so the flux through face f, divided by the cell width,
-    is a fixed four-cell stencil along the face normal,
+    is a fixed four-cell stencil along the face normal (``_face_coefficients``),
 
         F_f / dx = a W[f-2] + b W[f-1] + c W[f] + e W[f+1],
         a = -v+ / (2 dx),  b = (1.5 v+ + D/dx) / dx,
@@ -165,18 +170,29 @@ class _Stepper:
 
     with v+ = max(v, 0) and v- = min(v, 0): the two-cell linear-upwind
     extrapolation from the side the face velocity blows from, plus the
-    centered diffusive flux.  With cross diffusion each face adds
-    ``-d_pq dW/d(other axis)``, the centered cell derivative averaged over
-    the two cells beside the face: four more cells with one scalar weight.
+    centered diffusive flux.  Face f lies on the low side of cell f, so the
+    divergence ``F[x+1] - F[x]`` of cell x along one axis is a five-cell
+    stencil.  Its tap on cell x+s is the weight with which the high face
+    reads that cell minus the weight with which the low face reads it:
 
-    The coefficients are built once, here.  ``step`` works in one
-    preallocated grid padded by two ghost cells of zeros on each side (the
-    zero-inflow boundary).  A face sits at the flat index of the padded cell
-    on its high side, so every stencil term is a shifted contiguous slice of
-    the flattened padded grid (by one padded row per q cell, by one per p
-    cell) and each ufunc writes into a preallocated array.  Coefficients are
-    zero away from real faces, and the divergence in the ghost columns is
-    reset to zero before the update, so the ghost cells stay zero.
+        s = -2: -a[x]          s = -1: a[x+1] - b[x]     s = 0: b[x+1] - c[x]
+        s = +1: c[x+1] - e[x]  s = +2: e[x+1]
+
+    The q and p stencils share the tap on the cell itself: nine taps.  With
+    cross diffusion each face flux adds ``-d_pq dW/d(other axis)``, the
+    centered cell derivative averaged over the two cells beside the face.
+    In the divergence its terms on the four side neighbours cancel, and each
+    axis leaves the same four diagonal taps, ``k (W[i+1, j+1] - W[i+1, j-1]
+    - W[i-1, j+1] + W[i-1, j-1])`` with ``k = -d_pq / (4 dq dp)``.
+
+    The table is built once, here, and its weights are zero in the ghost
+    columns.  ``step`` works in one preallocated grid padded by two ghost
+    cells of zeros on each side (the zero-inflow boundary).  On the
+    flattened padded grid each tap is a fixed shift, by one padded row per q
+    cell and by one element per p cell, so a group of taps is one read-only
+    strided view and one ``np.einsum`` call sums weight times cell over the
+    group.  The zero weights keep the divergence in the ghost columns, and
+    so the ghost cells, zero.
     """
 
     def __init__(
@@ -187,53 +203,52 @@ class _Stepper:
     ) -> None:
         nq, npp = geom.n_q, geom.n_p
         dq, dp = geom.dq, geom.dp
+        row = npp + 4
+        self.padded = np.zeros((nq + 4, row))
+        self.w = self.padded[2:-2, 2:-2]
+        flat = self.padded.ravel()
+        # The update covers padded rows 2..n_q+1, ghost columns included.
+        start, n_cells = 2 * row, nq * row
+        self.rows = flat[start : start + n_cells]
+
+        def cells(first: int, strides: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+            """Read-only view of the padded grid from the cell ``first``
+            after the first updated one, with strides counted in cells."""
+            return as_strided(
+                flat[start + first :],
+                shape=shape,
+                strides=tuple(flat.itemsize * s for s in strides),
+                writeable=False,
+            )
+
+        # Taps -2, -1, 0, +1, +2 rows along q, then -2, -1, +1, +2 along p.
+        table = np.zeros((9, nq, row))
+        taps = table[:, :, 2:-2]  # the ghost columns keep weight zero
         q = geom.q_centers()
         p = geom.p_centers()
         q_faces = geom.q_min + dq * np.arange(nq + 1)
         p_faces = geom.p_min + dp * np.arange(npp + 1)
         # v_q on q-faces: shape (n_q + 1, n_p)
         vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
-        # v_p on p-faces: shape (n_q, n_p + 1)
+        _add_divergence_taps(taps[:5], vq, d.d_qq, dq, axis=0)
+        # v_p on p-faces: shape (n_q, n_p + 1); the centre tap is shared
         vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
-
-        row = npp + 4
-        self.padded = np.zeros((nq + 4, row))
-        self.w = self.padded[2:-2, 2:-2]
-        flat = self.padded.ravel()
-        # Face arrays span padded rows 2..n_q+2 and the divergence rows
-        # 2..n_q+1, ghost columns included.
-        start, size, n_cells = 2 * row, (nq + 1) * row, nq * row
-
-        def cells(shift: int) -> np.ndarray:
-            return flat[start + shift : start + shift + size]
-
-        taps = (-2, -1, 0, 1)
-        coef_q = _face_coefficients(vq, d.d_qq, dq, (nq + 1, row))
-        coef_p = _face_coefficients(vp, d.d_pp, dp, (nq + 1, row))
-        stencils = (
-            [(c, cells(k * row)) for c, k in zip(coef_q, taps)],
-            [(c, cells(k)) for c, k in zip(coef_p, taps)],
-        )
+        _add_divergence_taps([taps[k] for k in (5, 6, 2, 7, 8)], vp, d.d_pp, dp, axis=1)
+        self.q_line = table[:5].reshape(5, n_cells)
+        self.q_cells = cells(-2 * row, (row, 1), (5, n_cells))
+        self.p_pairs = table[5:].reshape(2, 2, n_cells)
+        self.p_cells = cells(-2, (3, 1, 1), (2, 2, n_cells))
+        self.corners = None
         if d.d_pq != 0.0:
-            # cells beside the face (shift -normal and 0), one step up and
-            # one step down the transverse axis
-            cross = -d.d_pq / (4.0 * dq * dp)
-            for stencil, normal, across in zip(stencils, (row, 1), (1, row)):
-                stencil += [
-                    (side * cross, cells(side * across - below))
-                    for side in (1, -1)
-                    for below in (normal, 0)
-                ]
-        self.stencils = stencils
-        self.flux = (np.empty(size), np.empty(size))
-        self.term = np.empty(size)
+            # one weight per column, the same on every row: (2, 2, 1, row)
+            # broadcasts over the rows instead of storing n_q copies
+            k = -d.d_pq / (4.0 * dq * dp)
+            self.corners = np.zeros((2, 2, 1, row))
+            signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # rows i-1, i+1; columns j-1, j+1
+            self.corners[:, :, 0, 2:-2] = (2.0 * k * signs)[:, :, None]
+            self.corner_cells = cells(-row - 1, (2 * row, 2, row, 1), (2, 2, nq, row))
         self.div = np.empty(n_cells)
-        self.div_2d = self.div.reshape(nq, row)
-        self.rows = flat[start : start + n_cells]
-        # the fluxes through the high and the low face of every cell
-        q_flux, p_flux = self.flux
-        self.q_faces = (q_flux[row : row + n_cells], q_flux[:n_cells])
-        self.p_faces = (p_flux[1 : n_cells + 1], p_flux[:n_cells])
+        self.term = np.empty(n_cells)
 
     def step(self, w: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``w`` by ``dt`` and return the new grid.
@@ -243,43 +258,56 @@ class _Stepper:
         """
         if w is not self.w:
             self.w[...] = w
-        term = self.term
-        for flux, ((c0, cells0), *rest) in zip(self.flux, self.stencils):
-            np.multiply(c0, cells0, out=flux)
-            for c, cells in rest:
-                np.multiply(c, cells, out=term)
-                flux += term
-        div = self.div
-        np.subtract(*self.q_faces, out=div)
-        div += self.p_faces[0]
-        div -= self.p_faces[1]
+        div, term = self.div, self.term
+        # order="F" puts the tap axis innermost, so einsum accumulates each
+        # cell's taps in one sweep: on NumPy 2.4 a 5-tap group at 256^2 takes
+        # about 0.27 ms this way against 0.6 ms (q) and 1.2 ms (p) in "C",
+        # which sweeps the grid once per tap; "K" matches "F" only for the
+        # q line, whose taps are a whole row apart.
+        np.einsum("kx,kx->x", self.q_line, self.q_cells, out=div, order="F")
+        np.einsum("abx,abx->x", self.p_pairs, self.p_cells, out=term, order="F")
+        div += term
+        if self.corners is not None:
+            # the broadcast weights have no tap-major layout to exploit: here
+            # "K" is fastest (about 0.28 ms at 256^2 against 1.1 ms in "F")
+            np.einsum(
+                "abij,abij->ij", self.corners, self.corner_cells,
+                out=term.reshape(self.corner_cells.shape[2:]), order="K",
+            )
+            div += term
         div *= dt
-        self.div_2d[:, :2] = 0.0  # the ghost columns stay zero
-        self.div_2d[:, -2:] = 0.0
         self.rows -= div
         return self.w
 
 
-def _face_coefficients(
-    v: np.ndarray, diff: float, dx: float, shape: tuple[int, int]
-) -> list[np.ndarray]:
-    """The stencil weights (a, b, c, e) of ``_Stepper``'s face flux for face
-    velocities ``v``, each placed from column 2 on in a zero array of
-    ``shape`` and flattened."""
-    v_pos = np.maximum(v, 0.0)
-    v_neg = np.minimum(v, 0.0)
+def _add_divergence_taps(
+    taps: Sequence[np.ndarray], v: np.ndarray, diff: float, dx: float, axis: int
+) -> None:
+    """Add the divergence of ``_face_coefficients``' face flux along
+    ``axis`` to the five interior ``taps`` (shifts -2..+2 cells): tap s gets
+    weight s-1 of each cell's high face minus weight s of its low face."""
+    low = (slice(None),) * axis + (slice(None, -1),)
+    high = (slice(None),) * axis + (slice(1, None),)
+    previous = None
+    for tap, weight in zip(taps, chain(_face_coefficients(v, diff, dx), [None])):
+        if previous is not None:
+            tap += previous[high]
+        if weight is not None:
+            tap -= weight[low]
+        previous = weight
+
+
+def _face_coefficients(v: np.ndarray, diff: float, dx: float) -> Iterator[np.ndarray]:
+    """The stencil weights a, b, c, e of ``_Stepper``'s face flux for face
+    velocities ``v``, each of the shape of ``v``, one at a time so that the
+    four are never held at once."""
+    v_side = np.maximum(v, 0.0)
     g = diff / dx
-    weights = []
-    for weight in (
-        -v_pos / (2.0 * dx),
-        (1.5 * v_pos + g) / dx,
-        (1.5 * v_neg - g) / dx,
-        -v_neg / (2.0 * dx),
-    ):
-        placed = np.zeros(shape)
-        placed[: v.shape[0], 2 : 2 + v.shape[1]] = weight
-        weights.append(placed.ravel())
-    return weights
+    yield -v_side / (2.0 * dx)
+    yield (1.5 * v_side + g) / dx
+    v_side = np.minimum(v, 0.0, out=v_side)
+    yield (1.5 * v_side - g) / dx
+    yield -v_side / (2.0 * dx)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ the trajectory CSV columns; states are built on access only.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -255,6 +256,31 @@ def covariance_lyapunov(
     return trajectory_lyapunov(state0, cfg, d, [t]).final
 
 
+def _quiet(xp):
+    """For NumPy, silence the warnings a closed form raises at huge t: a
+    product overflowing to inf is meant there (``math`` gives inf without a
+    word), and a lost phase is ``nan`` on both routes (:func:`_double_angle`)."""
+    return np.errstate(over="ignore", invalid="ignore") if xp is np else nullcontext()
+
+
+def _double_angle(xp, big: float, t, decay):
+    """``cos(2 Omega t)`` and ``sin(2 Omega t)`` for the closed forms, which
+    use them only times ``decay = exp(-2 lam t)``.  Where the phase
+    ``2 Omega t`` overflows, they are taken at phase 0 if ``decay`` has
+    underflowed to 0, so the product is its limit, exactly 0; otherwise they
+    are ``nan``, since the phase is lost.  A float ``t`` and an array give
+    the same values."""
+    phase = 2.0 * big * t
+    if xp is math:
+        if math.isinf(phase):
+            if decay != 0.0:
+                return math.nan, math.nan
+            phase = 0.0
+        return math.cos(phase), math.sin(phase)
+    phase = np.where(np.isinf(phase) & (decay == 0.0), 0.0, phase)
+    return np.cos(phase), np.sin(phase)
+
+
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath).
 
@@ -269,15 +295,16 @@ def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     big = cfg.shifted_frequency
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    cos2 = xp.cos(2.0 * big * t)
-    sin2 = xp.sin(2.0 * big * t)
-    term_fast = xp.exp(-4.0 * cfg.lam * t) * (1.0 - k_plus * c + c * c)
-    inner = (
-        (k_plus - 2.0 * c) * (w2 - mu2 * cos2) / big2
-        + k_minus * cfg.mu * sin2 / big
-        + 2.0 * r * cfg.mu * cfg.omega * (1.0 - cos2) / (big2 * root)
-    )
-    term_slow = xp.exp(-2.0 * cfg.lam * t) * c * inner
+    with _quiet(xp):
+        decay = xp.exp(-2.0 * cfg.lam * t)
+        cos2, sin2 = _double_angle(xp, big, t, decay)
+        term_fast = xp.exp(-4.0 * cfg.lam * t) * (1.0 - k_plus * c + c * c)
+        inner = (
+            (k_plus - 2.0 * c) * (w2 - mu2 * cos2) / big2
+            + k_minus * cfg.mu * sin2 / big
+            + 2.0 * r * cfg.mu * cfg.omega * (1.0 - cos2) / (big2 * root)
+        )
+        term_slow = decay * c * inner
     return (cfg.hbar * cfg.hbar / 4.0) * (term_fast + term_slow + c * c)
 
 
@@ -297,15 +324,16 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     big2 = big * big
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    cos2 = xp.cos(2.0 * big * t)
-    sin2 = xp.sin(2.0 * big * t)
-    bracket = (
-        (mu * w * (2.0 * c - k_plus) - 2.0 * w * w * r / root) * cos2
-        + w * big * k_minus * sin2
-        + mu * w * (k_plus - 2.0 * c)
-        + 2.0 * mu * mu * r / root
-    )
-    return -(cfg.hbar / (4.0 * big2)) * xp.exp(-2.0 * cfg.lam * t) * bracket
+    with _quiet(xp):
+        decay = xp.exp(-2.0 * cfg.lam * t)
+        cos2, sin2 = _double_angle(xp, big, t, decay)
+        bracket = (
+            (mu * w * (2.0 * c - k_plus) - 2.0 * w * w * r / root) * cos2
+            + w * big * k_minus * sin2
+            + mu * w * (k_plus - 2.0 * c)
+            + 2.0 * mu * mu * r / root
+        )
+        return -(cfg.hbar / (4.0 * big2)) * decay * bracket
 
 
 @dataclass(frozen=True, eq=False)

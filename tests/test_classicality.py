@@ -261,6 +261,16 @@ def test_window_misses_gap_shorter_than_dt():
         assert qd < 0.75 and cc < 2.0
 
 
+@pytest.mark.parametrize(
+    "qd, cc",
+    [(math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0), (0.99, -1.0), (0.99, math.nan)],
+)
+def test_window_rejects_impossible_thresholds(qd, cc):
+    spec = InitialStateSpec(spread=4.0, correlation=0.0)
+    with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+        find_windows(spec, CFG, 5.0, 0.01, qd, cc)
+
+
 def test_window_monotone_in_thresholds():
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
     tight = find_windows(spec, CFG, 5.0, 0.01, 0.99, 10.0)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -241,6 +242,17 @@ def test_window_rejects_inadmissible_bath(lam, capsys):
     assert "thermal coefficients need lam > |mu|" in err
     assert main(["metrics", *argv]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--qd-threshold", "nan"), ("--cc-threshold", "-1")]
+)
+def test_window_rejects_impossible_threshold(flag, value, capsys):
+    argv = ["window", *SQUEEZED, "--t-end", "5", flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold must be finite and > 0" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +560,35 @@ def test_sweep_without_t_axis_writes_scalar_closed_forms(tmp_path):
             lines.append(",".join("%.17g" % x for x in [lam, mu, *values]))
     assert invalid == 16  # lam <= |mu| outside the closed system lam = mu = 0
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lam", ["0.2", "0"])
+def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, capsys):
+    # 2 Omega t overflows at t = 1e308; the scalar (--t) and the array (t
+    # axis) routes write the same row, the steady state when the decay
+    # factor has underflowed (lam > 0) and nan in the closed system, where
+    # the phase is lost; neither warns
+    records = "delta_qd,delta_cc,sigma_det,sigma_pq,t_deco"
+    model = ["--lambda", lam, "--mu", "0.1" if lam != "0" else "0", "--coth", "3",
+             "--delta-sq", "4"]
+    scalar, array = tmp_path / "scalar.csv", tmp_path / "array.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", *model, "--axis", "C:3:3:1", "--t", "1e308",
+                     "--record", records, "--out", str(scalar)]) == 0
+        assert main(["sweep", *model, "--axis", "t:0:1e308:2",
+                     "--record", records, "--out", str(array)]) == 0
+    assert capsys.readouterr().err == ""
+    scalar_row = scalar.read_text().splitlines()[1].split(",")[1:]
+    array_row = array.read_text().splitlines()[2].split(",")
+    assert array_row[0] == "1e+308"
+    assert array_row[1:] == scalar_row
+    qd, cc, sigma, s_pq, t_deco = (float(x) for x in scalar_row)
+    if lam == "0":
+        assert all(math.isnan(x) for x in (qd, sigma, s_pq))
+    else:
+        assert sigma == 0.25 * 3.0**2 and s_pq == 0.0 and qd == pytest.approx(1 / 3)
+        assert math.isfinite(t_deco)
 
 
 @pytest.mark.parametrize("axis", ["t:0:nan:3", "t:0:inf:3", "C:2:nan:2"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lindosc import fpe
 from lindosc.fpe import (
     FpeRunSpec,
     _Stepper,
@@ -330,6 +331,57 @@ class TestStepKernel:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.abs(want - w0).max() > 1e-3 * np.abs(w0).max()  # it moved
         # the ghost cells of the padded buffer are still zero
+        outside = stepper.padded.copy()
+        outside[2:-2, 2:-2] = 0.0
+        assert not outside.any()
+
+    @pytest.mark.parametrize(
+        "d",
+        [D, DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=0.1)],
+        ids=["no_d_pq", "d_pq"],
+    )
+    def test_run_matches_direct_steps(self, d, monkeypatch):
+        # a snapshot splits the run into two segments of different sub-step
+        # h; run_fpe must equal the direct step looped with the same h
+        state = initial_state(
+            InitialStateSpec(spread=2.0, correlation=0.4, center_q=0.8, center_p=-0.6),
+            CFG,
+        )
+        w0 = render_grid(state, self.GEOM).values
+        grid = PhaseSpaceGrid(self.GEOM, w0 / (w0.sum() * self.GEOM.dq * self.GEOM.dp))
+        steppers = []
+
+        class Recording(fpe._Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        monkeypatch.setattr(fpe, "_Stepper", Recording)
+        dt = stable_dt(self.GEOM, CFG, d)
+        run = FpeRunSpec(t_end=0.05, dt=dt, snapshot_times=(0.013,))
+        result = run_fpe(grid, CFG, d, run)
+
+        direct = _direct_step(self.GEOM, CFG, d)
+        want, t_prev, lowest, segments = grid.values, 0.0, grid.values.min(), []
+        for t_event in (0.013, 0.05):
+            n = math.ceil((t_event - t_prev) / dt - 1e-12)
+            h = (t_event - t_prev) / n
+            for _ in range(n):
+                want = direct(want, h)
+                lowest = min(lowest, want.min())
+            segments.append((n, h, want))
+            t_prev = t_event
+        (n1, h1, want1), (n2, h2, want2) = segments
+        assert h1 != h2
+        assert result.steps == n1 + n2
+        (t, snap), = result.snapshots
+        assert t == 0.013
+        peak = np.abs(want1).max()
+        assert np.abs(snap.values - want1).max() <= 1e-13 * peak
+        assert np.abs(result.final.values - want2).max() <= 1e-13 * peak
+        assert result.min_value == pytest.approx(lowest, abs=1e-13 * peak)
+        assert np.abs(want2 - grid.values).max() > 1e-3 * peak  # it moved
+        (stepper,) = steppers
         outside = stepper.padded.copy()
         outside[2:-2, 2:-2] = 0.0
         assert not outside.any()

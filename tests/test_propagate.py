@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,29 @@ def test_closed_forms_take_arrays_and_reject_negative_times():
             f(spec, REF, np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         mean_closed_form(state0, REF, [1.0, -1e-9])
+
+
+def test_closed_forms_at_overflowing_phase():
+    # at t = 1e308, 2 Omega t overflows: with damping exp(-2 lam t) is 0 and
+    # the closed forms give their limit; without it the phase is lost (nan);
+    # a float and an array agree, and NumPy stays silent
+    spec = InitialStateSpec(spread=4.0, correlation=0.3)
+    closed = OscillatorConfig(lam=0.0, mu=0.0, temp=TemperatureSpec.from_coth(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in (REF, closed):
+            for f in (sigma_det_closed, sigma_pq_closed):
+                scalar = f(spec, cfg, 1e308)
+                array = f(spec, cfg, np.array([1.0, 1e308]))
+                assert isinstance(scalar, float)
+                assert np.array_equal([scalar], array[1:], equal_nan=True)
+                assert array[0] == f(spec, cfg, 1.0)
+                if cfg is closed:
+                    assert math.isnan(scalar)
+    assert sigma_det_closed(spec, REF, 1e308) == 0.25 * 3.0**2
+    assert sigma_pq_closed(spec, REF, 1e308) == 0.0
+    # below the overflow the phase is still evaluated
+    assert sigma_pq_closed(spec, closed, 1e307) != sigma_pq_closed(spec, closed, 0.0)
 
 
 def test_time_grid_rules():
