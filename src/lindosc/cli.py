@@ -677,9 +677,7 @@ def _cmd_fpe(args) -> int:
     snapshots: tuple[float, ...] = ()
     if args.snapshots:
         snapshots = tuple(float(x) for x in args.snapshots.split(","))
-    run = FpeRunSpec(
-        t_end=args.t_end, dt=args.dt, snapshot_times=snapshots, safety=args.safety
-    )
+    run = FpeRunSpec(t_end=args.t_end, dt=args.dt, snapshot_times=snapshots)
     result = run_fpe(w0, cfg, d, run)
 
     out_dir = Path(args.out_dir)
@@ -824,9 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", dest="grid_n", type=int, default=256)
     p.add_argument("--coverage", type=float, default=6.0)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--dt", type=float, help="time step, at most the automatic one")
     p.add_argument("--snapshots", help="comma-separated snapshot times")
-    p.add_argument("--safety", type=float, default=0.5)
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 

@@ -266,7 +266,7 @@ class TimeScales:
     t_deco: float
     t_d: float
     t_rel: float
-    variant: str  # "general" | "r0" | "high_T" | "high_T_r0" | "order-estimate"
+    variant: str  # "general" | "r0" | "high_T" | "high_T_r0"
 
     def __post_init__(self) -> None:
         for name in ("t_deco", "t_d", "t_rel"):

@@ -10,8 +10,9 @@ The equation is integrated in conservative flux form,
 which contains all seven generator terms: the two unitary drift terms, the two
 friction terms, and the three diffusion terms.  Faces use second-order linear
 upwind reconstruction for advection (two-cell stencil on the upwind side) and
-centered differences for diffusion; time stepping is forward Euler under a
-CFL-style bound.  The boundary is zero-inflow Dirichlet: ghost cells hold
+centered differences for diffusion; time stepping is forward Euler with
+the step ``stable_dt`` (derived there), which is also the largest explicit
+step a run accepts.  The boundary is zero-inflow Dirichlet: ghost cells hold
 W = 0, so nothing is advected in and diffusion may leak mass out through the
 tails (tracked and reported).
 
@@ -62,25 +63,22 @@ _MASS_TOL = 1e-3
 class FpeRunSpec:
     """Run parameters for the grid solver.
 
-    ``dt=None`` picks the largest stable step automatically.  ``safety`` is
-    the fraction of the stability bound used by the automatic step; it may be
-    lowered but not raised above 0.5.  ``snapshot_times`` are intermediate
-    times (each in (0, t_end]) at which the grid is captured.  The boundary
-    is always zero-inflow (see the module docstring).
+    ``dt=None`` steps with ``stable_dt``, the largest step the solver
+    accepts; an explicit ``dt`` may be smaller but not larger (``run_fpe``
+    raises ``ValueError``).  ``snapshot_times`` are intermediate times (each
+    in (0, t_end]) at which the grid is captured.  The boundary is always
+    zero-inflow (see the module docstring).
     """
 
     t_end: float
     dt: float | None = None
     snapshot_times: tuple[float, ...] = ()
-    safety: float = 0.5
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if self.dt is not None and (not math.isfinite(self.dt) or self.dt <= 0.0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not 0.0 < self.safety <= 0.5:
-            raise ValueError(f"safety must be in (0, 0.5], got {self.safety!r}")
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         for t in self.snapshot_times:
             if not 0.0 < t <= self.t_end:
@@ -89,71 +87,67 @@ class FpeRunSpec:
             raise ValueError("snapshot times must be distinct")
 
 
-def _velocity_extremes(
-    geom: GridGeometry, cfg: OscillatorConfig
-) -> tuple[float, float]:
-    """Upper bounds on |v_q| and |v_p| over the domain (attained at corners)."""
+def stable_dt(
+    geom: GridGeometry, cfg: OscillatorConfig, d: DiffusionCoefficients
+) -> float:
+    """The forward-Euler step of ``run_fpe`` on this grid: the automatic
+    step, and the largest explicit step it accepts.
+
+    Freeze the coefficients at their largest magnitudes over the box,
+
+        v_q = |p|max / m + |lam - mu| |q|max,
+        v_p = m omega^2 |q|max + (lam + mu) |p|max,
+
+    attained at the corners, and follow one Fourier mode with phase step
+    ``theta`` per cell along an axis of width ``dx``.  Per time unit the
+    linear-upwind advection multiplies it by
+
+        -(v/dx) (1.5 - 2 e^{-i theta} + 0.5 e^{-2 i theta})
+            = -(v/dx) (i theta + i theta^3/3 + theta^4/4 + ...),
+
+    and centered diffusion by ``-(4 D/dx^2) sin^2(theta/2)``; a step
+    multiplies it by ``g = 1 + dt`` times the sum over both axes, and is
+    stable while ``|g| <= 1`` for every mode.  That gives three conditions.
+
+    * Sawtooth: at the odd-even mode (``theta = pi`` on both axes) each
+      advection factor is ``-4 v/dx`` and each diffusion factor
+      ``-4 D/dx^2``, all real, so they add: ``g = 1 - 4 dt S`` with
+      ``S = v_q/dq + v_p/dp + D_qq/dq^2 + D_pp/dp^2``, and ``|g| <= 1``
+      needs ``dt <= 0.5 / S``.
+    * Long-wave guard: for small ``theta`` along one axis, with Courant
+      number ``c = v dt/dx``, ``|g|^2 = 1 + (c^2 - 2 dt D/dx^2) theta^2 +
+      O(theta^4)``, so the long waves do not grow while ``dt <= 2 D / v^2``.
+      An axis without diffusion has no such guard: its long waves grow by at
+      most about ``c^3/4`` per step, negligible for the short runs this
+      solver targets.
+    * The four per-axis CFL terms ``dx / v`` and ``dx^2 / (2 D)``, the
+      textbook limits of one rate alone.  ``S`` holds every rate, so the
+      sawtooth term never exceeds them; they stay as the per-axis bound the
+      step is documented and tested to respect.
+
+    The step is half the smallest of these terms.  The factor 1/2 is the
+    margin for what the analysis leaves out: coefficients that vary over
+    the grid, the cross-diffusion taps and the zero-inflow boundary.
+    """
     q_abs = max(abs(geom.q_min), abs(geom.q_max))
     p_abs = max(abs(geom.p_min), abs(geom.p_max))
     vq_max = p_abs / cfg.m + abs(cfg.lam - cfg.mu) * q_abs
     vp_max = cfg.m * cfg.omega**2 * q_abs + (cfg.lam + cfg.mu) * p_abs
-    return vq_max, vp_max
-
-
-def _cfl_bound(
-    geom: GridGeometry, cfg: OscillatorConfig, d: DiffusionCoefficients
-) -> float:
-    """The four-term stability bound min(dx^2/2D, dx/|v|max) per axis,
-    before the safety factor."""
-    vq_max, vp_max = _velocity_extremes(geom, cfg)
     dq, dp = geom.dq, geom.dp
-    return min(
+    bound = min(
         dq * dq / (2.0 * d.d_qq + _EPS0),
         dp * dp / (2.0 * d.d_pp + _EPS0),
         dq / (vq_max + _EPS0),
         dp / (vp_max + _EPS0),
     )
-
-
-def stable_dt(
-    geom: GridGeometry,
-    cfg: OscillatorConfig,
-    d: DiffusionCoefficients,
-    safety: float = 0.5,
-) -> float:
-    """Largest recommended forward-Euler step for this grid and dynamics.
-
-    Three ingredients, all scaled by ``safety``:
-
-    * the four-term CFL bound (per-axis advection and diffusion);
-    * the combined sawtooth bound ``0.5 / (v_q/dq + v_p/dp + D_qq/dq^2 +
-      D_pp/dp^2)`` — at the odd-even Fourier mode the linear-upwind advection
-      operator contributes ``4 v/dx`` and centered diffusion ``4 D/dx^2`` per
-      axis, and the contributions add, so the per-axis terms alone are not
-      sufficient;
-    * the long-wave guard ``2 D / v_max^2`` on each diffusive axis (below it
-      the explicit scheme's advective phase error is dominated by diffusive
-      damping).  Axes without diffusion skip the guard; their residual
-      long-wave growth is cubic in the Courant number and negligible for the
-      short runs this solver targets.
-    """
-    if not 0.0 < safety <= 0.5:
-        raise ValueError(f"safety must be in (0, 0.5], got {safety!r}")
-    vq_max, vp_max = _velocity_extremes(geom, cfg)
-    bound = _cfl_bound(geom, cfg, d)
-    rate_sum = (
-        vq_max / geom.dq
-        + vp_max / geom.dp
-        + d.d_qq / geom.dq**2
-        + d.d_pp / geom.dp**2
-    )
+    rate_sum = vq_max / dq + vp_max / dp + d.d_qq / dq**2 + d.d_pp / dp**2
     if rate_sum > 0.0:
         bound = min(bound, 0.5 / rate_sum)
     if d.d_qq > 0.0 and vq_max > 0.0:
         bound = min(bound, 2.0 * d.d_qq / (vq_max * vq_max))
     if d.d_pp > 0.0 and vp_max > 0.0:
         bound = min(bound, 2.0 * d.d_pp / (vp_max * vp_max))
-    return safety * bound
+    return 0.5 * bound
 
 
 class _Stepper:
@@ -357,8 +351,8 @@ def run_fpe(
     """Integrate the transport equation from ``w0`` to ``run.t_end``.
 
     Raises ``ValueError`` for an unnormalized or non-finite initial grid
-    (|mass - 1| > 1e-3, or a NaN or infinite mass) or a time step above the
-    stability bound, and ``NumericError`` (with the offending step index) if
+    (|mass - 1| > 1e-3, or a NaN or infinite mass) or a ``run.dt`` above
+    ``stable_dt``, and ``NumericError`` (with the offending step index) if
     the solution stops being finite mid-run.
     """
     geom = w0.geom
@@ -367,15 +361,13 @@ def run_fpe(
         raise ValueError(
             f"initial grid mass {mass0:.6g} deviates from 1 by more than {_MASS_TOL}"
         )
-    hard_bound = 0.5 * _cfl_bound(geom, cfg, d)
+    dt = stable_dt(geom, cfg, d)
     if run.dt is not None:
-        dt = run.dt
-        if dt > hard_bound * (1.0 + 1e-12):
+        if run.dt > dt * (1.0 + 1e-12):
             raise ValueError(
-                f"dt={dt:.6g} violates the stability bound {hard_bound:.6g}"
+                f"dt={run.dt:.6g} exceeds the stable step {dt:.6g} of this grid"
             )
-    else:
-        dt = stable_dt(geom, cfg, d, run.safety)
+        dt = run.dt
 
     events = sorted(set(run.snapshot_times) | {run.t_end})
     if events and events[0] <= 0.0:  # t_end == 0: nothing to do

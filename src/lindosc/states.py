@@ -238,6 +238,12 @@ class GridGeometry:
             raise ValueError("degenerate grid range")
         if self.n_q < 3 or self.n_p < 3:
             raise ValueError("grid sizes must be >= 3")
+        # an infinite bound makes a width infinite, and so can finite bounds far apart
+        if not (math.isfinite(self.dq) and math.isfinite(self.dp)):
+            raise ValueError(
+                "grid range q [%r, %r], p [%r, %r] must be finite, with finite "
+                "cell widths" % (self.q_min, self.q_max, self.p_min, self.p_max)
+            )
 
     @property
     def dq(self) -> float:

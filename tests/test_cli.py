@@ -658,6 +658,27 @@ def test_fpe_stationary_run(tmp_path, capsys):
     assert manifest["linf_drift_vs_initial"] < 1e-3
 
 
+def test_fpe_rejects_dt_above_stable_step(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["fpe", *SQUEEZED, "--grid-n", "128", "--t-end", "1", "--dt", "0.0053"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert "stable step 0.00126523" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coverage", ["inf", "1e308"])
+def test_fpe_rejects_infinite_grid_range(tmp_path, capsys, coverage):
+    out = tmp_path / "run"
+    argv = ["fpe", *MODEL, "--grid-n", "64", "--t-end", "0.1", "--coverage", coverage]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lindosc: grid range ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fpe_determinism(tmp_path):
     argv = ["fpe", *SQUEEZED, "--grid-n", "48", "--t-end", "0.1"]
     assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0

@@ -52,12 +52,6 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             FpeRunSpec(t_end=1.0, dt=0.0)
 
-    def test_safety_range(self):
-        with pytest.raises(ValueError):
-            FpeRunSpec(t_end=1.0, safety=0.6)
-        with pytest.raises(ValueError):
-            FpeRunSpec(t_end=1.0, safety=0.0)
-
     def test_snapshots_must_lie_inside_run(self):
         with pytest.raises(ValueError):
             FpeRunSpec(t_end=1.0, snapshot_times=(0.5, 1.5))
@@ -93,12 +87,6 @@ class TestStableDt:
         dts = [stable_dt(geometry_for_states([state], n), CFG, D) for n in (64, 128, 256)]
         assert dts[0] > dts[1] > dts[2]
 
-    def test_safety_scales_linearly(self):
-        geom = GridGeometry.centered(8.0, 8.0, 64)
-        assert stable_dt(geom, CFG, D, safety=0.25) == pytest.approx(
-            0.5 * stable_dt(geom, CFG, D, safety=0.5), rel=1e-13
-        )
-
 
 # ---------------------------------------------------------------------------
 # guard rails
@@ -118,22 +106,46 @@ class TestGuards:
         with pytest.raises(ValueError):
             run_fpe(bad, CFG, D, FpeRunSpec(t_end=0.1))
 
-    def test_numeric_blowup_reports_step(self):
-        # a dt below the documented bound but far above the sharp combined
-        # limit destabilizes the shortest-wavelength mode within a few steps
-        grid = stationary_grid(CFG, 192)
-        auto = stable_dt(grid.geom, CFG, D, safety=0.5)
-        bound = _four_term_bound(grid.geom, CFG, D)
-        dt = 0.98 * bound
-        assert dt > auto  # genuinely in the gap between the two limits
-        with pytest.raises(NumericError) as err:
-            run_fpe(grid, CFG, D, FpeRunSpec(t_end=6.0, dt=dt))
-        step = err.value.step
-        assert step >= 1
+    def test_rejects_dt_above_stable_dt(self):
+        grid = stationary_grid(CFG, 64)
+        dt = 1.01 * stable_dt(grid.geom, CFG, D)
+        with pytest.raises(ValueError, match="stable step"):
+            run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1, dt=dt))
+
+    def test_rejects_dt_that_blows_up_under_four_term_bound(self):
+        # the squeezed run of the README model: dt = 0.0053 is 4.2x the
+        # stable step yet within the per-axis bound, and a run with it blows
+        # up (min_value -1.3e27 by t = 1)
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), CFG)
+        geom = geometry_for_states([state, asymptotic_covariance(CFG)], 128)
+        assert 0.0053 < _four_term_bound(geom, CFG, D)
+        with pytest.raises(ValueError, match="stable step 0.00126523"):
+            run_fpe(render_grid(state, geom), CFG, D, FpeRunSpec(t_end=1.0, dt=0.0053))
+
+    def test_numeric_blowup_reports_step(self, monkeypatch):
+        # a cell turns non-finite in step 7: the run stops there and
+        # reports that step and its time
+        grid = stationary_grid(CFG, 64)
         # one segment of equal steps h = t_end / n: step k ends at k * h
-        h = 6.0 / math.ceil(6.0 / dt - 1e-12)
-        reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
-        assert reported == pytest.approx(step * h, rel=1e-5)
+        h = 0.1 / math.ceil(0.1 / stable_dt(grid.geom, CFG, D) - 1e-12)
+        step = fpe._Stepper.step
+        for bad in (np.inf, -np.inf, np.nan):
+            taken = []
+
+            def failing_step(self, w, dt):
+                w = step(self, w, dt)
+                taken.append(dt)
+                if len(taken) == 7:
+                    w[10, 20] = bad
+                return w
+
+            monkeypatch.setattr(fpe._Stepper, "step", failing_step)
+            with pytest.raises(NumericError) as err:
+                run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1))
+            assert err.value.step == 7
+            assert taken == [h] * 7
+            reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
+            assert reported == pytest.approx(7 * h, rel=1e-5)
 
     @pytest.mark.parametrize("t_end", [0.0, 0.1])
     def test_rejects_non_finite_input(self, t_end):

@@ -277,6 +277,15 @@ class TestGrids:
         assert centers[0] == pytest.approx(-2.25)
         assert centers[-1] == pytest.approx(2.25)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(-math.inf, math.inf, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf), (-1e308, 1e308, -1.0, 1.0)],
+        ids=["q_inf", "p_max_inf", "dq_overflows"],
+    )
+    def test_geometry_rejects_non_finite_range(self, bounds):
+        with pytest.raises(ValueError, match="grid range"):
+            GridGeometry(*bounds, 8, 8)
+
     def test_render_mass(self):
         state = evolved_state(0.5)
         geom = geometry_for_states([state], 128)
