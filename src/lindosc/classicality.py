@@ -22,13 +22,9 @@ from typing import IO, Callable, Iterable
 
 import numpy as np
 
+from .csvout import write_csv
 from .model import GaussianState, InitialStateSpec, OscillatorConfig
-from .propagate import (
-    sigma_det_closed,
-    sigma_pq_closed,
-    time_grid,
-    write_csv,
-)
+from .propagate import sigma_det_closed, sigma_pq_closed, time_grid
 from .states import alpha_beta_gamma
 
 __all__ = [

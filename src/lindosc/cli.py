@@ -39,6 +39,7 @@ from .classicality import (
     one_sigma_contour,
 )
 from .config_io import ConfigError, build_model, load_config_file
+from .csvout import format_float, write_csv
 from .decoherence import (
     decoherence_rate,
     decoherence_time,
@@ -61,14 +62,12 @@ from .model import (
 from .propagate import (
     TRAJECTORY_HEADER,
     asymptotic_covariance,
-    format_float,
     integrate_moments_rk4,
     mean_closed_form,
     sigma_det_closed,
     sigma_pq_closed,
     time_grid,
     trajectory_lyapunov,
-    write_csv,
 )
 from .states import (
     GridGeometry,
@@ -315,7 +314,7 @@ def _cmd_metrics(args) -> int:
     gamma = alpha_beta_gamma(traj, cfg.hbar).gamma  # the state formula, on columns
     rows = np.column_stack([traj.times, qd, cc, gamma, traj.sigma_det, traj.s_pq])
     with _open_out(args.out) as handle:
-        write_csv(handle, METRICS_HEADER, rows.tolist())
+        write_csv(handle, METRICS_HEADER, rows)
     return 0
 
 
@@ -601,38 +600,39 @@ def run_sweep(
         except ValueError:
             return [math.nan] * width
 
-    points = itertools.product(*grids)
     if "t" not in names:
         rows = (
             list(point) + evaluate(dict(zip(names, point)), sweep.t)
-            for point in points
+            for point in itertools.product(*grids)
         )
     else:
-        times = np.array(grids[names.index("t")])
+        t_col = names.index("t")
+        times = np.array(grids[t_col])
         # the t-independent records are defined at every t
         keep = (times >= 0.0) | set(_T_RECORDS).isdisjoint(sweep.records)
         kept = times[keep]
+        other = [i for i in range(len(names)) if i != t_col]
+        columns = len(names) + width
 
-        def block(assignments: dict[str, float]) -> np.ndarray:
-            """``(len(times), width)`` values of one configuration over the t
-            axis; nan outside ``keep``."""
-            out = np.full((times.size, width), math.nan)
-            for j, column in enumerate(evaluate(assignments, kept)):
-                out[keep, j] = column
+        def block(point: tuple, out: np.ndarray) -> np.ndarray:
+            """Fill ``out`` with the rows of one configuration over the t axis,
+            axis columns included; the values are nan outside ``keep``."""
+            out[:, t_col] = times
+            out[:, other] = point
+            out[:, len(names) :] = math.nan
+            values = evaluate(dict(zip([names[i] for i in other], point)), kept)
+            for j, column in enumerate(values):
+                out[keep, len(names) + j] = column
             return out
 
-        other_names = [name for name in names if name != "t"]
-        other_grids = [grid for name, grid in zip(names, grids) if name != "t"]
-        blocks = (
-            block(dict(zip(other_names, point)))
-            for point in itertools.product(*other_grids)
-        )
-        if names[0] == "t":  # t varies slowest: its first row needs every block
-            blocks = [np.stack(list(blocks), axis=1).reshape(-1, width)]
-        rows = (
-            list(point) + row.tolist()
-            for point, row in zip(points, itertools.chain.from_iterable(blocks))
-        )
+        configs = itertools.product(*(grids[i] for i in other))
+        if t_col == 0:  # t varies slowest: its first row needs every configuration
+            table = np.empty((times.size, math.prod(len(grids[i]) for i in other), columns))
+            for k, point in enumerate(configs):
+                block(point, table[:, k])
+            rows = [table.reshape(-1, columns)]
+        else:
+            rows = (block(point, np.empty((times.size, columns))) for point in configs)
     write_csv(handle, ",".join(names + list(sweep.records)), rows)
 
 

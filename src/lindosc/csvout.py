@@ -1,0 +1,273 @@
+"""CSV output: every cell is exactly Python's ``"%.17g" % x``.
+
+``write_csv`` formats whole blocks of doubles with NumPy array operations and
+no per-cell Python call.  For a finite ``x`` with ``1e-270 <= |x| <= 1e270``
+it scales ``|x|`` by ``10**(16 - e)``, where ``e`` is the decimal exponent,
+so that the 17 significant digits are the integer part of the product
+``y``.  The power of ten is held in two parts, ``hi + lo``, and ``|x| * hi``
+is formed exactly as a sum of two doubles by Dekker's product (Dekker 1971,
+*Numer. Math.* 18:224).  That fixes ``y`` to about 1e-13, far below the 1e-9
+margin from a rounding tie that the kernel asks for.  ``floor(log10|x|)``
+can be one off next to a power of ten, so a ``y`` outside ``[1e16, 1e17)``
+is scaled again with the neighbouring exponent.  The 17 digits are then laid
+out by the ``%g`` rules with word-wide bit operations: fixed notation for
+``-4 <= e < 17`` and exponent notation otherwise, trailing zeros and a bare
+point dropped, and the exponent given with at least two digits.
+
+Python's own ``%`` (Gay's correctly rounded dtoa) formats only the cells the
+kernel cannot certify: ``y`` within 1e-9 of a rounding tie, and finite
+non-zero magnitudes outside the range above (subnormals included).  ``nan``
+(whatever its sign bit), ``inf``, ``-inf``, ``0`` and ``-0`` are laid out by
+the kernel.
+"""
+
+from __future__ import annotations
+
+import functools
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
+
+__all__ = ["format_float", "write_csv"]
+
+_FLOAT = "%.17g"  # locale-independent, round-trips every double
+_CHUNK = 1 << 13  # cells per formatting pass: temporaries of about 1 MiB
+_SURE_MIN, _SURE_MAX = 1e-270, 1e270  # magnitudes the kernel formats itself
+_TIE = 1e-9  # digits this close to a rounding tie are left to ``%``
+_E_MIN, _E_MAX = -280, 280  # decimal exponents of the power-of-ten table
+_SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
+_SLOT = 32  # bytes of one formatted cell, zero bytes dropped on output
+
+# A cell is built in a 32-byte slot of four little-endian 64-bit words, at
+# fixed places; the unused bytes stay zero and are dropped on output:
+#   byte 0       "-" for a negative sign
+#   bytes 1-5    "0.", "0.0", "0.00" or "0.000" before the digits of 1e-4..1
+#   bytes 6-23   the significant digits, with the point after the first
+#                ``point`` of them
+#   bytes 24-28  "e+XX" or "e-XXX" in exponent notation; "nan", "inf" or "0"
+#   byte 29      "," or the newline
+_BODY = 6
+_WORDS = np.dtype("<u8")  # slot words, little-endian on any host
+_SEP_SHIFT = np.uint64(8 * (29 - 24))
+_NAN, _INF, _ZERO = (
+    np.uint64(int.from_bytes(text, "little")) for text in (b"nan", b"inf", b"0")
+)
+
+
+def format_float(x: float) -> str:
+    """Locale-independent formatting with 17 significant digits."""
+    return _FLOAT % float(x)
+
+
+def write_csv(
+    target: str | Path | IO[str],
+    header: str,
+    rows: np.ndarray | Iterable[Sequence[float] | np.ndarray],
+) -> None:
+    """Write ``header`` and then one line per row, each cell exactly
+    ``"%.17g" % x``, to a path or an open text handle.
+
+    ``rows`` is a 2-D array, or an iterable of rows (sequences of floats)
+    and 2-D blocks of rows, in output order.  The cells are formatted by the
+    array kernel described in the module docstring, in passes of at most
+    ``2**13`` cells (whole rows; a wider row is one pass), so the writer
+    streams and its temporaries stay near 1 MiB.  Each pass ends in one
+    ``write`` call.
+    """
+    if not hasattr(target, "write"):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            return write_csv(handle, header, rows)
+    target.write(header + "\n")
+    for block in _blocks(rows):
+        step = max(1, _CHUNK // max(block.shape[1], 1))
+        for start in range(0, len(block), step):
+            target.write(_format_rows(block[start : start + step]))
+
+
+def _blocks(rows) -> Iterator[np.ndarray]:
+    """``rows`` as 2-D float arrays: an array whole; from an iterable, each
+    2-D array item whole and each run of other items (rows) stacked a pass
+    at a time."""
+    if isinstance(rows, np.ndarray):
+        yield rows.astype(float, copy=False)
+        return
+    run: list = []
+    for item in rows:
+        if isinstance(item, np.ndarray) and item.ndim == 2:
+            if run:
+                yield np.array(run, dtype=float)
+                run = []
+            yield item.astype(float, copy=False)
+        else:
+            run.append(item)
+            if len(run) * len(item) >= _CHUNK:
+                yield np.array(run, dtype=float)
+                run = []
+    if run:
+        yield np.array(run, dtype=float)
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The CSV lines of one 2-D block: its cells' slots with the zero bytes
+    dropped."""
+    rows, width = block.shape
+    ends = np.full(width, ord(","), np.uint64)
+    ends[-1] = ord("\n")
+    slots = _cells(block.ravel(), np.tile(ends, rows))
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+@functools.cache
+def _tables() -> dict[str, np.ndarray]:
+    """Lookup tables of the kernel, built on first use (a few ms).
+
+    Per decimal exponent ``e`` in ``[_E_MIN, _E_MAX]`` (index ``e - _E_MIN``):
+    ``hi``, ``hi_head``, ``hi_tail`` and ``lo`` of ``10**(16 - e) = hi + lo``
+    (``hi`` correctly rounded, ``lo`` the correctly rounded remainder,
+    ``hi_head + hi_tail = hi`` its Dekker split); ``point``, the digits
+    before the point (17, none, in ``0.000ddd``); ``lead``, the digits
+    always shown; ``prefix`` and ``expo``, the slot bytes 1-5 and 24-28.
+    Per four-digit group: its ``"%04d"`` ASCII word and its trailing zeros.
+    Per ``point * 18 + kept`` digits shown: the masks ``before``, ``after``
+    and the point byte ``dot`` of slot words 0-2, cut at the last digit.
+    """
+    hi, lo, point, lead, prefix, expo = [], [], [], [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h = num / den  # int true division rounds correctly
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+        if -4 <= e < 0:  # 0.000ddd: the point comes before the digits
+            p, shown, head_bytes, tail_bytes = 17, 1, b"\0" + b"0.000"[: 1 - e], b""
+        elif 0 <= e < 17:  # ddd.ddd: every integer digit is shown
+            p, shown, head_bytes, tail_bytes = e + 1, e + 1, b"", b""
+        else:  # d.ddde+XX
+            p, shown, head_bytes, tail_bytes = 1, 1, b"", b"e%+03d" % e
+        point.append(p)
+        lead.append(shown)
+        prefix.append(int.from_bytes(head_bytes, "little"))
+        expo.append(int.from_bytes(tail_bytes, "little"))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    quads = np.arange(10000)
+    ascii4 = sum(
+        (quads // 10 ** (3 - i) % 10 + 48) << (8 * i) for i in range(4)
+    ).astype(np.uint64)
+    zeros4 = np.select(
+        [quads == 0, quads % 1000 == 0, quads % 100 == 0, quads % 10 == 0], [4, 3, 2, 1]
+    )
+    # per (point, kept): the slot bytes of the digits before the point and
+    # after it, and the point itself, cut after the last digit shown
+    points = np.arange(18)[:, None, None]
+    kept = np.arange(18)[None, :, None]
+    pos = np.arange(24)
+    cut = pos < _BODY + kept + (kept > points)
+
+    def words(fill: np.ndarray) -> np.ndarray:
+        return fill.astype(np.uint8).view(_WORDS).reshape(-1, 3).T.copy()
+
+    before = words(np.where((pos < _BODY + points) & cut, 0xFF, 0))
+    after = words(np.where((pos > _BODY + points) & cut, 0xFF, 0))
+    dot = words(np.where((pos == _BODY + points) & cut, ord("."), 0))
+    return {
+        "hi": hi, "hi_head": head, "hi_tail": hi - head, "lo": np.array(lo),
+        "point": np.array(point), "lead": np.array(lead),
+        "prefix": np.array(prefix, dtype=np.uint64),
+        "expo": np.array(expo, dtype=np.uint64),
+        "ascii4": ascii4, "zeros4": zeros4,
+        "before": before, "after": after, "dot": dot,
+    }
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``floor(y)`` as int64 and ``y - floor(y)`` for ``y = ax * 10**(16 - e)``.
+
+    ``ax * hi = p + err`` exactly (Dekker's product with 26-bit halves), and
+    ``ax * lo`` adds the rest; for ``y < 2**63`` the fraction is within about
+    1e-13 of the exact one.
+    """
+    t = _tables()
+    i = e - _E_MIN
+    hi, head, tail = t["hi"][i], t["hi_head"][i], t["hi_tail"][i]
+    p = ax * hi
+    c = _SPLIT * ax
+    a_head = c - (c - ax)
+    a_tail = ax - a_head
+    err = a_tail * tail - (((p - a_head * head) - a_tail * head) - a_head * tail)
+    whole = np.floor(p)
+    f = (p - whole) + (err + ax * t["lo"][i])
+    carry = np.floor(f)
+    return whole.astype(np.int64) + carry.astype(np.int64), f - carry
+
+
+def _divmod(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod`` by a constant, through the faster floor division."""
+    q = v // d
+    return q, v - q * d
+
+
+def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """The ``(n, 32)`` byte slots of the cells ``x``, each ``"%.17g" % x``
+    followed by its separator ``sep`` (character codes), zero-padded."""
+    t = _tables()
+    ax = np.abs(x)
+    sure = (ax >= _SURE_MIN) & (ax <= _SURE_MAX)  # false for nan
+    ax = np.where(sure, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    num, frac = _scaled(ax, e)
+    off = (num < 10**16) | (num >= 10**17)  # log10 one off at a power of ten
+    if off.any():
+        e[off] += np.where(num[off] < 10**16, -1, 1)
+        num[off], frac[off] = _scaled(ax[off], e[off])
+    num += frac > 0.5
+    carry = num == 10**17  # rounded up to the next power of ten
+    num[carry] = 10**16
+    e += carry
+
+    # the 17 digits d0 a0..a7 b0..b7 as ASCII, and how many to show
+    top, low8 = _divmod(num, 10**8)
+    first, mid8 = _divmod(top, 10**8)
+    a_hi, a_lo = _divmod(mid8, 10**4)
+    b_hi, b_lo = _divmod(low8, 10**4)
+    ascii4, zeros4 = t["ascii4"], t["zeros4"]
+    a = ascii4[a_hi] | ascii4[a_lo] << np.uint64(32)
+    b = ascii4[b_hi] | ascii4[b_lo] << np.uint64(32)
+    d0 = (first + ord("0")).astype(np.uint64)
+    zeros = np.where(
+        low8 == 0,
+        8 + np.where(a_lo == 0, 4 + zeros4[a_hi], zeros4[a_lo]),
+        np.where(b_lo == 0, 4 + zeros4[b_hi], zeros4[b_lo]),
+    )
+    i = e - _E_MIN
+    point = t["point"][i]
+    kept = np.maximum(17 - zeros, t["lead"][i])
+    j = point * 18 + kept
+
+    # digits at slot bytes 6.. (before the point) and 7.. (after it)
+    u8, u56 = np.uint64(8), np.uint64(56)
+    before = (d0 << np.uint64(48) | a << u56, a >> u8 | b << u56, b >> u8)
+    after = (d0 << u56, a, b)
+    slots = np.empty((4, x.size), _WORDS)
+    for w in range(3):
+        slots[w] = (
+            (before[w] & t["before"][w][j])
+            | (after[w] & t["after"][w][j])
+            | t["dot"][w][j]
+        )
+    slots[0] |= t["prefix"][i]
+    slots[3] = t["expo"][i]
+    if not sure.all():
+        k = np.flatnonzero((x == 0.0) | ~np.isfinite(x))
+        slots[:, k] = 0
+        slots[3, k] = np.where(np.isnan(x[k]), _NAN, np.where(x[k] == 0.0, _ZERO, _INF))
+    slots[0] |= (np.signbit(x) & ~np.isnan(x)) * np.uint64(ord("-"))
+    slots[3] |= sep << _SEP_SHIFT
+    for k in np.flatnonzero(
+        np.isfinite(x) & (x != 0.0) & (~sure | (np.abs(frac - 0.5) < _TIE))
+    ).tolist():
+        cell = (_FLOAT % x[k]).encode() + bytes([int(sep[k])])
+        slots[:, k] = np.frombuffer(cell.ljust(_SLOT, b"\0"), _WORDS)
+    return np.ascontiguousarray(slots.T).view(np.uint8)

@@ -351,8 +351,9 @@ def run_fpe(
     """Integrate the transport equation from ``w0`` to ``run.t_end``.
 
     Raises ``ValueError`` for an unnormalized or non-finite initial grid
-    (|mass - 1| > 1e-3, or a NaN or infinite mass) or a ``run.dt`` above
-    ``stable_dt``, and ``NumericError`` (with the offending step index) if
+    (|mass - 1| > 1e-3, or a NaN or infinite mass), a ``run.dt`` above
+    ``stable_dt`` or a step count ``t_end / dt`` that is not finite, and
+    ``NumericError`` (with the offending step index) if
     the solution stops being finite mid-run.
     """
     geom = w0.geom
@@ -368,6 +369,10 @@ def run_fpe(
                 f"dt={run.dt:.6g} exceeds the stable step {dt:.6g} of this grid"
             )
         dt = run.dt
+    if not math.isfinite(run.t_end / dt):
+        raise ValueError(
+            f"t_end / dt = {run.t_end!r} / {dt:.6g} is not a finite step count"
+        )
 
     events = sorted(set(run.snapshot_times) | {run.t_end})
     if events and events[0] <= 0.0:  # t_end == 0: nothing to do

@@ -24,10 +24,11 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from .csvout import write_csv
 from .model import (
     DiffusionCoefficients,
     GaussianState,
@@ -49,37 +50,10 @@ __all__ = [
     "integrate_moments_rk4",
     "Trajectory",
     "trajectory_lyapunov",
-    "format_float",
-    "write_csv",
     "time_grid",
 ]
 
 TRAJECTORY_HEADER = "t,mean_q,mean_p,s_qq,s_pp,s_pq,sigma_det"
-_FLOAT = "%.17g"  # locale-independent, round-trips every double
-
-
-def format_float(x: float) -> str:
-    """Locale-independent formatting with 17 significant digits."""
-    return _FLOAT % float(x)
-
-
-def write_csv(
-    target: str | Path | IO[str], header: str, rows: Iterable[Sequence[float]]
-) -> None:
-    """Write ``header`` and then one line of :func:`format_float` cells per
-    row, to a path or an open text handle.  Rows (sequences, or the rows of a
-    2-D array) are streamed, not stored."""
-    if not hasattr(target, "write"):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            return write_csv(handle, header, rows)
-    target.write(header + "\n")
-    line = None
-    for row in rows:
-        if isinstance(row, np.ndarray):
-            row = row.tolist()
-        if line is None:
-            line = ",".join([_FLOAT] * len(row)) + "\n"
-        target.write(line % tuple(row))
 
 
 def _elementwise(t):
@@ -98,18 +72,28 @@ def _elementwise(t):
     return xp, t
 
 
+def _sample_count(t_end: float, dt: float) -> float:
+    """``t_end / dt``, after checking that ``t_end >= 0``, ``dt > 0`` and the
+    ratio are finite (``ValueError`` otherwise)."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t-end must be finite and >= 0, got {t_end!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    count = t_end / dt
+    if not math.isfinite(count):
+        raise ValueError(f"t-end / dt = {t_end!r} / {dt!r} is not a finite sample count")
+    return count
+
+
 def time_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform sample times ``0, dt, 2 dt, ...`` up to ``t_end``.
 
     ``t_end`` itself is the last sample: it is appended unless the last
     multiple of ``dt`` already lies within ``1e-12 * max(1, t_end)`` of it, and
-    no sample lies past it.
+    no sample lies past it.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0``
+    and ``t_end / dt`` are finite.
     """
-    if t_end < 0.0:
-        raise ValueError("t-end must be >= 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    n = int(math.floor(t_end / dt + 1e-9))
+    n = int(math.floor(_sample_count(t_end, dt) + 1e-9))
     times = np.minimum(np.arange(n + 1) * dt, t_end)
     if times[-1] < t_end - 1e-12 * max(1.0, t_end):
         times = np.append(times, t_end)
@@ -395,7 +379,7 @@ class Trajectory:
 
     def to_csv(self, target: str | Path | IO[str]) -> None:
         """Write the pinned trajectory CSV (header + one row per sample)."""
-        write_csv(target, TRAJECTORY_HEADER, self.table.tolist())
+        write_csv(target, TRAJECTORY_HEADER, self.table)
 
 
 def trajectory_lyapunov(
@@ -430,12 +414,10 @@ def integrate_moments_rk4(
 
     Deterministic by construction; every ``record_every``-th step (plus the
     final step) is recorded.  Aborts with :class:`NumericError` on non-finite
-    values.
+    values.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0`` and
+    ``t_end / dt`` are finite.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if t_end < 0.0:
-        raise ValueError("t_end must be >= 0")
+    n_steps = int(round(_sample_count(t_end, dt)))
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
@@ -455,7 +437,6 @@ def integrate_moments_rk4(
 
     q, p = state0.mean_q, state0.mean_p
     sqq, spq, spp = state0.s_qq, state0.s_pq, state0.s_pp
-    n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")
 

@@ -29,8 +29,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .csvout import format_float, write_csv
 from .model import GaussianState, OscillatorConfig
-from .propagate import asymptotic_covariance, format_float, write_csv
+from .propagate import asymptotic_covariance
 from .quadrature import simpson_refine
 
 __all__ = [

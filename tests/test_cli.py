@@ -154,6 +154,27 @@ def test_trajectory_last_time_is_t_end(tmp_path, route):
     assert float(times[-1]) == 0.3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trajectory", "--t-end", "inf", "--dt", "0.1"], "t-end must be finite"),
+        (["trajectory", "--route", "rk4", "--t-end", "inf", "--dt", "0.1"], "t-end must be finite"),
+        (["trajectory", "--route", "closed", "--t-end", "1", "--dt", "1e-320"], "not a finite sample count"),
+        (["trajectory", "--t-end", "1", "--dt", "nan"], "dt must be finite"),
+        (["metrics", "--t-end", "1e308", "--dt", "1e-10"], "not a finite sample count"),
+        (["window", "--t-end", "nan", "--dt", "0.01"], "t-end must be finite"),
+    ],
+    ids=["inf", "rk4-inf", "tiny-dt", "nan-dt", "metrics-overflow", "window-nan"],
+)
+def test_non_finite_time_grid_is_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, *SQUEEZED, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_trajectory_all_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     # the RK4 substep 0.002 divides 2.05, so only the route's own guard
     # keeps this a validation failure (exit 1) rather than a grid mismatch
@@ -663,6 +684,16 @@ def test_fpe_rejects_dt_above_stable_step(tmp_path, capsys):
     argv = ["fpe", *SQUEEZED, "--grid-n", "128", "--t-end", "1", "--dt", "0.0053"]
     assert main(argv + ["--out-dir", str(out)]) == 1
     assert "stable step 0.00126523" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fpe_rejects_step_count_that_overflows(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["fpe", *MODEL, "--stationary", "--grid-n", "16", "--t-end", "1e308"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not a finite step count" in err
     assert not out.exists()
 
 

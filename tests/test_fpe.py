@@ -147,6 +147,23 @@ class TestGuards:
             reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
             assert reported == pytest.approx(7 * h, rel=1e-5)
 
+    def test_rejects_step_count_that_overflows(self):
+        grid = stationary_grid(CFG, 16)
+        with pytest.raises(ValueError, match="not a finite step count"):
+            run_fpe(grid, CFG, D, FpeRunSpec(t_end=1e308))
+
+    def test_accepts_large_finite_step_count(self, monkeypatch):
+        # no step limit: a run of about 1e303 steps starts stepping
+        class Started(Exception):
+            pass
+
+        def first_step(self, w, dt):
+            raise Started
+
+        monkeypatch.setattr(fpe._Stepper, "step", first_step)
+        with pytest.raises(Started):
+            run_fpe(stationary_grid(CFG, 16), CFG, D, FpeRunSpec(t_end=1e300))
+
     @pytest.mark.parametrize("t_end", [0.0, 0.1])
     def test_rejects_non_finite_input(self, t_end):
         grid = stationary_grid(CFG, 64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
+from lindosc.csvout import format_float
 from lindosc.model import (
     DiffusionCoefficients,
     GaussianState,
@@ -24,7 +25,6 @@ from lindosc.propagate import (
     asymptotic_covariance,
     covariance_lyapunov,
     drift_matrix,
-    format_float,
     integrate_moments_rk4,
     mean_closed_form,
     propagator,
@@ -215,6 +215,25 @@ def test_rk4_rejects_incommensurate_step():
     state0 = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), REF)
     with pytest.raises(ValueError):
         integrate_moments_rk4(state0, REF, REF_D, 1.0, 0.3)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [
+        (math.inf, 0.1),
+        (math.nan, 0.1),
+        (1.0, math.nan),
+        (1.0, math.inf),
+        (1.0, 1e-320),
+        (1e308, 1e-10),
+    ],
+)
+def test_time_grid_and_rk4_reject_non_finite_spans(t_end, dt):
+    state0 = initial_state(InitialStateSpec(spread=1.0, correlation=0.0), REF)
+    with pytest.raises(ValueError, match="finite"):
+        time_grid(t_end, dt)
+    with pytest.raises(ValueError, match="finite"):
+        integrate_moments_rk4(state0, REF, REF_D, t_end, dt)
 
 
 # ---------------------------------------------------------------------------

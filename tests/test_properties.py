@@ -21,6 +21,7 @@ from lindosc.classicality import (
     closed_form_metric_evaluator,
     find_windows,
 )
+from lindosc.csvout import write_csv
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
@@ -35,7 +36,6 @@ from lindosc.propagate import (
     sigma_det_closed,
     sigma_pq_closed,
     time_grid,
-    write_csv,
 )
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -71,24 +71,38 @@ def test_time_grid_is_increasing_and_ends_at_t_end(grid):
 # CSV writer
 # ---------------------------------------------------------------------------
 
-ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-ROWS = st.lists(st.lists(ANY_FLOAT, min_size=3, max_size=3), max_size=8)
-SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+# the specials and the edges of the %g forms: the last fixed and the first
+# exponent value on each side, the extreme normals, and a negative fraction
+SPECIAL = [
+    math.inf, -math.inf, math.nan, -0.0, 5e-324,
+    9.9999999999999995e-05, 1e-05, 1e16, 9.9999999999999998e16, 1e17,
+    2.2250738585072014e-308, 1.7976931348623157e308, -0.5,
+]
+CELL = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(SPECIAL)
+TABLES = st.integers(1, 12).flatmap(
+    lambda width: st.lists(st.lists(CELL, min_size=width, max_size=width), max_size=40)
+    .map(lambda rows: (width, rows))
+)
 
 
 @PROFILE
-@given(rows=ROWS, special=SPECIAL)
-def test_write_csv_matches_format_17g(rows, special):
-    rows = rows + [[special, -special, 0.0]]
-    expected = "a,b,c\n" + "".join(
+@given(table=TABLES)
+@example(table=(3, []))
+@example(table=(len(SPECIAL), [SPECIAL, [-x for x in SPECIAL]]))
+def test_write_csv_matches_format_17g(table):
+    width, rows = table
+    header = ",".join(f"c{j}" for j in range(width))
+    expected = header + "\n" + "".join(
         ",".join(format(x, ".17g") for x in row) + "\n" for row in rows
     )
-    handle = io.StringIO()
-    write_csv(handle, "a,b,c", rows)
-    assert handle.getvalue() == expected
+    array = np.array(rows, dtype=float).reshape(len(rows), width)
+    for given_rows in (rows, iter(rows), array, [array[:1], *rows[1:]]):
+        handle = io.StringIO()
+        write_csv(handle, header, given_rows)
+        assert handle.getvalue() == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        write_csv(path, "a,b,c", iter(rows))
+        write_csv(path, header, array)
         with open(path, "rb") as f:
             assert f.read() == expected.encode("utf-8")
 
