@@ -33,12 +33,9 @@ __all__ = [
     "delta_qd",
     "delta_qd_asymptotic",
     "delta_cc",
-    "delta_cc_closed_system",
     "metrics_from_state",
     "write_metrics_csv",
     "one_sigma_contour",
-    "contour_semi_axes",
-    "contour_area",
     "closed_form_metric_evaluator",
     "find_windows",
 ]
@@ -86,23 +83,6 @@ def delta_cc(state: GaussianState) -> float:
     return classicality_degrees(state.sigma_det, state.s_pq)[1]
 
 
-def delta_cc_closed_system(
-    spread: float, cfg: OscillatorConfig, t: float
-) -> float:
-    """Classical-correlation degree of an undamped oscillator started from an
-    uncorrelated squeezed state: ``2/|(spread - 1/spread) sin(2 omega t)|``.
-
-    ``+inf`` for the unsqueezed state (spread=1) at every time, and at the
-    zeros of the sine for any spread.
-    """
-    if spread <= 0.0:
-        raise ValueError("spread must be > 0")
-    envelope = abs((spread - 1.0 / spread) * math.sin(2.0 * cfg.omega * t))
-    if envelope == 0.0:
-        return math.inf
-    return 2.0 / envelope
-
-
 @dataclass(frozen=True)
 class ClassicalityMetrics:
     """Classicality measures of one state sample."""
@@ -137,23 +117,6 @@ def write_metrics_csv(
         for m in metrics
     )
     write_csv(target, METRICS_HEADER, rows)
-
-
-def contour_semi_axes(state: GaussianState) -> tuple[float, float]:
-    """Semi-axis lengths (major, minor) of the one-sigma contour ellipse,
-    ``sqrt(2 * eigenvalue)`` of the covariance matrix."""
-    eigvals = np.linalg.eigvalsh(state.covariance())
-    minor, major = float(eigvals[0]), float(eigvals[1])
-    return math.sqrt(2.0 * major), math.sqrt(2.0 * minor)
-
-
-def contour_area(state: GaussianState) -> float:
-    """Area enclosed by the one-sigma contour: ``2 pi sqrt(sigma_det)``.
-
-    ``delta_qd * area == pi * hbar`` — the decoherence degree is inversely
-    proportional to the occupied phase-space area.
-    """
-    return 2.0 * math.pi * math.sqrt(state.sigma_det)
 
 
 def one_sigma_contour(state: GaussianState, n_points: int = 256) -> np.ndarray:

@@ -845,6 +845,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"{PROG}: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

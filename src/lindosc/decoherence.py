@@ -1,6 +1,6 @@
-"""Decoherence and relaxation time scales, short-time expansions, the
-macroscopic decoherence/relaxation rate ratio, and the asymptotic uncertainty
-regime classification.
+"""Decoherence and relaxation time scales, the macroscopic
+decoherence/relaxation rate ratio, and the asymptotic uncertainty regime
+classification.
 
 The central object is the short-time growth rate of the off-diagonal spread
 coefficient gamma: coherences of length scale L decay like
@@ -14,26 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    DiffusionCoefficients,
-    InitialStateSpec,
-    OscillatorConfig,
-    squeeze_terms,
-)
+from .model import InitialStateSpec, OscillatorConfig, squeeze_terms
 
 __all__ = [
     "TimeScales",
     "RegimeReport",
     "decoherence_rate",
     "decoherence_time",
-    "decoherence_time_order",
     "decoherence_time_high_temperature",
     "statistical_time",
     "relaxation_time",
-    "gamma_short_time",
-    "sigma_short_time",
-    "pure_decoherence_factor",
-    "pure_decoherence_decay",
     "rate_ratio",
     "regime_report",
     "time_scales",
@@ -71,18 +61,6 @@ def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Reciprocal of :func:`decoherence_rate`; ``+inf`` when the rate is <= 0
     (the state never loses coherence — e.g. spread=1, r=0 at T=0)."""
     return _time_from_rate(decoherence_rate(spec, cfg))
-
-
-def decoherence_time_order(cfg: OscillatorConfig, s_qq0: float) -> float:
-    """Order-of-magnitude decoherence time for coherences spread over the
-    initial position dispersion: ``2 hbar / ((lam + mu) m omega s_qq0 C)``."""
-    if s_qq0 <= 0.0:
-        raise ValueError("initial position variance must be > 0")
-    c = cfg.coth_epsilon
-    denom = (cfg.lam + cfg.mu) * cfg.m * cfg.omega * s_qq0 * c
-    if denom <= 0.0:
-        return math.inf
-    return 2.0 * cfg.hbar / denom
 
 
 def _tau(cfg: OscillatorConfig) -> float:
@@ -131,58 +109,6 @@ def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
 def relaxation_time(cfg: OscillatorConfig) -> float:
     """Energy-relaxation time scale, ``1/lam``; ``inf`` without damping."""
     return _time_from_rate(cfg.lam)
-
-
-def gamma_short_time(
-    spec: InitialStateSpec, cfg: OscillatorConfig, t: float
-) -> float:
-    """Short-time (linearized) off-diagonal spread coefficient:
-
-        gamma(t) = (m omega / (4 hbar spread)) * (1 + decoherence_rate * t)
-
-    valid for ``lam*t << 1``.  The value at t=0 is exactly the gamma of the
-    initial correlated coherent state.
-    """
-    gamma0 = cfg.m * cfg.omega / (4.0 * cfg.hbar * spec.spread)
-    return gamma0 * (1.0 + decoherence_rate(spec, cfg) * t)
-
-
-def sigma_short_time(
-    spec: InitialStateSpec, cfg: OscillatorConfig, t: float
-) -> float:
-    """Short-time (linearized) covariance determinant:
-
-        sigma(t) = (hbar^2/4) * (1 + 2 [lam*k_plus*C + mu*k_minus*C - 2 lam] t)
-
-    Slope zero for the unsqueezed state at T=0 (sigma stays minimal).
-    """
-    k_plus, k_minus, _, _ = squeeze_terms(spec)
-    c = cfg.coth_epsilon
-    slope = 2.0 * (cfg.lam * k_plus * c + cfg.mu * k_minus * c - 2.0 * cfg.lam)
-    return (cfg.hbar * cfg.hbar / 4.0) * (1.0 + slope * t)
-
-
-def pure_decoherence_factor(
-    d: DiffusionCoefficients, q: float, qp: float, t: float, hbar: float = 1.0
-) -> float:
-    """Attenuation factor of the coherence between positions q and q' when
-    momentum diffusion dominates: ``exp(-(d_pp/hbar^2) (q - q')^2 t)``.
-    The diagonal (q = q') is untouched."""
-    sep = q - qp
-    return math.exp(-(d.d_pp / (hbar * hbar)) * sep * sep * t)
-
-
-def pure_decoherence_decay(
-    rho0_offdiag: complex,
-    cfg: OscillatorConfig,
-    d: DiffusionCoefficients,
-    q: float,
-    qp: float,
-    t: float,
-) -> complex:
-    """Apply the pure-decoherence attenuation to an initial off-diagonal
-    density-matrix value."""
-    return rho0_offdiag * pure_decoherence_factor(d, q, qp, t, cfg.hbar)
 
 
 def rate_ratio(cfg: OscillatorConfig, separation: float) -> float:

@@ -282,9 +282,6 @@ class DiffusionCoefficients:
             [[self.d_qq, self.d_pq], [self.d_pq, self.d_pp]], dtype=float
         )
 
-    def is_zero(self) -> bool:
-        return self.d_pp == 0.0 and self.d_qq == 0.0 and self.d_pq == 0.0
-
 
 def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
     """Diffusion coefficients of a bath driving the oscillator to a Gibbs state.
@@ -368,8 +365,8 @@ def validate(
     Hard checks: positivity of ``d_pp``/``d_qq`` (waived for the explicit
     closed system), the fundamental determinant bound
     ``d_pp*d_qq - d_pq**2 >= (lam*hbar/2)**2``, the thermal-bath constraint
-    ``(lam^2 - mu^2) C^2 >= lam^2``, and the underdamped condition.  The
-    weak-coupling condition ``lam < omega/10`` is advisory only.
+    ``(lam^2 - mu^2) C^2 >= lam^2``.  The weak-coupling condition
+    ``lam < omega/10`` is advisory only.
     """
     checks: list[CheckResult] = []
     coeffs_error: str | None = None
@@ -432,15 +429,6 @@ def validate(
             thermal_ok,
             True,
             f"(lam^2 - mu^2)*C^2 = {lhs_text} vs lam^2 = {lam2:.6g}",
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            "underdamped",
-            cfg.omega > abs(cfg.mu),
-            True,
-            f"omega={cfg.omega:.6g}, |mu|={abs(cfg.mu):.6g}",
         )
     )
 
@@ -529,29 +517,12 @@ class GaussianState:
         """Generalized uncertainty: determinant of the covariance matrix."""
         return self.s_qq * self.s_pp - self.s_pq * self.s_pq
 
-    @property
-    def correlation(self) -> float:
-        return self.s_pq / math.sqrt(self.s_qq * self.s_pp)
-
     def mean(self) -> np.ndarray:
         return np.array([self.mean_q, self.mean_p])
 
     def covariance(self) -> np.ndarray:
         return np.array(
             [[self.s_qq, self.s_pq], [self.s_pq, self.s_pp]], dtype=float
-        )
-
-    @classmethod
-    def from_moments(
-        cls, mean: np.ndarray, cov: np.ndarray, t: float = 0.0
-    ) -> "GaussianState":
-        return cls(
-            mean_q=float(mean[0]),
-            mean_p=float(mean[1]),
-            s_qq=float(cov[0, 0]),
-            s_pp=float(cov[1, 1]),
-            s_pq=float(0.5 * (cov[0, 1] + cov[1, 0])),
-            t=t,
         )
 
 

@@ -67,14 +67,6 @@ class AlphaBetaGamma:
     beta: float
     gamma: float
 
-    def covariance(self, hbar: float = 1.0) -> tuple[float, float, float]:
-        """Invert back to (s_qq, s_pp, s_pq); exact round trip."""
-        s_qq = 1.0 / (2.0 * self.alpha)
-        s_pq = hbar * self.beta * s_qq
-        sigma = hbar * hbar * self.gamma / self.alpha
-        s_pp = (sigma + s_pq * s_pq) / s_qq
-        return s_qq, s_pp, s_pq
-
 
 def alpha_beta_gamma(state: GaussianState, hbar: float = 1.0) -> AlphaBetaGamma:
     return AlphaBetaGamma(
@@ -260,19 +252,6 @@ class GridGeometry:
     def p_centers(self) -> np.ndarray:
         return self.p_min + (np.arange(self.n_p) + 0.5) * self.dp
 
-    @classmethod
-    def centered(
-        cls, q_half: float, p_half: float, n_q: int, n_p: int | None = None
-    ) -> "GridGeometry":
-        return cls(
-            q_min=-q_half,
-            q_max=q_half,
-            p_min=-p_half,
-            p_max=p_half,
-            n_q=n_q,
-            n_p=n_p if n_p is not None else n_q,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceGrid:
@@ -314,25 +293,6 @@ class PhaseSpaceGrid:
             format_float(x) for x in (g.q_min, g.q_max, g.p_min, g.p_max)
         )
         write_csv(target, f"# {bounds} {g.n_q} {g.n_p}", self.values)
-
-    @classmethod
-    def from_csv(cls, source: str | Path | IO[str]) -> "PhaseSpaceGrid":
-        if hasattr(source, "read"):
-            lines = source.read().splitlines()  # type: ignore[union-attr]
-        else:
-            lines = Path(source).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("grid CSV must start with a '# bounds sizes' line")
-        parts = lines[0][1:].split()
-        if len(parts) != 6:
-            raise ValueError("grid CSV header must have 6 fields")
-        q_min, q_max, p_min, p_max = map(float, parts[:4])
-        n_q, n_p = int(parts[4]), int(parts[5])
-        rows = [
-            [float(x) for x in line.split(",")] for line in lines[1:] if line.strip()
-        ]
-        geom = GridGeometry(q_min, q_max, p_min, p_max, n_q, n_p)
-        return cls(geom=geom, values=np.array(rows))
 
 
 def render_grid(state: GaussianState, geom: GridGeometry) -> PhaseSpaceGrid:

@@ -10,10 +10,7 @@ from lindosc.classicality import (
     METRICS_HEADER,
     classicality_degrees,
     closed_form_metric_evaluator,
-    contour_area,
-    contour_semi_axes,
     delta_cc,
-    delta_cc_closed_system,
     delta_qd,
     delta_qd_asymptotic,
     find_windows,
@@ -81,20 +78,6 @@ def test_delta_cc_infinite_when_uncorrelated():
     assert math.isinf(delta_cc(state_with(0.5, 0.5, 0.0)))
 
 
-def test_delta_cc_closed_system_frozen_values():
-    cfg = OscillatorConfig.closed()
-    # 2/((delta - 1/delta) sin 2t); delta=2 -> 2/(1.5 sin 2t)
-    t = math.pi / 4.0
-    assert delta_cc_closed_system(2.0, cfg, t) == pytest.approx(4.0 / 3.0, rel=1e-12)
-    assert delta_cc_closed_system(4.0, cfg, t) == pytest.approx(
-        8.0 / 15.0, rel=1e-12
-    )
-    # no correlations ever build up from delta = 1
-    assert math.isinf(delta_cc_closed_system(1.0, cfg, 0.7))
-    # and at t = 0 regardless of squeezing
-    assert math.isinf(delta_cc_closed_system(4.0, cfg, 0.0))
-
-
 def test_closed_system_delta_cc_matches_general_formula():
     cfg = OscillatorConfig.closed()
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
@@ -104,9 +87,9 @@ def test_closed_system_delta_cc_matches_general_formula():
 
     for t in (0.3, 0.9, 2.2):
         s = covariance_lyapunov(state0, cfg, DiffusionCoefficients.zero(), t)
-        assert delta_cc(s) == pytest.approx(
-            delta_cc_closed_system(4.0, cfg, t), rel=1e-10
-        )
+        # 2/|(delta - 1/delta) sin 2 omega t| for delta = 4
+        want = 2.0 / abs((4.0 - 0.25) * math.sin(2.0 * cfg.omega * t))
+        assert delta_cc(s) == pytest.approx(want, rel=1e-10)
 
 
 def test_metrics_from_state_fields():
@@ -123,14 +106,15 @@ def test_metrics_from_state_fields():
 # ---------------------------------------------------------------------------
 
 
-def test_contour_semi_axes_isotropic():
-    a, b = contour_semi_axes(state_with(0.5, 0.5, 0.0))
-    assert a == pytest.approx(1.0, rel=1e-14)
-    assert b == pytest.approx(1.0, rel=1e-14)
+def _enclosed_area(pts):
+    # shoelace formula on the closed polyline
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 def test_contour_area_identity():
-    # delta_qd * area = pi * hbar for every Gaussian state
+    # delta_qd * (area inside the one-sigma contour) = pi * hbar for every
+    # Gaussian state: the decoherence degree is inverse to the occupied area
     rng = np.random.default_rng(5)
     for _ in range(20):
         s_qq = rng.uniform(0.3, 3.0)
@@ -140,14 +124,8 @@ def test_contour_area_identity():
         state = state_with(s_qq, s_pp, s_pq)
         if state.sigma_det < 0.25:
             continue
-        assert delta_qd(state) * contour_area(state) == pytest.approx(
-            math.pi, rel=1e-12
-        )
-
-
-def test_contour_area_formula():
-    state = state_with(1.5, 1.5, 0.0)
-    assert contour_area(state) == pytest.approx(2.0 * math.pi * 1.5, rel=1e-13)
+        area = _enclosed_area(one_sigma_contour(state, n_points=4096))
+        assert delta_qd(state) * area == pytest.approx(math.pi, rel=1e-5)
 
 
 def test_contour_points_lie_on_level_set():
@@ -166,11 +144,8 @@ def test_contour_points_lie_on_level_set():
 
 def test_contour_encloses_expected_area():
     state = state_with(1.2, 0.9, -0.3)
-    pts = one_sigma_contour(state, n_points=4096)
-    # shoelace formula on the polyline
-    x, y = pts[:, 0], pts[:, 1]
-    shoelace = 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-    assert shoelace == pytest.approx(contour_area(state), rel=1e-5)
+    area = _enclosed_area(one_sigma_contour(state, n_points=4096))
+    assert area == pytest.approx(2.0 * math.pi * math.sqrt(state.sigma_det), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

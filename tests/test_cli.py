@@ -175,6 +175,17 @@ def test_non_finite_time_grid_is_rejected(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trajectory", "metrics", "window"])
+def test_oversized_time_grid_is_one_line_error(tmp_path, capsys, command):
+    # 1e15 samples: NumPy refuses the 7 PiB time grid before touching memory
+    out = tmp_path / "out"
+    assert main([command, *MODEL, "--t-end", "1e15", "--dt", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("lindosc: out of memory: ")
+    assert not out.exists()
+
+
 def test_trajectory_all_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     # the RK4 substep 0.002 divides 2.05, so only the route's own guard
     # keeps this a validation failure (exit 1) rather than a grid mismatch

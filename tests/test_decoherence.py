@@ -10,23 +10,18 @@ from lindosc.decoherence import (
     decoherence_rate,
     decoherence_time,
     decoherence_time_high_temperature,
-    decoherence_time_order,
-    gamma_short_time,
-    pure_decoherence_decay,
-    pure_decoherence_factor,
     rate_ratio,
     regime_report,
     relaxation_time,
-    sigma_short_time,
     statistical_time,
     time_scales,
 )
 from lindosc.model import (
-    DiffusionCoefficients,
     InitialStateSpec,
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
+    squeeze_terms,
     thermal_coefficients,
 )
 from lindosc.propagate import covariance_lyapunov
@@ -93,12 +88,6 @@ class TestDecoherenceTime:
         slope = (-3.0 * g0 + 4.0 * gamma_at(h) - gamma_at(2.0 * h)) / (2.0 * h)
         assert slope / g0 == pytest.approx(
             decoherence_rate(spec, CFG), rel=1e-4
-        )
-
-    def test_order_of_magnitude_estimate(self):
-        # 2 hbar / ((lam + mu) m omega s_qq0 C) with s_qq0 = 2
-        assert decoherence_time_order(CFG, 2.0) == pytest.approx(
-            1.1111111111111112, rel=1e-14
         )
 
     def test_monotone_in_squeezing(self):
@@ -180,11 +169,13 @@ def test_time_scales_variants():
 
 
 # ---------------------------------------------------------------------------
-# short-time expansions
+# short-time expansion
 # ---------------------------------------------------------------------------
 
 
 def test_sigma_short_time_slope():
+    # the exact route's initial slope of sigma_det against the short-time
+    # expansion sigma(t) = (hbar^2/4) (1 + 2 [lam k_plus C + mu k_minus C - 2 lam] t)
     d = thermal_coefficients(CFG)
     spec = spec_of(4.0, r=0.2)
     state0 = initial_state(spec, CFG)
@@ -193,53 +184,10 @@ def test_sigma_short_time_slope():
         covariance_lyapunov(state0, CFG, d, h).sigma_det
         - covariance_lyapunov(state0, CFG, d, 0.0).sigma_det
     ) / h
-    series_slope = (sigma_short_time(spec, CFG, h) - sigma_short_time(spec, CFG, 0.0)) / h
+    k_plus, k_minus, _, _ = squeeze_terms(spec)
+    c = CFG.coth_epsilon
+    series_slope = 0.25 * 2.0 * (CFG.lam * k_plus * c + CFG.mu * k_minus * c - 2.0 * CFG.lam)
     assert series_slope == pytest.approx(exact_slope, rel=1e-3)
-    assert sigma_short_time(spec, CFG, 0.0) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_gamma_short_time_slope():
-    d = thermal_coefficients(CFG)
-    spec = spec_of(4.0)
-    state0 = initial_state(spec, CFG)
-
-    def gamma_at(t):
-        return alpha_beta_gamma(covariance_lyapunov(state0, CFG, d, t)).gamma
-
-    h = 1e-5
-    exact_slope = (gamma_at(h) - gamma_at(0.0)) / h
-    series_slope = (gamma_short_time(spec, CFG, h) - gamma_short_time(spec, CFG, 0.0)) / h
-    assert series_slope == pytest.approx(exact_slope, rel=1e-3)
-    # initial value mω/(4 hbar delta)
-    assert gamma_short_time(spec, CFG, 0.0) == pytest.approx(1.0 / 16.0, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# pure spatial decoherence (position coupling only)
-# ---------------------------------------------------------------------------
-
-
-class TestPureDecoherence:
-    D = DiffusionCoefficients(d_pp=0.45, d_qq=0.0, d_pq=0.0)
-
-    def test_frozen_factor(self):
-        # exp(-0.45 * (2)^2 * 1) = exp(-1.8)
-        got = pure_decoherence_factor(self.D, 1.0, -1.0, 1.0)
-        assert got == pytest.approx(math.exp(-1.8), rel=1e-14)
-        assert got == pytest.approx(0.16530, abs=1e-5)
-
-    def test_diagonal_untouched(self):
-        assert pure_decoherence_factor(self.D, 0.7, 0.7, 5.0) == 1.0
-
-    def test_decay_applies_factor(self):
-        z = 0.3 + 0.4j
-        got = pure_decoherence_decay(z, CFG, self.D, 1.0, -1.0, 1.0)
-        assert got == pytest.approx(z * math.exp(-1.8), rel=1e-13)
-
-    def test_farther_separated_superpositions_die_faster(self):
-        near = pure_decoherence_factor(self.D, 0.5, -0.5, 1.0)
-        far = pure_decoherence_factor(self.D, 2.0, -2.0, 1.0)
-        assert far < near
 
 
 class TestRateRatio:

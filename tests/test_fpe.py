@@ -231,9 +231,8 @@ class TestPhysics:
         kt = cfg.thermal_energy
         d = DiffusionCoefficients(d_pp=2.0 * cfg.m * cfg.lam * kt, d_qq=0.0, d_pq=0.0)
         state = initial_state(InitialStateSpec(spread=2.0, correlation=0.0), cfg)
-        wide = GridGeometry.centered(
-            8.0 * math.sqrt(kt), 8.0 * math.sqrt(kt), 192
-        )
+        half = 8.0 * math.sqrt(kt)
+        wide = GridGeometry(-half, half, -half, half, 192, 192)
         grid = render_grid(state, wide)
         result = run_fpe(grid, cfg, d, FpeRunSpec(t_end=0.5))
         got = grid_moments(result.final, t=0.5)
