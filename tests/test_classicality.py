@@ -106,15 +106,9 @@ def test_metrics_from_state_fields():
 # ---------------------------------------------------------------------------
 
 
-def _enclosed_area(pts):
-    # shoelace formula on the closed polyline
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 def test_contour_area_identity():
-    # delta_qd * (area inside the one-sigma contour) = pi * hbar for every
-    # Gaussian state: the decoherence degree is inverse to the occupied area
+    # delta_qd * area = pi * hbar for every Gaussian state, where the area
+    # inside the one-sigma contour is 2 pi sqrt(sigma)
     rng = np.random.default_rng(5)
     for _ in range(20):
         s_qq = rng.uniform(0.3, 3.0)
@@ -124,8 +118,8 @@ def test_contour_area_identity():
         state = state_with(s_qq, s_pp, s_pq)
         if state.sigma_det < 0.25:
             continue
-        area = _enclosed_area(one_sigma_contour(state, n_points=4096))
-        assert delta_qd(state) * area == pytest.approx(math.pi, rel=1e-5)
+        area = 2.0 * math.pi * math.sqrt(state.sigma_det)
+        assert delta_qd(state) * area == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_contour_points_lie_on_level_set():
@@ -144,8 +138,13 @@ def test_contour_points_lie_on_level_set():
 
 def test_contour_encloses_expected_area():
     state = state_with(1.2, 0.9, -0.3)
-    area = _enclosed_area(one_sigma_contour(state, n_points=4096))
-    assert area == pytest.approx(2.0 * math.pi * math.sqrt(state.sigma_det), rel=1e-5)
+    pts = one_sigma_contour(state, n_points=4096)
+    # shoelace formula on the polyline
+    x, y = pts[:, 0], pts[:, 1]
+    shoelace = 0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+    assert shoelace == pytest.approx(
+        2.0 * math.pi * math.sqrt(state.sigma_det), rel=1e-5
+    )
 
 
 # ---------------------------------------------------------------------------
