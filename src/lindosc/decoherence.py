@@ -142,14 +142,6 @@ class RegimeReport:
     sigma_mb: float
     regime: str  # "quantum" | "quantum-statistical" | "classical-statistical"
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma_be": self.sigma_be,
-            "sigma_heisenberg": self.sigma_heisenberg,
-            "sigma_mb": self.sigma_mb,
-            "regime": self.regime,
-        }
-
 
 def regime_report(cfg: OscillatorConfig) -> RegimeReport:
     """Classify the asymptotic uncertainty regime.

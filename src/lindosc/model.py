@@ -338,14 +338,6 @@ class ValidationReport:
         """True when every hard check passed (advisories may still fail)."""
         return all(c.passed for c in self.checks if c.hard)
 
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.hard and not c.passed)
-
-    @property
-    def advisories(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.hard and not c.passed)
-
     def __str__(self) -> str:
         return "\n".join(c.line() for c in self.checks)
 

@@ -3,13 +3,15 @@
 1. Closed forms: the damped-oscillation expressions for the means, and the
    explicit formulas for the covariance determinant and the position-momentum
    covariance from a correlated-coherent initial state under a thermal bath.
-2. Exact propagation: the first-moment drift matrix has the closed-form
-   exponential ``E(t) = exp(Y t) = e^{-lam t}[cos(Om t) I + sin(Om t)/Om K]``
-   with ``K = Y + lam I`` (so ``K^2 = -Om^2 I``), and the covariance is
-   ``Sigma(t) = E Sigma0 E^T + int_0^t E(s) 2D E(s)^T ds``.  The integrand is
-   ``e^{-2 lam s}[A0 + Ac cos(2 Om s) + As sin(2 Om s)]``, whose terms integrate
-   exactly, so one formula covers every ``lam >= 0`` and all sample times are
-   evaluated in one set of array operations.
+2. Exact propagation: with the oscillation basis ``c = cos(Om t)`` and
+   ``s = sin(Om t)/Om`` (:func:`_oscillation`, shared with route 1), which
+   never divides by ``Om``, ``E(t) = exp(Y t) = e^{-lam t}[c I + s K]`` with
+   ``K = Y + lam I`` (so ``K^2 = -Om^2 I``), and the covariance is
+   ``Sigma(t) = E Sigma0 E^T + int_0^t E(u) 2D E(u)^T du``.  The integrand is
+   ``e^{-2 lam u}`` times ``c^2``, ``c s`` and ``s^2``, whose integrals follow
+   from ``(s^2)' = 2 c s`` and ``c^2 + Om^2 s^2 = 1`` (:func:`_propagate_moments`),
+   so one formula covers every ``lam >= 0`` and ``Om -> 0`` alike, and all
+   sample times are evaluated in one set of array operations.
 3. A fixed-step RK4 integration of the five-dimensional moment ODE system, used
    as an independent oracle.
 
@@ -21,7 +23,6 @@ the trajectory CSV columns; states are built on access only.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -122,13 +123,39 @@ def _generator(cfg: OscillatorConfig) -> np.ndarray:
     return np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
 
 
-def propagator(cfg: OscillatorConfig, t) -> np.ndarray:
-    """``exp(Y t)`` evaluated in closed form (exact for all t >= 0); shape
-    ``(2, 2)`` for a scalar ``t``, ``t.shape + (2, 2)`` for an array."""
-    t = np.asarray(t, dtype=float)[..., None, None]
+def _oscillation(xp, cfg: OscillatorConfig, t):
+    """``(e^{-lam t}, cos(Om t), sin(Om t)/Om)`` for ``xp`` and ``t`` as
+    :func:`_elementwise` returns them.  Where the phase ``Om t`` overflows,
+    the last two are taken at phase 0 if ``e^{-lam t}`` has underflowed to 0,
+    so every product with the decay is its limit, exactly 0; otherwise they
+    are ``nan``, since the phase is lost.  A float ``t`` and an array give the
+    same values, and NumPy stays silent."""
     big = cfg.shifted_frequency
-    rotation = np.cos(big * t) * np.eye(2) + (np.sin(big * t) / big) * _generator(cfg)
-    return np.exp(-cfg.lam * t) * rotation
+    if xp is math:
+        decay, phase = math.exp(-cfg.lam * t), big * t
+        if math.isinf(phase):
+            if decay != 0.0:
+                return decay, math.nan, math.nan
+            phase = 0.0
+        return decay, math.cos(phase), math.sin(phase) / big
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay, phase = np.exp(-cfg.lam * t), big * t
+        phase = np.where(np.isinf(phase) & (decay == 0.0), 0.0, phase)
+        return decay, np.cos(phase), np.sin(phase) / big
+
+
+def propagator(cfg: OscillatorConfig, t) -> np.ndarray:
+    """``exp(Y t) = e^{-lam t}[c I + s K]`` (exact for all t >= 0); shape
+    ``(2, 2)`` for a scalar ``t``, ``t.shape + (2, 2)`` for an array."""
+    decay, c, s = _oscillation(np, cfg, np.asarray(t, dtype=float)[..., None, None])
+    return decay * (c * np.eye(2) + s * _generator(cfg))
+
+
+def _means(state0: GaussianState, cfg: OscillatorConfig, decay, c, s):
+    """``exp(Y t)`` applied to the initial means, from the basis at ``t``."""
+    k_q, k_p = (_generator(cfg) @ state0.mean()).tolist()
+    q0, p0 = state0.mean_q, state0.mean_p
+    return decay * (c * q0 + s * k_q), decay * (c * p0 + s * k_p)
 
 
 def mean_closed_form(state0: GaussianState, cfg: OscillatorConfig, t):
@@ -138,11 +165,8 @@ def mean_closed_form(state0: GaussianState, cfg: OscillatorConfig, t):
     frequency ``omega`` in the closed system.  Floats for a scalar ``t``,
     arrays for an array.
     """
-    xp, times = _elementwise(t)
-    e = propagator(cfg, times)
-    q = e[..., 0, 0] * state0.mean_q + e[..., 0, 1] * state0.mean_p
-    p = e[..., 1, 0] * state0.mean_q + e[..., 1, 1] * state0.mean_p
-    return (float(q), float(p)) if xp is math else (q, p)
+    xp, t = _elementwise(t)
+    return _means(state0, cfg, *_oscillation(xp, cfg, t))
 
 
 def steady_state_covariance(
@@ -193,36 +217,49 @@ def asymptotic_covariance(cfg: OscillatorConfig) -> GaussianState:
     )
 
 
+def _symmetric_terms(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Rows ``M``, ``K M + M K^T`` and ``K M K^T`` for a symmetric ``M``, each
+    as its entries ``(qq, pp, pq)``, the trajectory column order."""
+    km = k @ m
+    return np.array([[x[0, 0], x[1, 1], x[0, 1]] for x in (m, km + km.T, km @ k.T)])
+
+
 def _propagate_moments(
     state0: GaussianState,
     cfg: OscillatorConfig,
     d: DiffusionCoefficients,
     times: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact means ``(n, 2)`` and covariances ``(n, 2, 2)`` at all ``times``."""
-    _, t = _elementwise(times)
-    lam, big = cfg.lam, cfg.shifted_frequency
-    k = _generator(cfg)
-    e = propagator(cfg, t)
-    means = e @ state0.mean()
-    cov = e @ state0.covariance() @ e.transpose(0, 2, 1)
+) -> np.ndarray:
+    """Exact moments, one row ``(mean_q, mean_p, s_qq, s_pp, s_pq)`` per time.
 
-    # E(s) 2D E(s)^T = e^{-2 lam s}[a0 + ac cos(2 Om s) + a_s sin(2 Om s)]
-    two_d = 2.0 * d.matrix()
-    k_d_k = k @ two_d @ k.T / (big * big)
-    a0 = 0.5 * (two_d + k_d_k)
-    ac = 0.5 * (two_d - k_d_k)
-    a_s = (k @ two_d + two_d @ k.T) / (2.0 * big)
-    # int_0^t e^{-2 lam s} ds, which is t itself at lam = 0
-    x = -2.0 * lam * t
+    For a symmetric ``M``, ``E(u) M E(u)^T = e^{-2 lam u}[c^2 M + c s (K M +
+    M K^T) + s^2 K M K^T]``, so ``Sigma(t)`` is that form at ``M = Sigma0``
+    plus ``J0 2D + J1 (K 2D + 2D K^T) + J2 K 2D K^T`` with ``Jn = int_0^t
+    e^{a u} {c^2, c s, s^2} du``, ``a = -2 lam`` and ``F = int_0^t e^{a u} du``
+    (``t`` at ``lam = 0``).  By parts, ``(s^2)' = 2 c s`` gives
+    ``J1 = e^{a t} s^2/2 - a J2/2``, and ``(c s)' = c^2 - Om^2 s^2 =
+    1 - 2 Om^2 s^2`` gives ``e^{a t} s c - a J1 = F - 2 Om^2 J2``, so
+    ``J2 = (a e^{a t} s^2 + 2F - 2 e^{a t} s c) / (a^2 + 4 Om^2)``; and
+    ``c^2 + Om^2 s^2 = 1`` gives ``J0 = F - Om^2 J2``.  The denominator
+    ``4(lam^2 + omega^2 - mu^2)`` is at least ``4 omega^2`` for ``|mu| <= lam``.
+    """
+    _, t = _elementwise(times)
+    decay, c, s = _oscillation(np, cfg, t)
+    k = _generator(cfg)
+    big2 = cfg.shifted_frequency**2
+    a = -2.0 * cfg.lam
+    e2 = decay * decay
+    x = a * t
     with np.errstate(divide="ignore", invalid="ignore"):
-        flat = np.where(x == 0.0, t, np.expm1(x) / (-2.0 * lam))
-    # int_0^t e^{z s} ds = (cos, sin) integrals; z is never 0 since Om > 0
-    z = complex(-2.0 * lam, 2.0 * big)
-    wave = np.expm1(z * t) / z
-    cov += flat[:, None, None] * a0 + wave.real[:, None, None] * ac
-    cov += wave.imag[:, None, None] * a_s
-    return means, cov
+        flat = np.where(x == 0.0, t, np.expm1(x) / a)
+    j2 = (a * e2 * s * s + 2.0 * flat - 2.0 * e2 * s * c) / (a * a + 4.0 * big2)
+    j1 = 0.5 * (e2 * s * s - a * j2)
+    j0 = flat - big2 * j2
+    cov = np.column_stack([e2 * c * c, e2 * c * s, e2 * s * s]) @ _symmetric_terms(
+        k, state0.covariance()
+    )
+    cov += np.column_stack([j0, j1, j2]) @ _symmetric_terms(k, 2.0 * d.matrix())
+    return np.column_stack([*_means(state0, cfg, decay, c, s), cov])
 
 
 def covariance_lyapunov(
@@ -240,60 +277,41 @@ def covariance_lyapunov(
     return trajectory_lyapunov(state0, cfg, d, [t]).final
 
 
-def _quiet(xp):
-    """For NumPy, silence the warnings a closed form raises at huge t: a
-    product overflowing to inf is meant there (``math`` gives inf without a
-    word), and a lost phase is ``nan`` on both routes (:func:`_double_angle`)."""
-    return np.errstate(over="ignore", invalid="ignore") if xp is np else nullcontext()
-
-
-def _double_angle(xp, big: float, t, decay):
-    """``cos(2 Omega t)`` and ``sin(2 Omega t)`` for the closed forms, which
-    use them only times ``decay = exp(-2 lam t)``.  Where the phase
-    ``2 Omega t`` overflows, they are taken at phase 0 if ``decay`` has
-    underflowed to 0, so the product is its limit, exactly 0; otherwise they
-    are ``nan``, since the phase is lost.  A float ``t`` and an array give
-    the same values."""
-    phase = 2.0 * big * t
-    if xp is math:
-        if math.isinf(phase):
-            if decay != 0.0:
-                return math.nan, math.nan
-            phase = 0.0
-        return math.cos(phase), math.sin(phase)
-    phase = np.where(np.isinf(phase) & (decay == 0.0), 0.0, phase)
-    return np.cos(phase), np.sin(phase)
-
-
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath).
+
+    With the basis ``c``, ``s`` of :func:`_oscillation` and ``C`` the coth
+    factor::
+
+        sigma = (hbar^2/4)[e^{-4 lam t}(1 - k_+ C + C^2) + C^2
+                 + e^{-2 lam t} C((k_+ - 2C)(1 + 2 mu^2 s^2) + 2 k_- mu s c
+                                  + 4 r mu omega s^2 / sqrt(1 - r^2))]
 
     Starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant
     in the closed system.  A float for a scalar ``t``, an array for an array.
     """
     xp, t = _elementwise(t)
-    c = cfg.coth_epsilon
-    w2 = cfg.omega * cfg.omega
-    mu2 = cfg.mu * cfg.mu
-    big2 = w2 - mu2
-    big = cfg.shifted_frequency
+    coth = cfg.coth_epsilon
+    mu = cfg.mu
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    with _quiet(xp):
-        decay = xp.exp(-2.0 * cfg.lam * t)
-        cos2, sin2 = _double_angle(xp, big, t, decay)
-        term_fast = xp.exp(-4.0 * cfg.lam * t) * (1.0 - k_plus * c + c * c)
-        inner = (
-            (k_plus - 2.0 * c) * (w2 - mu2 * cos2) / big2
-            + k_minus * cfg.mu * sin2 / big
-            + 2.0 * r * cfg.mu * cfg.omega * (1.0 - cos2) / (big2 * root)
-        )
-        term_slow = decay * c * inner
-    return (cfg.hbar * cfg.hbar / 4.0) * (term_fast + term_slow + c * c)
+    decay, c, s = _oscillation(xp, cfg, t)
+    decay2 = decay * decay
+    inner = (
+        (k_plus - 2.0 * coth) * (1.0 + 2.0 * mu * mu * s * s)
+        + 2.0 * k_minus * mu * s * c
+        + 4.0 * r * mu * cfg.omega * s * s / root
+    )
+    term_fast = decay2 * decay2 * (1.0 - k_plus * coth + coth * coth)
+    term_slow = decay2 * coth * inner
+    return (cfg.hbar * cfg.hbar / 4.0) * (term_fast + term_slow + coth * coth)
 
 
 def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
-    """Position-momentum covariance s_pq(t) in closed form (thermal bath).
+    """Position-momentum covariance s_pq(t) in closed form (thermal bath)::
+
+        s_pq = (hbar/2) e^{-2 lam t}[r/sqrt(1 - r^2) - omega k_- s c
+                 + s^2 (mu omega (2C - k_+) - 2 omega^2 r / sqrt(1 - r^2))]
 
     Sign convention: this is cov(q, p) of the moment system, so
     ``sigma_pq_closed(spec, cfg, 0)`` equals the initial-state value
@@ -301,23 +319,17 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     decays to zero.  A float for a scalar ``t``, an array for an array.
     """
     xp, t = _elementwise(t)
-    c = cfg.coth_epsilon
+    coth = cfg.coth_epsilon
     w = cfg.omega
-    mu = cfg.mu
-    big = cfg.shifted_frequency
-    big2 = big * big
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    with _quiet(xp):
-        decay = xp.exp(-2.0 * cfg.lam * t)
-        cos2, sin2 = _double_angle(xp, big, t, decay)
-        bracket = (
-            (mu * w * (2.0 * c - k_plus) - 2.0 * w * w * r / root) * cos2
-            + w * big * k_minus * sin2
-            + mu * w * (k_plus - 2.0 * c)
-            + 2.0 * mu * mu * r / root
-        )
-        return -(cfg.hbar / (4.0 * big2)) * decay * bracket
+    decay, c, s = _oscillation(xp, cfg, t)
+    bracket = (
+        r / root
+        + s * s * (cfg.mu * w * (2.0 * coth - k_plus) - 2.0 * w * w * r / root)
+        - w * k_minus * s * c
+    )
+    return (cfg.hbar / 2.0) * decay * decay * bracket
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,11 +402,8 @@ def trajectory_lyapunov(
 ) -> Trajectory:
     """Exact-propagation trajectory sampled at the given times."""
     times = np.asarray(times, dtype=float)
-    means, covs = _propagate_moments(state0, cfg, d, times)
-    s_pq = 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])
-    return Trajectory(
-        np.column_stack([times, means, covs[:, 0, 0], covs[:, 1, 1], s_pq])
-    )
+    moments = _propagate_moments(state0, cfg, d, times)
+    return Trajectory(np.column_stack([times, moments]))
 
 
 def integrate_moments_rk4(

@@ -245,6 +245,30 @@ def test_metrics_columns_match_per_state_metrics(tmp_path):
     assert out.read_text() == want.getvalue()
 
 
+NEAR_CRITICAL = ["--omega", "1", "--lambda", "1", "--mu", "0.999999999", "--coth", "3",
+                 "--delta-sq", "4", "--corr-r", "0.5"]
+
+
+def test_near_critical_bath_agrees_between_commands(tmp_path):
+    # Omega = sqrt(omega^2 - mu^2) ~ 4.5e-5: metrics (exact route) and sweep
+    # (closed forms) report the same delta_cc and a positive s_pq at t = 10,
+    # and the three trajectory routes agree to 1e-10
+    metrics, sweep, routes = (tmp_path / f for f in ("m.csv", "s.csv", "all.csv"))
+    assert main(["metrics", *NEAR_CRITICAL, "--t-end", "10", "--out", str(metrics)]) == 0
+    assert main(["sweep", *NEAR_CRITICAL, "--axis", "C:3:3:1", "--t", "10",
+                 "--record", "delta_cc,sigma_pq", "--out", str(sweep)]) == 0
+    assert main(["trajectory", *NEAR_CRITICAL, "--route", "all", "--t-end", "10",
+                 "--out", str(routes)]) == 0
+    last = [float(x) for x in metrics.read_text().splitlines()[-1].split(",")]
+    assert last[0] == 10.0
+    delta_cc, s_pq = (float(x) for x in sweep.read_text().splitlines()[1].split(",")[1:])
+    assert last[2] == pytest.approx(delta_cc, rel=1e-6)
+    assert last[5] == pytest.approx(s_pq, rel=1e-6)
+    assert s_pq > 0.0 and last[5] > 0.0
+    rows = routes.read_text().splitlines()[1:]
+    assert max(float(line.split(",")[-1]) for line in rows) <= 1e-10
+
+
 def test_window_empty_for_closed_symmetric_state(capsys):
     assert main(["window", "--closed", "--t-end", "20", "--dt", "0.01"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -594,15 +618,18 @@ def test_sweep_without_t_axis_writes_scalar_closed_forms(tmp_path):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("lam", ["0.2", "0"])
-def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, capsys):
-    # 2 Omega t overflows at t = 1e308; the scalar (--t) and the array (t
-    # axis) routes write the same row, the steady state when the decay
-    # factor has underflowed (lam > 0) and nan in the closed system, where
+@pytest.mark.parametrize(
+    "lam, omega", [("0.2", "1"), ("0", "1"), ("0", "2")], ids=["0.2", "0", "0-omega2"]
+)
+def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, omega, capsys):
+    # at t = 1e308 the phase Omega t overflows only at omega = 2; the scalar
+    # (--t) and the array (t axis) routes write the same row: the steady state
+    # when the decay factor has underflowed (lam > 0), sigma = hbar^2/4
+    # exactly in the closed system at omega = 1, and nan at omega = 2, where
     # the phase is lost; neither warns
     records = "delta_qd,delta_cc,sigma_det,sigma_pq,t_deco"
-    model = ["--lambda", lam, "--mu", "0.1" if lam != "0" else "0", "--coth", "3",
-             "--delta-sq", "4"]
+    model = ["--omega", omega, "--lambda", lam, "--mu", "0.1" if lam != "0" else "0",
+             "--coth", "3", "--delta-sq", "4"]
     scalar, array = tmp_path / "scalar.csv", tmp_path / "array.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -616,8 +643,10 @@ def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, capsys)
     assert array_row[0] == "1e+308"
     assert array_row[1:] == scalar_row
     qd, cc, sigma, s_pq, t_deco = (float(x) for x in scalar_row)
-    if lam == "0":
+    if omega == "2":
         assert all(math.isnan(x) for x in (qd, sigma, s_pq))
+    elif lam == "0":
+        assert sigma == 0.25 and qd == 1.0 and math.isfinite(s_pq)
     else:
         assert sigma == 0.25 * 3.0**2 and s_pq == 0.0 and qd == pytest.approx(1 / 3)
         assert math.isfinite(t_deco)

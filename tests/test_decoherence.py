@@ -233,10 +233,6 @@ class TestRegimes:
         assert report.regime == "classical-statistical"
         assert math.isinf(report.sigma_be)
 
-    def test_as_dict_keys(self):
-        d = regime_report(CFG).as_dict()
-        assert set(d) == {"sigma_be", "sigma_heisenberg", "sigma_mb", "regime"}
-
     def test_bose_einstein_dominates_maxwell_boltzmann(self):
         # quantum floor keeps sigma_BE above the classical value at any C
         for c in (1.0, 1.5, 3.0, 10.0, 100.0):

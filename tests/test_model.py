@@ -138,7 +138,8 @@ class TestValidate:
         report = validate(make_cfg())
         assert report.ok
         # the weak-coupling advisory fires at lam = 0.2 but must not fail the run
-        assert len(report.advisories) == 1
+        advisories = [c for c in report.checks if not c.hard and not c.passed]
+        assert len(advisories) == 1
 
     def test_constraint_boundary_fails(self):
         report = validate(make_cfg(lam=0.05, mu=0.1))
@@ -148,7 +149,7 @@ class TestValidate:
         # (lam^2 - mu^2) C^2 = 0.0363 < lam^2 = 0.04
         report = validate(make_cfg(c=1.1))
         assert not report.ok
-        names = {c.name for c in report.failures}
+        names = {c.name for c in report.checks if c.hard and not c.passed}
         assert "thermal_constraint" in names
         assert "determinant_bound" in names
 

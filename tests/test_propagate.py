@@ -378,26 +378,31 @@ def test_closed_forms_take_arrays_and_reject_negative_times():
 
 
 def test_closed_forms_at_overflowing_phase():
-    # at t = 1e308, 2 Omega t overflows: with damping exp(-2 lam t) is 0 and
-    # the closed forms give their limit; without it the phase is lost (nan);
-    # a float and an array agree, and NumPy stays silent
+    # at t = 1e308 the phase Omega t overflows only at omega = 2: with damping
+    # exp(-lam t) is 0 and the closed forms give their limit; the closed
+    # system keeps sigma = hbar^2/4 exactly at omega = 1 and loses the phase
+    # (nan) at omega = 2; a float and an array agree, and NumPy stays silent
     spec = InitialStateSpec(spread=4.0, correlation=0.3)
-    closed = OscillatorConfig(lam=0.0, mu=0.0, temp=TemperatureSpec.from_coth(3.0))
+    bath = TemperatureSpec.from_coth(3.0)
+    closed = OscillatorConfig(lam=0.0, mu=0.0, temp=bath)
+    lost = OscillatorConfig(omega=2.0, lam=0.0, mu=0.0, temp=bath)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cfg in (REF, closed):
+        for cfg in (REF, closed, lost):
             for f in (sigma_det_closed, sigma_pq_closed):
                 scalar = f(spec, cfg, 1e308)
                 array = f(spec, cfg, np.array([1.0, 1e308]))
                 assert isinstance(scalar, float)
                 assert np.array_equal([scalar], array[1:], equal_nan=True)
                 assert array[0] == f(spec, cfg, 1.0)
-                if cfg is closed:
+                if cfg is lost:
                     assert math.isnan(scalar)
     assert sigma_det_closed(spec, REF, 1e308) == 0.25 * 3.0**2
     assert sigma_pq_closed(spec, REF, 1e308) == 0.0
+    assert sigma_det_closed(spec, closed, 1e308) == 0.25
+    assert math.isfinite(sigma_pq_closed(spec, closed, 1e308))
     # below the overflow the phase is still evaluated
-    assert sigma_pq_closed(spec, closed, 1e307) != sigma_pq_closed(spec, closed, 0.0)
+    assert sigma_pq_closed(spec, lost, 1e307) != sigma_pq_closed(spec, lost, 0.0)
 
 
 def test_time_grid_rules():

@@ -1,5 +1,6 @@
 """Property-based checks of the shared kernels: the time grid, the CSV writer,
 the classicality degrees, the array forms of the closed-form moments, the
+agreement of the three propagation routes at the edges of the domain, the
 window finder and the validation of trajectory rows.
 
 Hypothesis runs derandomised with a bounded example count, so the suite stays
@@ -29,13 +30,16 @@ from lindosc.model import (
     TemperatureSpec,
     initial_state,
     squeeze_terms,
+    thermal_coefficients,
 )
 from lindosc.propagate import (
     Trajectory,
+    integrate_moments_rk4,
     mean_closed_form,
     sigma_det_closed,
     sigma_pq_closed,
     time_grid,
+    trajectory_lyapunov,
 )
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -195,6 +199,82 @@ def test_closed_forms_array_matches_scalar(model, times):
         assert abs(pq[i] - pq_i) <= 1e-15 * pq_scale
         assert math.isclose(q[i], q_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
         assert math.isclose(p[i], p_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
+
+
+# ---------------------------------------------------------------------------
+# route agreement at the edges of the domain
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def edge_models(draw):
+    """Admissible thermal baths, initial states and times ``t <= 2``, weighted
+    toward the edges of the domain: ``lam -> 0+``, ``|mu| -> omega`` (which
+    needs ``lam > |mu|``, so ``lam >= 1`` there), squeezing ``10^(+/-4)`` and
+    ``C`` up to ``10^4`` times its thermal bound.  ``|r|`` stays below
+    ``1 - 1e-6``."""
+    if draw(st.booleans()):
+        lam = draw(st.floats(min_value=1.0, max_value=3.0))
+        u = draw(st.floats(min_value=1.0, max_value=12.0))
+        mu = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - 10.0**-u)
+    else:
+        lam = 10.0 ** draw(st.floats(min_value=-12.0, max_value=0.0))
+        mu = lam * draw(st.floats(min_value=-0.999, max_value=0.999))
+    c_min = lam / math.sqrt((lam - mu) * (lam + mu))
+    c = c_min * 10.0 ** draw(st.floats(min_value=0.0, max_value=4.0))
+    cfg = OscillatorConfig(lam=lam, mu=mu, temp=TemperatureSpec.from_coth(c))
+    r = draw(st.floats(min_value=-1.0, max_value=1.0))
+    if draw(st.booleans()):
+        v = draw(st.floats(min_value=0.0, max_value=6.0))
+        r = math.copysign(1.0 - 10.0**-v, r)
+    spec = InitialStateSpec(
+        spread=10.0 ** draw(st.floats(min_value=-4.0, max_value=4.0)),
+        correlation=max(-1.0 + 1e-6, min(r, 1.0 - 1e-6)),
+        center_q=draw(st.floats(min_value=-5.0, max_value=5.0)),
+        center_p=draw(st.floats(min_value=-5.0, max_value=5.0)),
+    )
+    return cfg, spec, draw(st.floats(min_value=1e-3, max_value=2.0))
+
+
+@PROFILE
+@given(model=edge_models())
+@example(  # Omega ~ 4.5e-5, with C above its thermal bound 2.2e4
+    model=(
+        OscillatorConfig(lam=1.0, mu=1.0 - 1e-9, temp=TemperatureSpec.from_coth(3e4)),
+        InitialStateSpec(spread=4.0, correlation=0.5),
+        2.0,
+    )
+)
+def test_routes_agree_at_the_edges_of_the_domain(model):
+    # RK4 (dt <= 1e-3) agrees with the exact route on the moments to 1e-9 of
+    # their scale, the closed forms to rounding: 1e-12 of the covariance
+    # scale for s_pq, and for sigma of the terms each route cancels, s_qq s_pp
+    # and (hbar^2/4) C (C + k_plus).  Each covariance is positive definite
+    # with sigma >= hbar^2/4 up to rounding of s_qq s_pp
+    cfg, spec, t = model
+    state0 = initial_state(spec, cfg)
+    d = thermal_coefficients(cfg)
+    n = math.ceil(t / 1e-3)
+    exact = trajectory_lyapunov(state0, cfg, d, [t]).final
+    rk4 = integrate_moments_rk4(state0, cfg, d, t, t / n, record_every=n).final
+    q, p = mean_closed_form(state0, cfg, t)
+    quarter = cfg.hbar**2 / 4.0
+    amp = abs(state0.mean_q) + abs(state0.mean_p)
+    scale = max(exact.s_qq, exact.s_pp, rk4.s_qq, rk4.s_pp)
+    for got in (rk4.mean_q, q):
+        assert abs(got - exact.mean_q) <= 1e-9 * amp
+    for got in (rk4.mean_p, p):
+        assert abs(got - exact.mean_p) <= 1e-9 * amp
+    for name in ("s_qq", "s_pp", "s_pq"):
+        assert abs(getattr(rk4, name) - getattr(exact, name)) <= 1e-9 * scale
+    assert abs(sigma_pq_closed(spec, cfg, t) - exact.s_pq) <= 1e-12 * scale
+    k_plus = squeeze_terms(spec)[0]
+    c = cfg.coth_epsilon
+    closed_scale = scale * scale + quarter * c * (c + k_plus)
+    assert abs(sigma_det_closed(spec, cfg, t) - exact.sigma_det) <= 1e-12 * closed_scale
+    for state in (exact, rk4):
+        assert state.s_qq > 0.0 and state.s_pp > 0.0 and state.sigma_det > 0.0
+        assert state.sigma_det >= quarter - 1e-12 * state.s_qq * state.s_pp / quarter
 
 
 # ---------------------------------------------------------------------------
