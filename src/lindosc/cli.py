@@ -527,8 +527,6 @@ def _sweep_point(
     ``t``; for an array ``t`` the t-dependent records are arrays over it and
     the others floats.  ``ValueError`` for an invalid configuration, or a
     negative ``t`` when a t-dependent record is asked for."""
-    lam = assignments.get("lambda", base_cfg.lam)
-    mu = assignments.get("mu", base_cfg.mu)
     temp = (
         TemperatureSpec.from_coth(assignments["C"])
         if "C" in assignments
@@ -537,12 +535,11 @@ def _sweep_point(
     cfg = OscillatorConfig(
         m=base_cfg.m,
         omega=base_cfg.omega,
-        lam=lam,
-        mu=mu,
+        lam=assignments.get("lambda", base_cfg.lam),
+        mu=assignments.get("mu", base_cfg.mu),
         hbar=base_cfg.hbar,
         boltzmann=base_cfg.boltzmann,
         temp=temp,
-        closed_system=(lam == 0.0 and mu == 0.0),
     )
     thermal_coefficients(cfg)  # rejects lam <= |mu| outside the closed system
     spec = InitialStateSpec(

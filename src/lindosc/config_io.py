@@ -12,7 +12,9 @@ The file format is deliberately tiny: one ``key = value`` pair per line,
 Values are parsed exactly as decimals (``Decimal``), so config files never
 pick up binary round-off beyond the final float conversion; ``inf`` is
 accepted where it makes sense (e.g. ``temp.C = inf``).  Unknown or duplicate
-keys are rejected with the offending line number.
+keys are rejected with the offending line number.  A key left out keeps the
+default of the model field it sets, so a file with no damping terms is the
+closed system.
 """
 
 from __future__ import annotations
@@ -35,31 +37,23 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-CONFIG_KEYS = (
-    "m",
-    "omega",
-    "lambda",
-    "mu",
-    "hbar",
-    "temp.C",
-    "temp.T",
-    "init.delta",
-    "init.r",
-    "init.q0",
-    "init.p0",
-)
-
-_DEFAULTS = {
-    "m": 1.0,
-    "omega": 1.0,
-    "lambda": 0.0,
-    "mu": 0.0,
-    "hbar": 1.0,
-    "init.delta": 1.0,
-    "init.r": 0.0,
-    "init.q0": 0.0,
-    "init.p0": 0.0,
+# Each config key and the constructor field it sets; keys left out take the
+# dataclass defaults.
+_FIELDS = {
+    "m": (OscillatorConfig, "m"),
+    "omega": (OscillatorConfig, "omega"),
+    "lambda": (OscillatorConfig, "lam"),
+    "mu": (OscillatorConfig, "mu"),
+    "hbar": (OscillatorConfig, "hbar"),
+    "temp.C": (TemperatureSpec, "coth_value"),
+    "temp.T": (TemperatureSpec, "temperature"),
+    "init.delta": (InitialStateSpec, "spread"),
+    "init.r": (InitialStateSpec, "correlation"),
+    "init.q0": (InitialStateSpec, "center_q"),
+    "init.p0": (InitialStateSpec, "center_p"),
 }
+
+CONFIG_KEYS = tuple(_FIELDS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, float]:
@@ -105,48 +99,29 @@ def build_model(
 
     ``overrides`` (same key names) take precedence over ``values``; an
     override of either temperature key supersedes any file temperature.
-    Defaults: unit mass/frequency/hbar, no damping, zero temperature,
-    unsqueezed uncorrelated state at the origin.  A config with
-    lambda = mu = 0 is marked as a closed system automatically.
+    Only the keys given are passed on, so every other field keeps the default
+    of :class:`OscillatorConfig` or :class:`InitialStateSpec`: the closed
+    system at zero temperature and the unsqueezed, uncorrelated state at the
+    origin.
     """
     merged = dict(values or {})
-    if overrides:
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(cleaned) - set(CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-        if "temp.C" in cleaned and "temp.T" in cleaned:
-            raise ConfigError("temp.C and temp.T are mutually exclusive")
-        if "temp.C" in cleaned or "temp.T" in cleaned:
-            merged.pop("temp.C", None)
-            merged.pop("temp.T", None)
-        merged.update(cleaned)
+    cleaned = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if "temp.C" in cleaned and "temp.T" in cleaned:
+        raise ConfigError("temp.C and temp.T are mutually exclusive")
+    if "temp.C" in cleaned or "temp.T" in cleaned:
+        merged.pop("temp.C", None)
+        merged.pop("temp.T", None)
+    merged.update(cleaned)
+    unknown = set(merged) - set(_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    if "temp.C" in merged:
-        temp = TemperatureSpec.from_coth(merged["temp.C"])
-    elif "temp.T" in merged:
-        temp = TemperatureSpec.from_temperature(merged["temp.T"])
-    else:
-        temp = TemperatureSpec.zero()
-
-    def get(key: str) -> float:
-        return merged.get(key, _DEFAULTS[key])
-
-    lam = get("lambda")
-    mu = get("mu")
-    cfg = OscillatorConfig(
-        m=get("m"),
-        omega=get("omega"),
-        lam=lam,
-        mu=mu,
-        hbar=get("hbar"),
-        temp=temp,
-        closed_system=(lam == 0.0 and mu == 0.0),
+    fields: dict[type, dict] = {cls: {} for cls, _ in _FIELDS.values()}
+    for key, value in merged.items():
+        cls, name = _FIELDS[key]
+        fields[cls][name] = float(value)
+    if fields[TemperatureSpec]:
+        fields[OscillatorConfig]["temp"] = TemperatureSpec(**fields[TemperatureSpec])
+    return OscillatorConfig(**fields[OscillatorConfig]), InitialStateSpec(
+        **fields[InitialStateSpec]
     )
-    spec = InitialStateSpec(
-        spread=get("init.delta"),
-        correlation=get("init.r"),
-        center_q=get("init.q0"),
-        center_p=get("init.p0"),
-    )
-    return cfg, spec

@@ -18,6 +18,10 @@ Conventions
   argument) and the infinite-temperature limit is ``C = inf``.
 * Underdamped regime only: ``omega > |mu|``, giving the shifted frequency
   ``Omega = sqrt(omega**2 - mu**2)``.
+* The thermal bath is a Lindblad generator only when ``lam > |mu|`` and
+  ``(lam**2 - mu**2) C**2 >= lam**2``; :func:`validate` checks each condition
+  once.  ``lam = mu = 0`` is the closed system (zero diffusion), and the
+  defaults of :class:`OscillatorConfig` are that closed system at ``T = 0``.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class TemperatureSpec:
     ``temperature``
         Temperature in whatever unit system the attached oscillator uses
         (kelvin in SI mode).  Conversion to ``C`` needs ``hbar*omega/boltzmann``
-        and is therefore deferred until an oscillator supplies those values.
+        and is therefore done by :class:`OscillatorConfig`, which has them.
     """
 
     coth_value: float | None = None
@@ -120,44 +124,6 @@ class TemperatureSpec:
             raise ValueError(f"thermal exponent argument must be > 0, got {eps!r}")
         return cls(coth_value=1.0 / math.tanh(eps))
 
-    def coth(self, *, omega: float = 1.0, hbar: float = 1.0, boltzmann: float = 1.0) -> float:
-        """``C = coth(hbar*omega/(2kT))`` for the given oscillator scales."""
-        if self.coth_value is not None:
-            return self.coth_value
-        temp = self.temperature
-        if temp == 0.0:
-            return 1.0
-        if math.isinf(temp):
-            return math.inf
-        return 1.0 / math.tanh(hbar * omega / (2.0 * boltzmann * temp))
-
-    def epsilon(self, *, omega: float = 1.0, hbar: float = 1.0, boltzmann: float = 1.0) -> float:
-        """Exponent argument ``hbar*omega/(2kT)``; ``inf`` at T=0, ``0`` at T=inf."""
-        if self.temperature is not None:
-            temp = self.temperature
-            if temp == 0.0:
-                return math.inf
-            if math.isinf(temp):
-                return 0.0
-            return hbar * omega / (2.0 * boltzmann * temp)
-        c = self.coth_value
-        if c == 1.0:
-            return math.inf
-        if math.isinf(c):
-            return 0.0
-        return math.atanh(1.0 / c)
-
-    def kelvin(self, *, omega: float = 1.0, hbar: float = 1.0, boltzmann: float = 1.0) -> float:
-        """Temperature in the oscillator's units (kelvin when those are SI)."""
-        if self.temperature is not None:
-            return self.temperature
-        eps = self.epsilon(omega=omega, hbar=hbar, boltzmann=boltzmann)
-        if math.isinf(eps):
-            return 0.0
-        if eps == 0.0:
-            return math.inf
-        return hbar * omega / (2.0 * boltzmann * eps)
-
 
 @dataclass(frozen=True)
 class OscillatorConfig:
@@ -166,9 +132,9 @@ class OscillatorConfig:
     ``lam`` >= 0 is the dissipation constant (decay rate of the mean motion is
     exactly ``lam``); ``mu`` splits the friction asymmetrically between the
     coordinate and momentum equations.  Only the underdamped regime
-    ``omega > |mu|`` is supported.  ``closed_system`` marks the zero-damping
-    limit ``lam = mu = 0`` explicitly; it is the only way to obtain all-zero
-    thermal diffusion without tripping validation.
+    ``omega > |mu|`` is supported.  Without damping, ``lam = mu = 0``, the
+    oscillator is a closed system (:attr:`closed_system`) with zero diffusion;
+    the defaults are that closed system at zero temperature.
     """
 
     m: float = 1.0
@@ -178,7 +144,6 @@ class OscillatorConfig:
     hbar: float = 1.0
     boltzmann: float = 1.0
     temp: TemperatureSpec = field(default_factory=TemperatureSpec.zero)
-    closed_system: bool = False
 
     def __post_init__(self) -> None:
         for name in ("m", "omega", "hbar", "boltzmann"):
@@ -194,13 +159,6 @@ class OscillatorConfig:
             raise ValueError(
                 f"underdamped regime requires omega > |mu|; got omega={self.omega!r}, mu={self.mu!r}"
             )
-        if self.closed_system and (self.lam != 0.0 or self.mu != 0.0):
-            raise ValueError("closed_system requires lam = mu = 0")
-
-    @classmethod
-    def closed(cls, *, m: float = 1.0, omega: float = 1.0, hbar: float = 1.0) -> "OscillatorConfig":
-        """Zero-damping configuration (no bath, zero diffusion)."""
-        return cls(m=m, omega=omega, hbar=hbar, closed_system=True)
 
     @classmethod
     def reference(cls, coth: float = 3.0) -> "OscillatorConfig":
@@ -237,16 +195,43 @@ class OscillatorConfig:
         return math.sqrt(self.omega * self.omega - self.mu * self.mu)
 
     @property
+    def closed_system(self) -> bool:
+        """No damping, ``lam = mu = 0``: no bath acts, so the diffusion is zero."""
+        return self.lam == 0.0 and self.mu == 0.0
+
+    @property
     def coth_epsilon(self) -> float:
-        return self.temp.coth(omega=self.omega, hbar=self.hbar, boltzmann=self.boltzmann)
+        """``C = coth(hbar*omega/(2kT))``; ``inf`` where the exponent argument
+        is 0, at ``T = inf`` or where ``hbar*omega/(2kT)`` underflows."""
+        if self.temp.coth_value is not None:
+            return self.temp.coth_value
+        eps = self.epsilon
+        if eps == 0.0:
+            return math.inf
+        return 1.0 / math.tanh(eps)
 
     @property
     def epsilon(self) -> float:
-        return self.temp.epsilon(omega=self.omega, hbar=self.hbar, boltzmann=self.boltzmann)
+        """Exponent argument ``hbar*omega/(2kT)``; ``inf`` at T=0, ``0`` at T=inf."""
+        temp = self.temp.temperature
+        if temp is not None:
+            if temp == 0.0:
+                return math.inf
+            return self.hbar * self.omega / (2.0 * self.boltzmann * temp)
+        c = self.temp.coth_value
+        if c == 1.0:
+            return math.inf
+        return math.atanh(1.0 / c)
 
     @property
     def temperature(self) -> float:
-        return self.temp.kelvin(omega=self.omega, hbar=self.hbar, boltzmann=self.boltzmann)
+        """Temperature in the configured units (kelvin when those are SI)."""
+        if self.temp.temperature is not None:
+            return self.temp.temperature
+        eps = self.epsilon
+        if eps == 0.0:
+            return math.inf
+        return self.hbar * self.omega / (2.0 * self.boltzmann * eps)
 
     @property
     def thermal_energy(self) -> float:
@@ -291,8 +276,8 @@ def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
         d_pq = 0
 
     with ``C`` the thermal coth factor.  Requires ``lam > |mu|`` so both
-    diagonal coefficients are positive; the explicit closed system returns all
-    zeros.
+    diagonal coefficients are positive; the closed system (``lam = mu = 0``)
+    returns all zeros.
     """
     if cfg.closed_system:
         return DiffusionCoefficients.zero()
@@ -342,69 +327,30 @@ class ValidationReport:
         return "\n".join(c.line() for c in self.checks)
 
 
-def _ge_with_slack(lhs: float, rhs: float) -> bool:
-    # ">=" admitting floating-point slack so exact-equality cases (closed
-    # system, constraint boundary) do not flap on rounding.
-    tol = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-    return lhs >= rhs - tol
+def validate(cfg: OscillatorConfig) -> ValidationReport:
+    """Check that the configuration's thermal bath is a Lindblad generator.
 
-
-def validate(
-    cfg: OscillatorConfig, coeffs: DiffusionCoefficients | None = None
-) -> ValidationReport:
-    """Check a configuration (and optionally explicit diffusion coefficients).
-
-    Hard checks: positivity of ``d_pp``/``d_qq`` (waived for the explicit
-    closed system), the fundamental determinant bound
-    ``d_pp*d_qq - d_pq**2 >= (lam*hbar/2)**2``, the thermal-bath constraint
-    ``(lam^2 - mu^2) C^2 >= lam^2``.  The weak-coupling condition
+    Hard checks: ``diffusion_positive``, the thermal coefficients exist with
+    ``d_pp, d_qq > 0`` (``lam > |mu|`` and ``C`` finite), or the system is
+    closed; and ``thermal_constraint``, ``(lam^2 - mu^2) C^2 >= lam^2``, which
+    for these coefficients is the determinant bound
+    ``d_pp*d_qq - d_pq^2 >= (lam*hbar/2)^2`` divided by ``hbar^2/4``.  Its
+    slack is relative to the compared values, so it decides alike in SI and
+    natural units, where ``lam^2`` may be far below 1.  At ``C = inf`` it holds
+    when ``lam > |mu|`` or ``lam = 0``.  The weak-coupling condition
     ``lam < omega/10`` is advisory only.
     """
-    checks: list[CheckResult] = []
-    coeffs_error: str | None = None
-    if coeffs is None:
-        try:
-            coeffs = thermal_coefficients(cfg)
-        except ValueError as exc:
-            coeffs_error = str(exc)
-
-    if cfg.closed_system:
-        checks.append(
-            CheckResult("d_pp_positive", True, True, "closed system, zero diffusion")
-        )
-        checks.append(
-            CheckResult("d_qq_positive", True, True, "closed system, zero diffusion")
-        )
-    elif coeffs is None:
-        checks.append(CheckResult("d_pp_positive", False, True, coeffs_error or ""))
-        checks.append(CheckResult("d_qq_positive", False, True, coeffs_error or ""))
+    try:
+        d = thermal_coefficients(cfg)
+    except ValueError as exc:
+        diffusion = CheckResult("diffusion_positive", False, True, str(exc))
     else:
-        checks.append(
-            CheckResult(
-                "d_pp_positive", coeffs.d_pp > 0.0, True, f"d_pp={coeffs.d_pp:.6g}"
-            )
-        )
-        checks.append(
-            CheckResult(
-                "d_qq_positive", coeffs.d_qq > 0.0, True, f"d_qq={coeffs.d_qq:.6g}"
-            )
-        )
-
-    bound = (cfg.lam * cfg.hbar / 2.0) ** 2
-    if coeffs is not None:
-        det = coeffs.d_pp * coeffs.d_qq - coeffs.d_pq**2
-        checks.append(
-            CheckResult(
-                "determinant_bound",
-                _ge_with_slack(det, bound),
-                True,
-                f"d_pp*d_qq - d_pq^2 = {det:.6g} vs (lam*hbar/2)^2 = {bound:.6g}",
-            )
-        )
-    else:
-        checks.append(
-            CheckResult("determinant_bound", False, True, coeffs_error or "")
-        )
+        if cfg.closed_system:
+            detail = "closed system, zero diffusion"
+        else:
+            detail = f"d_pp={d.d_pp:.6g}, d_qq={d.d_qq:.6g}"
+        passed = cfg.closed_system or (d.d_pp > 0.0 and d.d_qq > 0.0)
+        diffusion = CheckResult("diffusion_positive", passed, True, detail)
 
     c = cfg.coth_epsilon
     lam2 = cfg.lam * cfg.lam
@@ -413,26 +359,22 @@ def validate(
         lhs_text = "inf"
     else:
         lhs = (lam2 - cfg.mu * cfg.mu) * c * c
-        thermal_ok = _ge_with_slack(lhs, lam2)
+        thermal_ok = lhs >= lam2 - 1e-12 * max(abs(lhs), lam2)
         lhs_text = f"{lhs:.6g}"
-    checks.append(
-        CheckResult(
-            "thermal_constraint",
-            thermal_ok,
-            True,
-            f"(lam^2 - mu^2)*C^2 = {lhs_text} vs lam^2 = {lam2:.6g}",
-        )
+    thermal = CheckResult(
+        "thermal_constraint",
+        thermal_ok,
+        True,
+        f"(lam^2 - mu^2)*C^2 = {lhs_text} vs lam^2 = {lam2:.6g}",
     )
 
-    checks.append(
-        CheckResult(
-            "weak_coupling",
-            cfg.lam < 0.1 * cfg.omega,
-            False,
-            f"lam={cfg.lam:.6g} vs omega/10={0.1 * cfg.omega:.6g}",
-        )
+    weak = CheckResult(
+        "weak_coupling",
+        cfg.lam < 0.1 * cfg.omega,
+        False,
+        f"lam={cfg.lam:.6g} vs omega/10={0.1 * cfg.omega:.6g}",
     )
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(checks=(diffusion, thermal, weak))
 
 
 @dataclass(frozen=True)

@@ -280,31 +280,34 @@ def covariance_lyapunov(
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath).
 
-    With the basis ``c``, ``s`` of :func:`_oscillation` and ``C`` the coth
-    factor::
+    With the basis ``c``, ``s`` of :func:`_oscillation`, ``C`` the coth
+    factor, ``E = e^{-2 lam t}`` and ``F = 1 - E`` (from ``expm1``)::
 
-        sigma = (hbar^2/4)[e^{-4 lam t}(1 - k_+ C + C^2) + C^2
-                 + e^{-2 lam t} C((k_+ - 2C)(1 + 2 mu^2 s^2) + 2 k_- mu s c
-                                  + 4 r mu omega s^2 / sqrt(1 - r^2))]
+        sigma = (hbar^2/4)[E^2 + C^2 F^2 + k_+ C E F
+                 + 2 mu C E (mu s^2 (k_+ - 2C) + k_- s c
+                             + 2 r omega s^2 / sqrt(1 - r^2))]
 
-    Starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant
-    in the closed system.  A float for a scalar ``t``, an array for an array.
+    Grouped so that no terms of size ``C^2`` cancel at ``mu = 0``: it starts
+    at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant in
+    the closed system.  A float for a scalar ``t``, an array for an array.
     """
     xp, t = _elementwise(t)
     coth = cfg.coth_epsilon
     mu = cfg.mu
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
+    if math.isinf(coth):  # the C terms give inf * 0: no value, and no warning
+        return t * math.nan
     decay, c, s = _oscillation(xp, cfg, t)
-    decay2 = decay * decay
+    e = decay * decay
+    f = -xp.expm1(-2.0 * cfg.lam * t)
     inner = (
-        (k_plus - 2.0 * coth) * (1.0 + 2.0 * mu * mu * s * s)
-        + 2.0 * k_minus * mu * s * c
-        + 4.0 * r * mu * cfg.omega * s * s / root
+        mu * s * s * (k_plus - 2.0 * coth)
+        + k_minus * s * c
+        + 2.0 * r * cfg.omega * s * s / root
     )
-    term_fast = decay2 * decay2 * (1.0 - k_plus * coth + coth * coth)
-    term_slow = decay2 * coth * inner
-    return (cfg.hbar * cfg.hbar / 4.0) * (term_fast + term_slow + coth * coth)
+    bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
+    return (cfg.hbar * cfg.hbar / 4.0) * bracket
 
 
 def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):

@@ -79,7 +79,7 @@ def test_delta_cc_infinite_when_uncorrelated():
 
 
 def test_closed_system_delta_cc_matches_general_formula():
-    cfg = OscillatorConfig.closed()
+    cfg = OscillatorConfig()
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
     state0 = initial_state(spec, cfg)
     from lindosc.model import DiffusionCoefficients
@@ -176,7 +176,7 @@ def test_no_window_for_symmetric_closed_state():
     # delta = 1 closed system: delta_cc stays infinite, so no window ever opens
     windows = find_windows(
         InitialStateSpec(spread=1.0, correlation=0.0),
-        OscillatorConfig.closed(),
+        OscillatorConfig(),
         20.0,
         0.01,
         0.99,

@@ -79,6 +79,70 @@ def test_validate_inverted_coupling_fails():
     assert main(["validate", "--lambda", "0.05", "--mu", "0.1", "--coth", "3"]) == 1
 
 
+_NEED_LAM = (
+    "FAIL  diffusion_positive: thermal coefficients need lam > |mu| for "
+    "positive diffusion; got lam={}, mu=0.1"
+)
+_CLOSED = "pass  diffusion_positive: closed system, zero diffusion"
+_WEAK = "FAIL  weak_coupling (advisory): lam=0.2 vs omega/10=0.1"
+_NO_DAMPING = "pass  weak_coupling (advisory): lam=0 vs omega/10=0.1"
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines",
+    [
+        (MODEL, 0, [
+            "pass  diffusion_positive: d_pp=0.45, d_qq=0.15",
+            "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = 0.27 vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+        (["--lambda", "0.2", "--mu", "0.1", "--coth", "1.1"], 1, [
+            "pass  diffusion_positive: d_pp=0.165, d_qq=0.055",
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = 0.0363 vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+        (["--lambda", "0.05", "--mu", "0.1", "--coth", "3"], 1, [
+            _NEED_LAM.format("0.05"),
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = -0.0675 vs lam^2 = 0.0025",
+            "pass  weak_coupling (advisory): lam=0.05 vs omega/10=0.1",
+        ]),
+        (["--lambda", "0.1", "--mu", "0.1", "--coth", "3"], 1, [
+            _NEED_LAM.format("0.1"),
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = 0 vs lam^2 = 0.01",
+            "FAIL  weak_coupling (advisory): lam=0.1 vs omega/10=0.1",
+        ]),
+        (["--lambda", "0.2", "--mu", "0.1", "--coth", "inf"], 1, [
+            "FAIL  diffusion_positive: thermal coefficients diverge at infinite temperature",
+            "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = inf vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+        (["--closed"], 0, [
+            _CLOSED,
+            "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = 0 vs lam^2 = 0",
+            _NO_DAMPING,
+        ]),
+        (["--closed", "--coth", "inf"], 0, [
+            _CLOSED,
+            "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = inf vs lam^2 = 0",
+            _NO_DAMPING,
+        ]),
+        (["--lambda", "0.2", "--mu", "0", "--coth", "1"], 0, [
+            "pass  diffusion_positive: d_pp=0.1, d_qq=0.1",
+            "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = 0.04 vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+        (["--lambda", "0.2", "--mu", "-0.1", "--temp", "0"], 1, [
+            "pass  diffusion_positive: d_pp=0.05, d_qq=0.15",
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = 0.03 vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+    ],
+)
+def test_validate_report(capsys, argv, code, lines):
+    assert main(["validate", *argv]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 # ---------------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------------
@@ -356,6 +420,16 @@ def test_deco_json_with_separation(capsys):
     assert payload["separation"] == 1.0
 
 
+def test_deco_underflowing_thermal_exponent_is_infinite_temperature(capsys):
+    # hbar*omega/(2kT) rounds to 0 at T = 1e308, so C = inf as with --coth inf
+    argv = ["deco", "--lambda", "0.2", "--mu", "0.1", "--delta-sq", "4"]
+    assert main([*argv, "--coth", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err == "lindosc: t_deco must be positive (may be inf), got 0.0\n"
+    assert main([*argv, "--temp", "1e308"]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_deco_high_temperature_variant(capsys):
     assert main(["deco", *SQUEEZED, "--high-T"]) == 0
     assert "variant = high_T_r0" in capsys.readouterr().out
@@ -538,10 +612,7 @@ def _pointwise(lam, mu, coth, spread, corr, t):
     its own scalar call (``None`` for an invalid point): the reference for
     ``run_sweep``."""
     try:
-        cfg = OscillatorConfig(
-            lam=lam, mu=mu, temp=TemperatureSpec.from_coth(coth),
-            closed_system=(lam == 0.0 and mu == 0.0),
-        )
+        cfg = OscillatorConfig(lam=lam, mu=mu, temp=TemperatureSpec.from_coth(coth))
         thermal_coefficients(cfg)
         spec = InitialStateSpec(spread=spread, correlation=corr)
         sigma = sigma_det_closed(spec, cfg, float(t))

@@ -11,6 +11,7 @@ from lindosc.config_io import (
     load_config_file,
     parse_config_text,
 )
+from lindosc.model import InitialStateSpec, OscillatorConfig
 
 SAMPLE = """
 # damped oscillator, warm bath
@@ -109,6 +110,10 @@ def test_build_model_defaults():
     assert cfg.closed_system  # no damping terms given
     assert cfg.coth_epsilon == 1.0
     assert spec.spread == 1.0 and spec.correlation == 0.0
+
+
+def test_build_model_keeps_the_model_defaults():
+    assert build_model() == (OscillatorConfig(), InitialStateSpec())
 
 
 def test_build_model_from_values():

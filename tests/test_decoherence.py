@@ -147,7 +147,7 @@ class TestHighTemperatureLimits:
 
 def test_relaxation_time():
     assert relaxation_time(CFG) == pytest.approx(5.0, rel=1e-15)
-    assert math.isinf(relaxation_time(OscillatorConfig.closed()))
+    assert math.isinf(relaxation_time(OscillatorConfig()))
 
 
 def test_time_scale_hierarchy():

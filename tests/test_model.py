@@ -5,7 +5,6 @@ import math
 import pytest
 
 from lindosc.model import (
-    DiffusionCoefficients,
     GaussianState,
     InitialStateSpec,
     OscillatorConfig,
@@ -28,30 +27,34 @@ def make_cfg(lam=0.2, mu=0.1, c=3.0, **kw):
     )
 
 
+def bath(temp):
+    return OscillatorConfig(temp=temp)
+
+
 class TestTemperatureSpec:
     def test_zero_temperature_coth_is_one(self):
-        assert TemperatureSpec.zero().coth() == 1.0
+        assert bath(TemperatureSpec.zero()).coth_epsilon == 1.0
 
     def test_coth_round_trip(self):
-        spec = TemperatureSpec.from_coth(3.0)
-        assert spec.coth() == 3.0
+        cfg = bath(TemperatureSpec.from_coth(3.0))
+        assert cfg.coth_epsilon == 3.0
         # epsilon = artanh(1/3)
-        assert spec.epsilon() == pytest.approx(math.atanh(1.0 / 3.0), rel=1e-15)
+        assert cfg.epsilon == pytest.approx(math.atanh(1.0 / 3.0), rel=1e-15)
 
     def test_temperature_round_trip(self):
-        spec = TemperatureSpec.from_temperature(2.0)
+        cfg = bath(TemperatureSpec.from_temperature(2.0))
         # C = coth(hbar*omega/(2kT)) = coth(0.25) in natural units
-        assert spec.coth() == pytest.approx(1.0 / math.tanh(0.25), rel=1e-15)
-        assert spec.kelvin() == 2.0
+        assert cfg.coth_epsilon == pytest.approx(1.0 / math.tanh(0.25), rel=1e-15)
+        assert cfg.temperature == 2.0
 
     def test_epsilon_constructor(self):
-        spec = TemperatureSpec.from_epsilon(0.1)
-        assert spec.coth() == pytest.approx(1.0 / math.tanh(0.1), rel=1e-15)
+        cfg = bath(TemperatureSpec.from_epsilon(0.1))
+        assert cfg.coth_epsilon == pytest.approx(1.0 / math.tanh(0.1), rel=1e-15)
 
     def test_infinite_temperature(self):
-        spec = TemperatureSpec.from_coth(math.inf)
-        assert math.isinf(spec.coth())
-        assert math.isinf(spec.kelvin())
+        cfg = bath(TemperatureSpec.from_coth(math.inf))
+        assert math.isinf(cfg.coth_epsilon)
+        assert math.isinf(cfg.temperature)
 
     def test_both_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -79,15 +82,10 @@ class TestOscillatorConfig:
         with pytest.raises(ValueError):
             make_cfg(lam=-0.1, mu=0.0)
 
-    def test_closed_requires_no_damping(self):
-        with pytest.raises(ValueError):
-            OscillatorConfig(
-                m=1.0, omega=1.0, lam=0.1, mu=0.0, hbar=1.0, closed_system=True
-            )
-
     def test_closed_constructor(self):
-        cfg = OscillatorConfig.closed()
+        cfg = OscillatorConfig()
         assert cfg.closed_system and cfg.lam == 0.0 and cfg.mu == 0.0
+        assert not OscillatorConfig.reference().closed_system
 
     def test_reference_constructor(self):
         cfg = OscillatorConfig.reference(20.0)
@@ -116,7 +114,7 @@ class TestThermalCoefficients:
         assert d.d_qq == pytest.approx(0.05 * 3.0 / 6.0, rel=1e-14)
 
     def test_closed_system_is_zero(self):
-        d = thermal_coefficients(OscillatorConfig.closed())
+        d = thermal_coefficients(OscillatorConfig())
         assert (d.d_pp, d.d_qq, d.d_pq) == (0.0, 0.0, 0.0)
 
     def test_lam_not_above_mu_rejected(self):
@@ -150,17 +148,21 @@ class TestValidate:
         report = validate(make_cfg(c=1.1))
         assert not report.ok
         names = {c.name for c in report.checks if c.hard and not c.passed}
-        assert "thermal_constraint" in names
-        assert "determinant_bound" in names
+        assert names == {"thermal_constraint"}
+
+    def test_si_bath_below_constraint_fails(self):
+        # C = 1.00096: (lam^2 - mu^2) C^2 = 7.51e-15 < lam^2 = 1e-14, a
+        # violation far below any absolute slack
+        cfg = OscillatorConfig.si(
+            m=1e-3, omega=1.0, temperature=1e-12, lam=1e-7, mu=5e-8
+        )
+        report = validate(cfg)
+        assert not report.ok
+        names = {c.name for c in report.checks if c.hard and not c.passed}
+        assert names == {"thermal_constraint"}
 
     def test_closed_system_passes(self):
-        assert validate(OscillatorConfig.closed()).ok
-
-    def test_explicit_coefficients(self):
-        good = DiffusionCoefficients(d_pp=0.45, d_qq=0.15, d_pq=0.0)
-        assert validate(make_cfg(), good).ok
-        bad = DiffusionCoefficients(d_pp=0.45, d_qq=0.15, d_pq=0.3)
-        assert not validate(make_cfg(), bad).ok
+        assert validate(OscillatorConfig()).ok
 
     def test_report_renders_one_line_per_check(self):
         report = validate(make_cfg())

@@ -109,14 +109,14 @@ def test_asymptotic_covariance_values(c, var):
 
 def test_asymptotic_requires_damping():
     with pytest.raises(ValueError):
-        asymptotic_covariance(OscillatorConfig.closed())
+        asymptotic_covariance(OscillatorConfig())
     with pytest.raises(ValueError):
         asymptotic_covariance(make_cfg(c=math.inf))
 
 
 def test_steady_state_requires_damping():
     with pytest.raises(ValueError):
-        steady_state_covariance(OscillatorConfig.closed(), REF_D)
+        steady_state_covariance(OscillatorConfig(), REF_D)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,29 @@ def test_sigma_det_initial_and_final_values():
     assert sigma_det_closed(spec, REF, 0.0) == pytest.approx(0.25, rel=1e-12)
     # relaxes to (hbar^2/4) C^2 = 2.25
     assert sigma_det_closed(spec, REF, 200.0) == pytest.approx(2.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("c, t", [(1e8, 1e-6), (1e6, 1e-3)])
+def test_sigma_det_closed_at_high_temperature(c, t):
+    # terms of size C^2 that cancel to about hbar^2/4 at short times must not
+    # be summed: sigma stays within rounding of the exact route
+    cfg = make_cfg(lam=1e-3, mu=0.0, c=c)
+    spec = InitialStateSpec(spread=1.0, correlation=0.0)
+    d = thermal_coefficients(cfg)
+    exact = covariance_lyapunov(initial_state(spec, cfg), cfg, d, t).sigma_det
+    assert sigma_det_closed(spec, cfg, t) == pytest.approx(exact, rel=1e-12)
+    array = sigma_det_closed(spec, cfg, np.array([t]))
+    assert array[0] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (0.2, 0.1)])
+def test_sigma_det_closed_has_no_value_at_infinite_temperature(lam, mu):
+    cfg = make_cfg(lam=lam, mu=mu, c=math.inf)
+    spec = InitialStateSpec(spread=4.0, correlation=0.0)
+    assert math.isnan(sigma_det_closed(spec, cfg, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(sigma_det_closed(spec, cfg, np.array([0.0, 1.0, 1e4]))).all()
 
 
 def test_sigma_pq_initial_value_and_decay():
@@ -242,7 +265,7 @@ def test_time_grid_and_rk4_reject_non_finite_spans(t_end, dt):
 
 
 def test_closed_system_conserves_determinant():
-    cfg = OscillatorConfig.closed()
+    cfg = OscillatorConfig()
     zero = DiffusionCoefficients.zero()
     state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.5), cfg)
     for t in (0.7, 2.9, 11.3):
@@ -251,7 +274,7 @@ def test_closed_system_conserves_determinant():
 
 
 def test_closed_system_means_rotate():
-    cfg = OscillatorConfig.closed()
+    cfg = OscillatorConfig()
     state0 = initial_state(
         InitialStateSpec(spread=1.0, correlation=0.0, center_q=2.0), cfg
     )
