@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import InitialStateSpec, OscillatorConfig, squeeze_terms
+from .model import InitialStateSpec, OscillatorConfig, finite_bath, squeeze_terms
 
 __all__ = [
     "TimeScales",
@@ -46,7 +46,7 @@ def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """
     d, r = spec.spread, spec.correlation
     _, _, correction, root = squeeze_terms(spec)
-    c = cfg.coth_epsilon
+    c = finite_bath(cfg).coth_epsilon
     rate = (
         cfg.lam * (d + correction) * c
         + cfg.mu * (d - correction) * c
@@ -66,7 +66,7 @@ def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
 def _tau(cfg: OscillatorConfig) -> float:
     """High-temperature expansion parameter ``tau = 2kT/(hbar omega)`` (the
     reciprocal of the thermal exponent argument); 0 at T=0."""
-    eps = cfg.epsilon
+    eps = finite_bath(cfg).epsilon
     if math.isinf(eps):
         return 0.0
     if eps == 0.0:

@@ -27,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "NumericError",
     "TemperatureSpec",
     "OscillatorConfig",
+    "finite_bath",
     "DiffusionCoefficients",
     "InitialStateSpec",
     "squeeze_terms",
@@ -237,6 +238,17 @@ class OscillatorConfig:
     def thermal_energy(self) -> float:
         """``k*T`` in the configured units."""
         return self.boltzmann * self.temperature
+
+
+def finite_bath(cfg: OscillatorConfig) -> OscillatorConfig:
+    """``cfg``, but the closed system at ``C = inf`` becomes the closed system
+    at ``C = 1``.  Without a bath, ``C`` enters only terms that also carry
+    ``lam = mu = 0`` or ``1 - e^{-2 lam t} = 0``, so a ``C`` whose square is
+    finite gives the value of ``C = 1``, where ``C = inf`` gives ``inf * 0``.
+    The closed forms and the time scales read the bath through this."""
+    if cfg.closed_system and math.isinf(cfg.coth_epsilon):
+        return replace(cfg, temp=TemperatureSpec.zero())
+    return cfg
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,12 @@
    from ``(s^2)' = 2 c s`` and ``c^2 + Om^2 s^2 = 1`` (:func:`_propagate_moments`),
    so one formula covers every ``lam >= 0`` and ``Om -> 0`` alike, and all
    sample times are evaluated in one set of array operations.
-3. A fixed-step RK4 integration of the five-dimensional moment ODE system, used
-   as an independent oracle.
+3. A fixed-step RK4 integration, used as an independent oracle.  The moment
+   equations are stated once, as the linear system ``dx/dt = A x + b`` of
+   :func:`_moment_system`, built from :func:`drift_matrix` and ``D`` only; a
+   classic RK4 step of a linear autonomous system is the exact map
+   ``x <- x + h S (A x + b)`` with ``S = I + hA/2 + (hA)^2/6 + (hA)^3/24``,
+   and the steady state is a solve of the same matrix.
 
 All three must agree to tight tolerances; the test suite enforces this.
 The exact and RK4 routes return a :class:`Trajectory`, one validated array of
@@ -36,12 +40,12 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
+    finite_bath,
     squeeze_terms,
 )
 
 __all__ = [
     "drift_matrix",
-    "propagator",
     "mean_closed_form",
     "steady_state_covariance",
     "asymptotic_covariance",
@@ -144,13 +148,6 @@ def _oscillation(xp, cfg: OscillatorConfig, t):
         return decay, np.cos(phase), np.sin(phase) / big
 
 
-def propagator(cfg: OscillatorConfig, t) -> np.ndarray:
-    """``exp(Y t) = e^{-lam t}[c I + s K]`` (exact for all t >= 0); shape
-    ``(2, 2)`` for a scalar ``t``, ``t.shape + (2, 2)`` for an array."""
-    decay, c, s = _oscillation(np, cfg, np.asarray(t, dtype=float)[..., None, None])
-    return decay * (c * np.eye(2) + s * _generator(cfg))
-
-
 def _means(state0: GaussianState, cfg: OscillatorConfig, decay, c, s):
     """``exp(Y t)`` applied to the initial means, from the basis at ``t``."""
     k_q, k_p = (_generator(cfg) @ state0.mean()).tolist()
@@ -169,27 +166,31 @@ def mean_closed_form(state0: GaussianState, cfg: OscillatorConfig, t):
     return _means(state0, cfg, *_oscillation(xp, cfg, t))
 
 
+def _moment_system(
+    cfg: OscillatorConfig, d: DiffusionCoefficients
+) -> tuple[np.ndarray, np.ndarray]:
+    """The moment equations ``d<x>/dt = Y <x>`` and ``dSigma/dt = Y Sigma +
+    Sigma Y^T + 2D`` as one linear system ``dx/dt = A x + b`` in
+    ``x = (mean_q, mean_p, s_qq, s_pq, s_pp)``; ``A`` is block diagonal, with
+    the mean block ``Y`` and the covariance block acting on the three
+    distinct entries of ``Sigma``."""
+    (a, b), (c, e) = drift_matrix(cfg).tolist()
+    system = np.zeros((5, 5))
+    system[:2, :2] = [[a, b], [c, e]]
+    system[2:, 2:] = [[2.0 * a, 2.0 * b, 0.0], [c, a + e, b], [0.0, 2.0 * c, 2.0 * e]]
+    return system, 2.0 * np.array([0.0, 0.0, d.d_qq, d.d_pq, d.d_pp])
+
+
 def steady_state_covariance(
     cfg: OscillatorConfig, d: DiffusionCoefficients
 ) -> np.ndarray:
     """Steady-state covariance: the unique solution of
-    ``Y S + S Y^T + 2 D = 0`` (exists iff ``lam > 0``)."""
+    ``Y S + S Y^T + 2 D = 0`` (exists iff ``lam > 0``), the fixed point of
+    the covariance block of :func:`_moment_system`."""
     if cfg.lam <= 0.0:
         raise ValueError("no steady state without damping (lam > 0 required)")
-    y = drift_matrix(cfg)
-    a, b = y[0]
-    c, e = y[1]
-    # Unknowns (s_qq, s_pq, s_pp); three linear equations from the symmetric
-    # matrix equation.
-    lhs = np.array(
-        [
-            [2.0 * a, 2.0 * b, 0.0],
-            [c, a + e, b],
-            [0.0, 2.0 * c, 2.0 * e],
-        ]
-    )
-    rhs = -2.0 * np.array([d.d_qq, d.d_pq, d.d_pp])
-    s_qq, s_pq, s_pp = np.linalg.solve(lhs, rhs)
+    system, drive = _moment_system(cfg, d)
+    s_qq, s_pq, s_pp = np.linalg.solve(system[2:, 2:], -drive[2:])
     return np.array([[s_qq, s_pq], [s_pq, s_pp]])
 
 
@@ -289,14 +290,15 @@ def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
 
     Grouped so that no terms of size ``C^2`` cancel at ``mu = 0``: it starts
     at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant in
-    the closed system.  A float for a scalar ``t``, an array for an array.
+    the closed system, at every ``C`` (:func:`~lindosc.model.finite_bath`).
+    A float for a scalar ``t``, an array for an array.
     """
     xp, t = _elementwise(t)
-    coth = cfg.coth_epsilon
+    coth = finite_bath(cfg).coth_epsilon
     mu = cfg.mu
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
-    if math.isinf(coth):  # the C terms give inf * 0: no value, and no warning
+    if math.isinf(coth):  # an open bath: the C terms give inf * 0, so no value
         return t * math.nan
     decay, c, s = _oscillation(xp, cfg, t)
     e = decay * decay
@@ -322,7 +324,7 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     decays to zero.  A float for a scalar ``t``, an array for an array.
     """
     xp, t = _elementwise(t)
-    coth = cfg.coth_epsilon
+    coth = finite_bath(cfg).coth_epsilon
     w = cfg.omega
     k_plus, k_minus, _, root = squeeze_terms(spec)
     r = spec.correlation
@@ -417,12 +419,14 @@ def integrate_moments_rk4(
     dt: float,
     record_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step classic RK4 on the five-dimensional moment system.
+    """Fixed-step classic RK4 on the five-dimensional moment system
+    ``dx/dt = A x + b`` of :func:`_moment_system`.
 
-    The state vector is (mean_q, mean_p, s_qq, s_pq, s_pp) with
-
-        d(mean)/dt  = Y mean
-        d(Sigma)/dt = Y Sigma + Sigma Y^T + 2D.
+    The system is linear and autonomous, so the four stages of one step sum
+    to the exact map ``x <- x + (M x + g)`` with ``M = h A S``, ``g = h S b``
+    and ``S = I + hA/2 + (hA)^2/6 + (hA)^3/24``; ``M`` and ``g`` are built
+    once, and the increment is added to ``x`` (iterating ``x <- (I + M) x +
+    g`` instead lets rounding build up over many steps).
 
     Deterministic by construction; every ``record_every``-th step (plus the
     final step) is recorded.  Aborts with :class:`NumericError` on non-finite
@@ -433,19 +437,14 @@ def integrate_moments_rk4(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    y = drift_matrix(cfg)
-    a, b = float(y[0, 0]), float(y[0, 1])
-    c, e = float(y[1, 0]), float(y[1, 1])
-    two_dqq, two_dpq, two_dpp = 2.0 * d.d_qq, 2.0 * d.d_pq, 2.0 * d.d_pp
-
-    def rhs(q, p, sqq, spq, spp):
-        return (
-            a * q + b * p,
-            c * q + e * p,
-            2.0 * a * sqq + 2.0 * b * spq + two_dqq,
-            c * sqq + (a + e) * spq + b * spp + two_dpq,
-            2.0 * c * spq + 2.0 * e * spp + two_dpp,
-        )
+    system, drive = _moment_system(cfg, d)
+    ha, eye = dt * system, np.eye(5)
+    s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
+    step = ha @ s
+    (m_qq, m_qp), (m_pq, m_pp) = step[:2, :2].tolist()
+    # rows of the covariance block, for the new s_qq, s_pq and s_pp
+    (a_qq, a_pq, a_pp), (b_qq, b_pq, b_pp), (c_qq, c_pq, c_pp) = step[2:, 2:].tolist()
+    g_qq, g_pq, g_pp = (dt * s @ drive)[2:].tolist()
 
     q, p = state0.mean_q, state0.mean_p
     sqq, spq, spp = state0.s_qq, state0.s_pq, state0.s_pp
@@ -453,36 +452,13 @@ def integrate_moments_rk4(
         raise ValueError("t_end must be an integer multiple of dt")
 
     rows = [(0.0, q, p, sqq, spp, spq)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
     for k in range(1, n_steps + 1):
-        k1 = rhs(q, p, sqq, spq, spp)
-        k2 = rhs(
-            q + half * k1[0],
-            p + half * k1[1],
-            sqq + half * k1[2],
-            spq + half * k1[3],
-            spp + half * k1[4],
+        q, p = q + (m_qq * q + m_qp * p), p + (m_pq * q + m_pp * p)
+        sqq, spq, spp = (
+            sqq + (a_qq * sqq + a_pq * spq + a_pp * spp + g_qq),
+            spq + (b_qq * sqq + b_pq * spq + b_pp * spp + g_pq),
+            spp + (c_qq * sqq + c_pq * spq + c_pp * spp + g_pp),
         )
-        k3 = rhs(
-            q + half * k2[0],
-            p + half * k2[1],
-            sqq + half * k2[2],
-            spq + half * k2[3],
-            spp + half * k2[4],
-        )
-        k4 = rhs(
-            q + dt * k3[0],
-            p + dt * k3[1],
-            sqq + dt * k3[2],
-            spq + dt * k3[3],
-            spp + dt * k3[4],
-        )
-        q += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        p += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        sqq += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        spq += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        spp += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
         if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(sqq)
                 and math.isfinite(spq) and math.isfinite(spp)):
             raise NumericError(

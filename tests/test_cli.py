@@ -183,6 +183,28 @@ def test_trajectory_closed_route_blanks_variances(tmp_path):
     assert row[6] == "0.25"  # sigma_det is known in closed form
 
 
+def test_closed_forms_of_the_closed_system_at_infinite_temperature(tmp_path):
+    # without a bath C enters no term, so the closed forms at C = inf write
+    # what they write at any finite C: sigma = hbar^2/4 and the exact s_pq
+    def run(coth, *argv):
+        out = tmp_path / f"{argv[0]}-{coth}.csv"
+        common = ["--closed", "--delta-sq", "4", "--corr-r", "0.3", "--coth", coth]
+        assert main([*argv, *common, "--out", str(out)]) == 0
+        return out.read_text()
+
+    trajectory = ["trajectory", "--t-end", "2", "--dt", "0.25"]
+    closed = run("inf", *trajectory, "--route", "closed")
+    assert closed == run("3", *trajectory, "--route", "closed")
+    lyapunov = run("inf", *trajectory, "--route", "lyapunov")
+    for got, exact in zip(closed.splitlines()[1:], lyapunov.splitlines()[1:]):
+        got, exact = got.split(","), exact.split(",")
+        assert got[6] == "0.25"
+        assert float(got[5]) == pytest.approx(float(exact[5]), rel=1e-14, abs=1e-15)
+    sweep = ["sweep", "--axis", "t:0:2:5", "--record", "sigma_det,delta_qd"]
+    assert run("inf", *sweep) == run("3", *sweep)
+    assert "nan" not in run("inf", *sweep)
+
+
 def test_trajectory_all_routes_agree(tmp_path):
     out = tmp_path / "all.csv"
     code = main(
@@ -428,6 +450,21 @@ def test_deco_underflowing_thermal_exponent_is_infinite_temperature(capsys):
     assert err == "lindosc: t_deco must be positive (may be inf), got 0.0\n"
     assert main([*argv, "--temp", "1e308"]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("extra", [[], ["--corr-r", "0.5", "--high-T"]])
+def test_deco_closed_system_at_infinite_temperature(capsys, extra):
+    # without a bath C enters no time scale, so C = inf reads as any finite C
+    argv = ["deco", "--closed", "--delta-sq", "4", *extra]
+    assert main([*argv, "--coth", "3"]) == 0
+    finite = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--coth", "inf"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    changed = {"coth_C", "sigma_be", "sigma_mb", "regime"}
+    assert [line for line in out if line.split(" = ")[0] not in changed] == [
+        line for line in finite if line.split(" = ")[0] not in changed
+    ]
+    assert "t_deco = inf" in out and "t_d = inf" in out and "t_rel = inf" in out
 
 
 def test_deco_high_temperature_variant(capsys):

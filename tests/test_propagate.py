@@ -27,7 +27,6 @@ from lindosc.propagate import (
     drift_matrix,
     integrate_moments_rk4,
     mean_closed_form,
-    propagator,
     sigma_det_closed,
     sigma_pq_closed,
     steady_state_covariance,
@@ -47,8 +46,20 @@ REF_D = thermal_coefficients(REF)
 
 
 # ---------------------------------------------------------------------------
-# propagator against scipy's general-purpose matrix exponential
+# exp(Y t) of the closed-form means against scipy's matrix exponential
 # ---------------------------------------------------------------------------
+
+
+def propagator(cfg, t):
+    """``exp(Y t)`` as the closed-form means state it: column j is the mean at
+    ``t`` from the unit initial mean e_j."""
+    columns = [
+        mean_closed_form(
+            GaussianState(mean_q=q, mean_p=p, s_qq=1.0, s_pp=1.0, s_pq=0.0), cfg, t
+        )
+        for q, p in ((1.0, 0.0), (0.0, 1.0))
+    ]
+    return np.array(columns).T
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 10.0])
@@ -178,12 +189,16 @@ def test_sigma_det_closed_at_high_temperature(c, t):
 
 @pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (0.2, 0.1)])
 def test_sigma_det_closed_has_no_value_at_infinite_temperature(lam, mu):
+    # an open bath has no value at C = inf; without a bath C enters no term,
+    # so the closed system keeps sigma = hbar^2/4 there as at every finite C
     cfg = make_cfg(lam=lam, mu=mu, c=math.inf)
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
-    assert math.isnan(sigma_det_closed(spec, cfg, 1.0))
+    expected = 0.25 if cfg.closed_system else math.nan
+    assert sigma_det_closed(spec, cfg, 1.0) == pytest.approx(expected, nan_ok=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(sigma_det_closed(spec, cfg, np.array([0.0, 1.0, 1e4]))).all()
+        got = sigma_det_closed(spec, cfg, np.array([0.0, 1.0, 1e4]))
+    assert got == pytest.approx(np.full(3, expected), nan_ok=True)
 
 
 def test_sigma_pq_initial_value_and_decay():
@@ -227,11 +242,56 @@ def test_rk4_zero_time_returns_initial_state():
 
 
 def test_rk4_non_finite_momentum_is_numeric_error():
-    # only mean_p overflows here; the other four moments stay finite
+    # only mean_p overflows here; the other four moments stay finite.  At
+    # h lam = 3.6 RK4 is unstable (|1 - 3.6 + 3.6^2/2 - ...| ~ 3.1), so mean_p
+    # alone leaves the float range in the first step
     cfg = OscillatorConfig(m=1e10, omega=1e-5, lam=0.9, mu=0.0)
     state0 = GaussianState(mean_q=0.0, mean_p=1.5e308, s_qq=1.0, s_pp=1.0, s_pq=0.0)
-    with pytest.raises(NumericError):
-        integrate_moments_rk4(state0, cfg, DiffusionCoefficients.zero(), 5.0, 1.0)
+    with pytest.raises(NumericError) as caught:
+        integrate_moments_rk4(state0, cfg, DiffusionCoefficients.zero(), 8.0, 4.0)
+    assert caught.value.step == 1
+
+
+def _four_stage_step(cfg, d, x, h):
+    """One textbook RK4 step, four stages, on the moment equations written out
+    in ``x = (mean_q, mean_p, s_qq, s_pq, s_pp)``."""
+    y = drift_matrix(cfg)
+
+    def rhs(x):
+        mean = y @ x[:2]
+        sigma = np.array([[x[2], x[3]], [x[3], x[4]]])
+        dsigma = y @ sigma + sigma @ y.T + 2.0 * d.matrix()
+        return np.array([*mean, dsigma[0, 0], dsigma[0, 1], dsigma[1, 1]])
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05, 0.5])
+@pytest.mark.parametrize(
+    "cfg, d",
+    [
+        (REF, REF_D),
+        (make_cfg(lam=0.0, mu=0.0), DiffusionCoefficients(0.3, 0.1, d_pq=0.05)),
+        (make_cfg(lam=0.3, mu=-0.2, m=2.5, omega=1.3), None),
+    ],
+    ids=["reference", "undamped-d_pq", "heavy-mu-negative"],
+)
+def test_rk4_step_is_the_four_stage_step(cfg, d, h):
+    d = d if d is not None else thermal_coefficients(cfg)
+    state0 = initial_state(
+        InitialStateSpec(spread=3.0, correlation=0.4, center_q=1.2, center_p=-0.7), cfg
+    )
+    x0 = np.array([state0.mean_q, state0.mean_p, state0.s_qq, state0.s_pq, state0.s_pp])
+    expected = _four_stage_step(cfg, d, x0, h)
+    got = integrate_moments_rk4(state0, cfg, d, h, h).final
+    got = np.array([got.mean_q, got.mean_p, got.s_qq, got.s_pq, got.s_pp])
+    for block in (slice(0, 2), slice(2, 5)):  # the means, then the covariance
+        gap = np.abs(got[block] - expected[block]).max()
+        assert gap <= 1e-15 * np.abs(expected[block]).max()
 
 
 def test_rk4_rejects_incommensurate_step():
