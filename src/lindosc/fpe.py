@@ -12,16 +12,19 @@ friction terms, and the three diffusion terms.  Faces use second-order linear
 upwind reconstruction for advection (two-cell stencil on the upwind side) and
 centered differences for diffusion; time stepping is forward Euler with
 the step ``stable_dt`` (derived there), which is also the largest explicit
-step a run accepts.  The boundary is zero-inflow Dirichlet: ghost cells hold
-W = 0, so nothing is advected in and diffusion may leak mass out through the
-tails (tracked and reported).
+step a run accepts.  The boundary is zero-inflow Dirichlet: W = 0 outside
+the grid, so nothing is advected in and diffusion may leak mass out through
+the tails (tracked and reported).
 
-The operator is linear and time-invariant, so the upwind choice, the
-diffusion terms, the cell widths and the divergence of the two face fluxes
-are folded once into a table of per-cell weights, one per neighbour the
-update reads: the cell itself, two cells each way along q and along p, and
-with cross diffusion the four diagonal neighbours.  Each step evaluates that
-table against shifted views of one preallocated padded grid (``_Stepper``).
+The operator ``L`` is linear and time-invariant, so a step of size ``h`` is
+one linear map ``W <- (I - h L) W``.  The upwind choice, the diffusion terms,
+the cell widths, the divergence of the two face fluxes, ``h`` and the
+identity are folded once into a table of per-cell weights, one per neighbour
+the update reads: the cell itself, two cells each way along q and along p,
+and with cross diffusion the four diagonal neighbours.  Each step evaluates
+that table against shifted views of one of two preallocated grids, padded by
+ghost rows only, and writes the interior of the other (``_Stepper``); a tap
+that would read past either end of a row has weight zero.
 
 This solver is deliberately independent of the closed-form machinery in
 ``propagate``/``states`` so the two can be compared as oracles.
@@ -143,7 +146,9 @@ def stable_dt(
 
 
 class _Stepper:
-    """Per-cell tap table, precomputed, and one forward-Euler update.
+    """One forward-Euler step of size ``h`` as one linear map ``x <- T x``,
+    ``T = I - h L``, with ``L`` the divergence operator below as a per-cell
+    tap table.
 
     Grid layout: ``values[i, j] = W(q_i, p_j)`` with q along axis 0.  Faces in
     q sit at ``q_min + k*dq`` (k = 0..n_q).  The operator is linear and
@@ -171,14 +176,23 @@ class _Stepper:
     axis leaves the same four diagonal taps, ``k (W[i+1, j+1] - W[i+1, j-1]
     - W[i-1, j+1] + W[i-1, j-1])`` with ``k = -d_pq / (4 dq dp)``.
 
-    The table is built once, here, and its weights are zero in the ghost
-    columns.  ``step`` works in one preallocated grid padded by two ghost
-    cells of zeros on each side (the zero-inflow boundary).  On the
-    flattened padded grid each tap is a fixed shift, by one padded row per q
-    cell and by one element per p cell, so a group of taps is one read-only
-    strided view and one ``np.einsum`` call sums weight times cell over the
-    group.  The zero weights keep the divergence in the ghost columns, and
-    so the ghost cells, zero.
+    ``h`` and the identity are folded into the table once, here: the taps
+    are ``-h`` times those of ``L``, and the tap on the cell itself gains 1.
+    A run therefore builds one stepper per segment of equal steps.
+
+    The grid lives in two buffers of ``n_q + 4`` rows of ``n_p`` cells: two
+    ghost rows of zeros on each side of the interior (the zero-inflow
+    boundary in q), and no ghost columns, so the interior is one contiguous
+    block.  On a flattened buffer each tap is a fixed shift, by one row per
+    q cell and by one element per p cell, so a group of taps is one
+    read-only strided view and one ``np.einsum`` call sums weight times cell
+    over the group.  A p shift past either end of a row lands on the
+    neighbouring row, so the taps that would cross there (-2 in columns 0
+    and 1, -1 in column 0, +1 in column n_p-1, +2 in columns n_p-2 and
+    n_p-1, and the diagonal taps of columns 0 and n_p-1 on their outer side)
+    have weight zero: the zero-inflow boundary in p, the same sum the ghost
+    zeros would give.  ``step`` reads one buffer and writes the interior of
+    the other, so the ghost rows stay zero, and the two swap every step.
     """
 
     def __init__(
@@ -186,20 +200,87 @@ class _Stepper:
         geom: GridGeometry,
         cfg: OscillatorConfig,
         d: DiffusionCoefficients,
+        h: float,
     ) -> None:
         nq, npp = geom.n_q, geom.n_p
         dq, dp = geom.dq, geom.dp
-        row = npp + 4
-        self.padded = np.zeros((nq + 4, row))
-        self.w = self.padded[2:-2, 2:-2]
+        n_cells = nq * npp
+        self.h = h
+        # Taps -2, -1, 0, +1, +2 rows along q, then -2, -1, +1, +2 along p.
+        table = np.zeros((9, nq, npp))
+        q = geom.q_centers()
+        p = geom.p_centers()
+        q_faces = geom.q_min + dq * np.arange(nq + 1)
+        p_faces = geom.p_min + dp * np.arange(npp + 1)
+        # v_q on q-faces: shape (n_q + 1, n_p)
+        vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
+        _add_divergence_taps(table[:5], vq, d.d_qq, dq, axis=0)
+        # v_p on p-faces: shape (n_q, n_p + 1); the centre tap is shared
+        vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
+        _add_divergence_taps([table[k] for k in (5, 6, 2, 7, 8)], vp, d.d_pp, dp, axis=1)
+        # the p taps that would read across a row end
+        table[5, :, :2] = table[6, :, :1] = table[7, :, -1:] = table[8, :, -2:] = 0.0
+        table *= -h
+        table[2] += 1.0
+        self.q_line = table[:5].reshape(5, n_cells)
+        self.p_pairs = table[5:].reshape(2, 2, n_cells)
+        self.corners = None
+        if d.d_pq != 0.0:
+            # one weight per column, the same on every row: (2, 2, 1, n_p)
+            # broadcasts over the rows instead of storing n_q copies
+            k = -d.d_pq / (4.0 * dq * dp)
+            signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # rows i-1, i+1; columns j-1, j+1
+            self.corners = np.empty((2, 2, 1, npp))
+            self.corners[...] = (-h * 2.0 * k * signs)[:, :, None, None]
+            # likewise the diagonal taps that would read across a row end
+            self.corners[:, 0, 0, 0] = self.corners[:, 1, 0, -1] = 0.0
+        self.buffers = (_Buffer(nq, npp), _Buffer(nq, npp))
+        self.term = np.empty(n_cells)
+
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """Advance ``w`` by one step and return the new grid.
+
+        The result is the interior of one of the stepper's buffers, which
+        the call after next overwrites; passing it back in saves copying it.
+        """
+        src, dst = self.buffers
+        if w is not src.w:
+            src.w[...] = w
+        rows, term = dst.rows, self.term
+        # order="F" puts the tap axis innermost, so einsum accumulates each
+        # cell's taps in one sweep: on NumPy 2.4 a 5-tap group at 256^2 takes
+        # about 0.27 ms this way against 0.6 ms (q) and 1.2 ms (p) in "C",
+        # which sweeps the grid once per tap; "K" matches "F" only for the
+        # q line, whose taps are a whole row apart.
+        np.einsum("kx,kx->x", self.q_line, src.q_cells, out=rows, order="F")
+        np.einsum("abx,abx->x", self.p_pairs, src.p_cells, out=term, order="F")
+        rows += term
+        if self.corners is not None:
+            # the broadcast weights have no tap-major layout to exploit: here
+            # "K" is fastest (about 0.28 ms at 256^2 against 1.1 ms in "F")
+            np.einsum(
+                "abij,abij->ij", self.corners, src.corner_cells,
+                out=term.reshape(dst.w.shape), order="K",
+            )
+            rows += term
+        self.buffers = dst, src
+        return dst.w
+
+
+class _Buffer:
+    """One of ``_Stepper``'s two grids: ``padded`` holds two ghost rows of
+    zeros above and below the interior ``w`` of ``n_q`` rows of ``n_p``
+    cells, which ``rows`` flattens; the ``*_cells`` are read-only views of
+    ``padded`` with one leading axis per tap group (see ``_Stepper``)."""
+
+    def __init__(self, nq: int, npp: int) -> None:
+        self.padded = np.zeros((nq + 4, npp))
         flat = self.padded.ravel()
-        # The update covers padded rows 2..n_q+1, ghost columns included.
-        start, n_cells = 2 * row, nq * row
-        self.rows = flat[start : start + n_cells]
+        start = 2 * npp  # the first interior cell
 
         def cells(first: int, strides: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-            """Read-only view of the padded grid from the cell ``first``
-            after the first updated one, with strides counted in cells."""
+            """Read-only view of the buffer from the cell ``first`` after the
+            first interior one, with strides counted in cells."""
             return as_strided(
                 flat[start + first :],
                 shape=shape,
@@ -207,63 +288,11 @@ class _Stepper:
                 writeable=False,
             )
 
-        # Taps -2, -1, 0, +1, +2 rows along q, then -2, -1, +1, +2 along p.
-        table = np.zeros((9, nq, row))
-        taps = table[:, :, 2:-2]  # the ghost columns keep weight zero
-        q = geom.q_centers()
-        p = geom.p_centers()
-        q_faces = geom.q_min + dq * np.arange(nq + 1)
-        p_faces = geom.p_min + dp * np.arange(npp + 1)
-        # v_q on q-faces: shape (n_q + 1, n_p)
-        vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
-        _add_divergence_taps(taps[:5], vq, d.d_qq, dq, axis=0)
-        # v_p on p-faces: shape (n_q, n_p + 1); the centre tap is shared
-        vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
-        _add_divergence_taps([taps[k] for k in (5, 6, 2, 7, 8)], vp, d.d_pp, dp, axis=1)
-        self.q_line = table[:5].reshape(5, n_cells)
-        self.q_cells = cells(-2 * row, (row, 1), (5, n_cells))
-        self.p_pairs = table[5:].reshape(2, 2, n_cells)
-        self.p_cells = cells(-2, (3, 1, 1), (2, 2, n_cells))
-        self.corners = None
-        if d.d_pq != 0.0:
-            # one weight per column, the same on every row: (2, 2, 1, row)
-            # broadcasts over the rows instead of storing n_q copies
-            k = -d.d_pq / (4.0 * dq * dp)
-            self.corners = np.zeros((2, 2, 1, row))
-            signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # rows i-1, i+1; columns j-1, j+1
-            self.corners[:, :, 0, 2:-2] = (2.0 * k * signs)[:, :, None]
-            self.corner_cells = cells(-row - 1, (2 * row, 2, row, 1), (2, 2, nq, row))
-        self.div = np.empty(n_cells)
-        self.term = np.empty(n_cells)
-
-    def step(self, w: np.ndarray, dt: float) -> np.ndarray:
-        """Advance ``w`` by ``dt`` and return the new grid.
-
-        The result is a view of the stepper's padded grid, which the next
-        call overwrites; passing it back in saves copying it.
-        """
-        if w is not self.w:
-            self.w[...] = w
-        div, term = self.div, self.term
-        # order="F" puts the tap axis innermost, so einsum accumulates each
-        # cell's taps in one sweep: on NumPy 2.4 a 5-tap group at 256^2 takes
-        # about 0.27 ms this way against 0.6 ms (q) and 1.2 ms (p) in "C",
-        # which sweeps the grid once per tap; "K" matches "F" only for the
-        # q line, whose taps are a whole row apart.
-        np.einsum("kx,kx->x", self.q_line, self.q_cells, out=div, order="F")
-        np.einsum("abx,abx->x", self.p_pairs, self.p_cells, out=term, order="F")
-        div += term
-        if self.corners is not None:
-            # the broadcast weights have no tap-major layout to exploit: here
-            # "K" is fastest (about 0.28 ms at 256^2 against 1.1 ms in "F")
-            np.einsum(
-                "abij,abij->ij", self.corners, self.corner_cells,
-                out=term.reshape(self.corner_cells.shape[2:]), order="K",
-            )
-            div += term
-        div *= dt
-        self.rows -= div
-        return self.w
+        self.w = self.padded[2:-2]
+        self.rows = self.w.reshape(-1)
+        self.q_cells = cells(-2 * npp, (npp, 1), (5, nq * npp))
+        self.p_cells = cells(-2, (3, 1, 1), (2, 2, nq * npp))
+        self.corner_cells = cells(-npp - 1, (2 * npp, 2, npp, 1), (2, 2, nq, npp))
 
 
 def _add_divergence_taps(
@@ -370,7 +399,6 @@ def run_fpe(
     if events and events[0] <= 0.0:  # t_end == 0: nothing to do
         events = [t for t in events if t > 0.0]
 
-    stepper = _Stepper(geom, cfg, d)
     w = w0.values  # read only: the stepper copies it into its own buffer
     min_value = float(w.min())
     snapshots: list[tuple[float, PhaseSpaceGrid]] = []
@@ -380,11 +408,13 @@ def run_fpe(
         span = t_event - t_cur
         n = max(1, math.ceil(span / dt - 1e-12))
         h = span / n
+        stepper = None  # free the last segment's table before building this one's
+        stepper = _Stepper(geom, cfg, d, h)
         # an unstable run overflows before the finite check trips; keep numpy
         # quiet about it so the NumericError below is the only signal
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, n + 1):
-                w = stepper.step(w, h)
+                w = stepper.step(w)
                 steps += 1
                 lo = float(w.min())
                 if not (math.isfinite(lo) and math.isfinite(float(w.max()))):

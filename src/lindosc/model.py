@@ -241,12 +241,14 @@ class OscillatorConfig:
 
 
 def finite_bath(cfg: OscillatorConfig) -> OscillatorConfig:
-    """``cfg``, but the closed system at ``C = inf`` becomes the closed system
-    at ``C = 1``.  Without a bath, ``C`` enters only terms that also carry
-    ``lam = mu = 0`` or ``1 - e^{-2 lam t} = 0``, so a ``C`` whose square is
-    finite gives the value of ``C = 1``, where ``C = inf`` gives ``inf * 0``.
-    The closed forms and the time scales read the bath through this."""
-    if cfg.closed_system and math.isinf(cfg.coth_epsilon):
+    """``cfg``, but the closed system at any ``C`` other than 1 becomes the
+    closed system at ``C = 1``.  Without a bath, ``C`` enters only terms that
+    also carry ``lam = mu = 0`` or ``1 - e^{-2 lam t} = 0``, so every ``C``
+    has the value of ``C = 1``.  Read directly, ``C = inf`` and a finite
+    ``C`` above about ``1.3e154``, whose ``C^2`` (and above about ``9e307``,
+    whose ``2 C``) overflows, would give ``inf * 0 = nan`` instead.  The
+    closed forms and the time scales read the bath through this."""
+    if cfg.closed_system and cfg.coth_epsilon != 1.0:
         return replace(cfg, temp=TemperatureSpec.zero())
     return cfg
 

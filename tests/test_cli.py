@@ -205,6 +205,25 @@ def test_closed_forms_of_the_closed_system_at_infinite_temperature(tmp_path):
     assert "nan" not in run("inf", *sweep)
 
 
+def test_closed_system_up_to_the_largest_finite_temperature(tmp_path):
+    # C^2 overflows above about 1.3e154 and 2C above about 9e307; the closed
+    # system still writes the values of every smaller C
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--closed", "--delta-sq", "4", "--axis", "C:1:1e308:3", "--t", "1"]
+    assert main([*argv, "--record", "sigma_det,sigma_pq,delta_qd", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "5.0000000000000001e+307", "1e+308"]
+    assert {tuple(row[1:]) for row in rows} == {("0.25", rows[0][2], "1")}
+
+    def trajectory(coth):
+        out = tmp_path / f"trajectory-{coth}.csv"
+        argv = ["trajectory", "--closed", "--delta-sq", "4", "--coth", coth, "--route", "closed"]
+        assert main([*argv, "--t-end", "2", "--dt", "0.25", "--out", str(out)]) == 0
+        return out.read_text()
+
+    assert trajectory("1e200") == trajectory("3")
+
+
 def test_trajectory_all_routes_agree(tmp_path):
     out = tmp_path / "all.csv"
     code = main(

@@ -123,29 +123,34 @@ class TestGuards:
             run_fpe(render_grid(state, geom), CFG, D, FpeRunSpec(t_end=1.0, dt=0.0053))
 
     def test_numeric_blowup_reports_step(self, monkeypatch):
-        # a cell turns non-finite in step 7: the run stops there and
-        # reports that step and its time
+        # a cell turns non-finite in step 7 or 8 (the two steps write
+        # different buffers): the run stops there and reports that step and
+        # its time
         grid = stationary_grid(CFG, 64)
         # one segment of equal steps h = t_end / n: step k ends at k * h
         h = 0.1 / math.ceil(0.1 / stable_dt(grid.geom, CFG, D) - 1e-12)
         step = fpe._Stepper.step
         for bad in (np.inf, -np.inf, np.nan):
-            taken = []
+            for failing in (7, 8):
+                taken, written = [], []
 
-            def failing_step(self, w, dt):
-                w = step(self, w, dt)
-                taken.append(dt)
-                if len(taken) == 7:
-                    w[10, 20] = bad
-                return w
+                def failing_step(self, w):
+                    w = step(self, w)
+                    taken.append(self.h)
+                    written.append(w.base)
+                    if len(taken) == failing:
+                        w[10, 20] = bad
+                    return w
 
-            monkeypatch.setattr(fpe._Stepper, "step", failing_step)
-            with pytest.raises(NumericError) as err:
-                run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1))
-            assert err.value.step == 7
-            assert taken == [h] * 7
-            reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
-            assert reported == pytest.approx(7 * h, rel=1e-5)
+                monkeypatch.setattr(fpe._Stepper, "step", failing_step)
+                with pytest.raises(NumericError) as err:
+                    run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1))
+                assert err.value.step == failing
+                assert taken == [h] * failing
+                # steps alternate between the two buffers
+                assert written[-1] is written[-3] and written[-1] is not written[-2]
+                reported = float(str(err.value).rsplit("t ~ ", 1)[1].rstrip(")"))
+                assert reported == pytest.approx(failing * h, rel=1e-5)
 
     def test_rejects_step_count_that_overflows(self):
         grid = stationary_grid(CFG, 16)
@@ -157,7 +162,7 @@ class TestGuards:
         class Started(Exception):
             pass
 
-        def first_step(self, w, dt):
+        def first_step(self, w):
             raise Started
 
         monkeypatch.setattr(fpe._Stepper, "step", first_step)
@@ -351,17 +356,34 @@ class TestStepKernel:
         assert abs(w0[0, :]).max() > 1e-3 * w0.max()  # mass reaches the boundary
         dt = stable_dt(self.GEOM, CFG, d)
         direct = _direct_step(self.GEOM, CFG, d)
-        stepper = _Stepper(self.GEOM, CFG, d)
+        stepper = _Stepper(self.GEOM, CFG, d, dt)
         want, got = w0, w0
         for _ in range(50):
             want = direct(want, dt)
-            got = stepper.step(got, dt)
+            got = stepper.step(got)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.abs(want - w0).max() > 1e-3 * np.abs(w0).max()  # it moved
-        # the ghost cells of the padded buffer are still zero
-        outside = stepper.padded.copy()
-        outside[2:-2, 2:-2] = 0.0
-        assert not outside.any()
+        _assert_ghost_rows_zero(stepper)
+
+    @pytest.mark.parametrize(
+        "d", [D, DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=0.1)],
+        ids=["no_d_pq", "d_pq"],
+    )
+    @pytest.mark.parametrize("column", [-1, 0], ids=["last", "first"])
+    def test_step_does_not_wrap_across_rows(self, d, column):
+        # one cell at the end of a row: in the flat buffer the next row's
+        # first two cells (the previous row's last two, for column 0) sit one
+        # and two elements away, and the diagonal taps reach the rows beyond;
+        # the step must leave every cell across the row end exactly zero
+        geom = self.GEOM
+        i = 17
+        w0 = np.zeros((geom.n_q, geom.n_p))
+        w0[i, column] = 1.0
+        got = _Stepper(geom, CFG, d, stable_dt(geom, CFG, d)).step(w0)
+        far = [0, 1] if column == -1 else [-2, -1]  # the columns across the row end
+        near = [-2, -1] if column == -1 else [0, 1]
+        assert not got[:, far].any()
+        assert got[i, near].all()  # it spread along its own row
 
     @pytest.mark.parametrize(
         "d",
@@ -409,10 +431,16 @@ class TestStepKernel:
         assert np.abs(result.final.values - want2).max() <= 1e-13 * peak
         assert result.min_value == pytest.approx(lowest, abs=1e-13 * peak)
         assert np.abs(want2 - grid.values).max() > 1e-3 * peak  # it moved
-        (stepper,) = steppers
-        outside = stepper.padded.copy()
-        outside[2:-2, 2:-2] = 0.0
-        assert not outside.any()
+        # one stepper per segment, each with its own step
+        assert [stepper.h for stepper in steppers] == [h1, h2]
+        for stepper in steppers:
+            _assert_ghost_rows_zero(stepper)
+
+
+def _assert_ghost_rows_zero(stepper):
+    """Both buffers of ``stepper`` still hold zeros outside the interior."""
+    for buffer in stepper.buffers:
+        assert not buffer.padded[:2].any() and not buffer.padded[-2:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,21 @@ def test_sigma_det_closed_has_no_value_at_infinite_temperature(lam, mu):
     assert got == pytest.approx(np.full(3, expected), nan_ok=True)
 
 
+@pytest.mark.parametrize("c", [1e200, 5e307, 1e308])
+def test_closed_system_at_huge_finite_temperature(c):
+    # without a bath C enters no term, so a finite C whose square (or double)
+    # overflows gives the closed forms of C = 1, as C = inf does
+    spec = InitialStateSpec(spread=4.0, correlation=0.5)
+    cfg, zero = make_cfg(lam=0.0, mu=0.0, c=c), make_cfg(lam=0.0, mu=0.0, c=1.0)
+    t = np.array([0.0, 0.7, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigma_det_closed(spec, cfg, 0.7) == 0.25
+        assert (sigma_det_closed(spec, cfg, t) == 0.25).all()
+        assert sigma_pq_closed(spec, cfg, 0.7) == sigma_pq_closed(spec, zero, 0.7)
+        assert (sigma_pq_closed(spec, cfg, t) == sigma_pq_closed(spec, zero, t)).all()
+
+
 def test_sigma_pq_initial_value_and_decay():
     spec = InitialStateSpec(spread=1.0, correlation=0.6)
     assert sigma_pq_closed(spec, REF, 0.0) == pytest.approx(0.375, rel=1e-12)
