@@ -19,8 +19,10 @@ from .decoherence import (
     decoherence_rate,
     decoherence_time,
     rate_ratio,
+    rates,
     regime_report,
     statistical_time,
+    time_from_rate,
 )
 from .fpe import FpeRunSpec, grid_l2_diff, grid_linf_diff, run_fpe
 from .model import (
@@ -28,10 +30,12 @@ from .model import (
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
+    parameter_table,
     thermal_coefficients,
 )
 from .propagate import (
     asymptotic_covariance,
+    closed_forms,
     covariance_lyapunov,
     integrate_moments_rk4,
     sigma_det_closed,
@@ -121,23 +125,20 @@ def check_uncertainty_floor() -> CriterionResult:
     random admissible (parameters, time) samples."""
     rng = np.random.default_rng(_SEED)
     floor = 0.25
-    min_margin = math.inf
-    for _ in range(10_000):
-        lam = 10.0 ** rng.uniform(math.log10(0.02), math.log10(0.5))
-        mu = lam * rng.uniform(-0.9, 0.9)
-        c_min = lam / math.sqrt(lam * lam - mu * mu)
-        c = c_min * (1.0 + 9.0 * rng.uniform(0.0, 1.0))
-        cfg = OscillatorConfig(
-            m=1.0, omega=1.0, lam=lam, mu=mu, hbar=1.0,
-            temp=TemperatureSpec.from_coth(c),
-        )
-        spec = InitialStateSpec(
-            spread=10.0 ** rng.uniform(-0.7, 0.9),
-            correlation=rng.uniform(-0.95, 0.95),
-        )
-        sigma = sigma_det_closed(spec, cfg, rng.uniform(0.0, 30.0))
-        min_margin = min(min_margin, sigma - floor)
-    passed = min_margin >= -1e-12
+    # one row per sample, drawn in the order (lam exponent, mu/lam, C scale,
+    # spread exponent, r, t)
+    low = [math.log10(0.02), -0.9, 0.0, -0.7, -0.95, 0.0]
+    high = [math.log10(0.5), 0.9, 1.0, 0.9, 0.95, 30.0]
+    draws = rng.uniform(low, high, size=(10_000, 6)).T
+    lam = 10.0 ** draws[0]
+    mu = lam * draws[1]
+    c_min = lam / np.sqrt(lam * lam - mu * mu)
+    c, spread = c_min * (1.0 + 9.0 * draws[2]), 10.0 ** draws[3]
+    table = parameter_table(OscillatorConfig(), InitialStateSpec(), lam=lam, mu=mu,
+                            coth=c, spread=spread, correlation=draws[4])
+    sigma = closed_forms(table, draws[5])[0]
+    min_margin = float((sigma - floor).min())
+    passed = bool(table.valid.all()) and min_margin >= -1e-12
     return CriterionResult(
         "uncertainty-floor",
         passed,
@@ -342,36 +343,24 @@ def check_monotonicity_battery() -> CriterionResult:
     if not all(b < a for a, b in zip(asym, asym[1:])):
         failures.append("asymptotic degree not decreasing in C")
 
-    lams = np.linspace(0.05, 0.5, 10)
-    cs = np.linspace(1.5, 10.0, 10)
-    spreads = np.linspace(1.2, 8.0, 10)
-    table = np.empty((10, 10, 10))
-    for i, lam in enumerate(lams):
-        for j, c in enumerate(cs):
-            cfg = OscillatorConfig(
-                m=1.0, omega=1.0, lam=float(lam), mu=0.0, hbar=1.0,
-                temp=TemperatureSpec.from_coth(float(c)),
-            )
-            for k, spread in enumerate(spreads):
-                table[i, j, k] = decoherence_time(
-                    InitialStateSpec(spread=float(spread), correlation=0.0), cfg
-                )
+    grid = parameter_table(
+        OscillatorConfig(),
+        InitialStateSpec(),
+        lam=np.linspace(0.05, 0.5, 10)[:, None, None],
+        coth=np.linspace(1.5, 10.0, 10)[:, None],
+        spread=np.linspace(1.2, 8.0, 10),
+    )
+    t_deco = time_from_rate(rates(grid)[0])
     for axis, label in ((0, "lambda"), (1, "C"), (2, "delta")):
-        if not np.all(np.diff(table, axis=axis) < 0.0):
+        if not np.all(np.diff(t_deco, axis=axis) < 0.0):
             failures.append(f"decoherence time not decreasing in {label}")
 
     cfg = OscillatorConfig.reference(3.0)
-    qds, ccs = [], []
-    for spread in (1.0, 2.0, 4.0, 8.0):
-        spec = InitialStateSpec(spread=spread, correlation=0.0)
-        qd, cc = classicality_degrees(
-            sigma_det_closed(spec, cfg, 0.5), sigma_pq_closed(spec, cfg, 0.5), cfg.hbar
-        )
-        qds.append(qd)
-        ccs.append(cc)
-    if not all(b < a for a, b in zip(qds, qds[1:])):
+    spreads = parameter_table(cfg, InitialStateSpec(), spread=[1.0, 2.0, 4.0, 8.0])
+    qd, cc = classicality_degrees(*closed_forms(spreads, 0.5), cfg.hbar)
+    if not np.all(np.diff(qd) < 0.0):
         failures.append("decoherence degree not decreasing in delta at t=0.5")
-    if not all(b < a for a, b in zip(ccs, ccs[1:])):
+    if not np.all(np.diff(cc) < 0.0):
         failures.append("correlation degree not decreasing in delta at t=0.5")
 
     passed = not failures

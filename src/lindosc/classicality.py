@@ -23,8 +23,14 @@ from typing import IO, Callable, Iterable
 import numpy as np
 
 from .csvout import write_csv
-from .model import GaussianState, InitialStateSpec, OscillatorConfig
-from .propagate import sigma_det_closed, sigma_pq_closed, time_grid
+from .model import (
+    GaussianState,
+    InitialStateSpec,
+    OscillatorConfig,
+    float_or_array,
+    parameter_table,
+)
+from .propagate import closed_forms, time_grid
 from .states import alpha_beta_gamma
 
 __all__ = [
@@ -45,15 +51,12 @@ METRICS_HEADER = "t,delta_qd,delta_cc,gamma,sigma_det,sigma_pq"
 
 def classicality_degrees(sigma, s_pq, hbar: float = 1.0):
     """``(delta_qd, delta_cc)`` from the covariance determinant ``sigma`` and
-    the position-momentum covariance ``s_pq``, elementwise; ``delta_cc`` is
-    ``inf`` where ``s_pq == 0``.  Floats for scalars, arrays for arrays."""
-    scalar = isinstance(sigma, float) and isinstance(s_pq, float)
-    root = math.sqrt(sigma) if scalar else np.sqrt(sigma)
-    qd = hbar / (2.0 * root)
-    if scalar:
-        return qd, (math.inf if s_pq == 0.0 else root / abs(s_pq))
-    with np.errstate(divide="ignore", over="ignore"):  # inf, as for floats
-        return qd, root / np.abs(s_pq)
+    the position-momentum covariance ``s_pq``, elementwise and silently;
+    ``delta_cc`` is ``inf`` where ``s_pq == 0``, and both are ``nan`` where
+    ``sigma < 0``.  Floats for scalars, arrays for arrays."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = np.sqrt(sigma)
+        return float_or_array(hbar / (2.0 * root)), float_or_array(root / np.abs(s_pq))
 
 
 def delta_qd(state: GaussianState, hbar: float = 1.0) -> float:
@@ -144,13 +147,13 @@ _EDGE_TOL = 1e-6  # width of the bracket at which an edge's bisection stops
 def closed_form_metric_evaluator(
     spec: InitialStateSpec, cfg: OscillatorConfig
 ) -> Callable[[float], tuple[float, float]]:
-    """(delta_qd(t), delta_cc(t)) from the closed-form covariance expressions;
-    ``t`` may be a scalar or an array."""
+    """(delta_qd(t), delta_cc(t)) from one evaluation of the closed forms
+    (:func:`~lindosc.propagate.closed_forms`); ``t`` may be a scalar or an
+    array."""
+    table = parameter_table(cfg, spec)
 
     def evaluate(t):
-        sigma = sigma_det_closed(spec, cfg, t)
-        s_pq = sigma_pq_closed(spec, cfg, t)
-        return classicality_degrees(sigma, s_pq, cfg.hbar)
+        return classicality_degrees(*closed_forms(table, t), cfg.hbar)
 
     return evaluate
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -34,7 +33,6 @@ import numpy as np
 from .classicality import (
     METRICS_HEADER,
     classicality_degrees,
-    closed_form_metric_evaluator,
     find_windows,
     one_sigma_contour,
 )
@@ -42,11 +40,10 @@ from .config_io import ConfigError, build_model, load_config_file
 from .csvout import format_float, write_csv
 from .decoherence import (
     decoherence_rate,
-    decoherence_time,
     rate_ratio,
+    rates,
     regime_report,
-    relaxation_time,
-    statistical_time,
+    time_from_rate,
     time_scales,
 )
 from .fpe import FpeRunSpec, grid_linf_diff, run_fpe
@@ -54,18 +51,17 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
-    TemperatureSpec,
     initial_state,
+    parameter_table,
     thermal_coefficients,
     validate,
 )
 from .propagate import (
     TRAJECTORY_HEADER,
     asymptotic_covariance,
+    closed_forms,
     integrate_moments_rk4,
     mean_closed_form,
-    sigma_det_closed,
-    sigma_pq_closed,
     time_grid,
     trajectory_lyapunov,
 )
@@ -254,7 +250,7 @@ def _closed_columns(
 ) -> np.ndarray:
     """Trajectory columns from the closed forms; s_qq and s_pp are nan."""
     q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
-    s_pq, sigma = sigma_pq_closed(spec, cfg, times), sigma_det_closed(spec, cfg, times)
+    sigma, s_pq = closed_forms(parameter_table(cfg, spec), times)
     blank = np.full_like(times, math.nan)
     return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
@@ -369,18 +365,15 @@ def _write_fig1(out_dir: Path, n_time: int) -> list[Path]:
 
 
 def _write_fig2(out_dir: Path, which: str, n_time: int) -> list[Path]:
-    spec = InitialStateSpec(spread=4.0, correlation=0.0)
-    c_values = 1.0 + 5.0 * np.arange(51) / 50
+    cfg = OscillatorConfig.reference()
+    c_values = (1.0 + 5.0 * np.arange(51) / 50)[:, None]
     t_values = 20.0 * np.arange(n_time) / (n_time - 1)
+    table = parameter_table(cfg, InitialStateSpec(spread=4.0), coth=c_values)
+    qd, cc = classicality_degrees(*closed_forms(table, t_values), cfg.hbar)
     column = "delta_qd" if which == "2a" else "delta_cc"
-    blocks = []
-    for c in c_values.tolist():
-        evaluate = closed_form_metric_evaluator(spec, OscillatorConfig.reference(c))
-        qd, cc = evaluate(t_values)
-        value = qd if which == "2a" else cc
-        blocks.append(np.column_stack([np.full_like(t_values, c), t_values, value]))
+    grids = np.broadcast_arrays(c_values, t_values, qd if which == "2a" else cc)
     path = out_dir / f"fig{which}.csv"
-    write_csv(path, f"C,t,{column}", np.concatenate(blocks))
+    write_csv(path, f"C,t,{column}", np.column_stack([g.ravel() for g in grids]))
     return [path]
 
 
@@ -441,6 +434,11 @@ def _cmd_figdata(args) -> int:
 _SWEEP_AXES = ("lambda", "mu", "delta", "r", "C", "t")
 _T_RECORDS = ("delta_qd", "delta_cc", "sigma_det", "sigma_pq")  # depend on t
 _SWEEP_RECORDS = _T_RECORDS + ("t_deco", "t_d", "t_rel")
+# the parameter_table axis of each swept parameter but t
+_TABLE_AXES = {
+    "lambda": "lam", "mu": "mu", "delta": "spread", "r": "correlation", "C": "coth"
+}
+_SWEEP_BLOCK = 1 << 13  # sweep points per evaluation pass
 
 
 @dataclass(frozen=True)
@@ -497,6 +495,8 @@ class SweepSpec:
                 raise ValueError(
                     f"unknown record {record!r}; choose from {_SWEEP_RECORDS}"
                 )
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t!r}")
 
 
 def parse_sweep_axis(text: str) -> SweepAxis:
@@ -516,59 +516,6 @@ def parse_sweep_axis(text: str) -> SweepAxis:
     return SweepAxis(name=parts[0], lo=lo, hi=hi, count=count, log=log)
 
 
-def _sweep_point(
-    base_cfg: OscillatorConfig,
-    base_spec: InitialStateSpec,
-    assignments: dict[str, float],
-    records: tuple[str, ...],
-    t,
-) -> list:
-    """Recorded values of one configuration at time ``t``: floats for a float
-    ``t``; for an array ``t`` the t-dependent records are arrays over it and
-    the others floats.  ``ValueError`` for an invalid configuration, or a
-    negative ``t`` when a t-dependent record is asked for."""
-    temp = (
-        TemperatureSpec.from_coth(assignments["C"])
-        if "C" in assignments
-        else base_cfg.temp
-    )
-    cfg = OscillatorConfig(
-        m=base_cfg.m,
-        omega=base_cfg.omega,
-        lam=assignments.get("lambda", base_cfg.lam),
-        mu=assignments.get("mu", base_cfg.mu),
-        hbar=base_cfg.hbar,
-        boltzmann=base_cfg.boltzmann,
-        temp=temp,
-    )
-    thermal_coefficients(cfg)  # rejects lam <= |mu| outside the closed system
-    spec = InitialStateSpec(
-        spread=assignments.get("delta", base_spec.spread),
-        correlation=assignments.get("r", base_spec.correlation),
-        center_q=base_spec.center_q,
-        center_p=base_spec.center_p,
-    )
-    closed: dict = {}
-    values = []
-    for record in records:
-        if record == "t_deco":
-            values.append(decoherence_time(spec, cfg))
-        elif record == "t_d":
-            values.append(statistical_time(spec, cfg))
-        elif record == "t_rel":
-            values.append(relaxation_time(cfg))
-        else:
-            if not closed:
-                sigma = sigma_det_closed(spec, cfg, t)
-                s_pq = sigma_pq_closed(spec, cfg, t)
-                qd, cc = classicality_degrees(sigma, s_pq, cfg.hbar)
-                closed = {
-                    "sigma_det": sigma, "sigma_pq": s_pq, "delta_qd": qd, "delta_cc": cc
-                }
-            values.append(closed[record])
-    return values
-
-
 def run_sweep(
     sweep: SweepSpec,
     base_cfg: OscillatorConfig,
@@ -583,54 +530,43 @@ def run_sweep(
     for every quantity rather than aborting the sweep; so do points at
     ``t < 0`` when a t-dependent quantity is recorded.
 
-    A ``t`` axis is evaluated in one array call per point of the other axis,
-    which shares everything but ``t``; without one, every point is a scalar
-    call at ``sweep.t``.
+    The flat row-major point index is evaluated in passes of
+    ``_SWEEP_BLOCK`` points, each one broadcast call of the closed forms and
+    the rates over the points' parameters and times (``sweep.t`` without a
+    ``t`` axis).
     """
     names = [axis.name for axis in sweep.axes]
-    grids = [axis.values() for axis in sweep.axes]
-    width = len(sweep.records)
+    grids = [np.array(axis.values()) for axis in sweep.axes]
+    shape = tuple(grid.size for grid in grids)
+    t_dependent = not set(_T_RECORDS).isdisjoint(sweep.records)
 
-    def evaluate(assignments: dict[str, float], t) -> list:
-        try:
-            return _sweep_point(base_cfg, base_spec, assignments, sweep.records, t)
-        except ValueError:
-            return [math.nan] * width
+    def evaluate(index: np.ndarray) -> np.ndarray:
+        """The CSV rows of the points at ``index`` in the flat grid."""
+        point = {
+            name: grid[i]
+            for name, grid, i in zip(names, grids, np.unravel_index(index, shape))
+        }
+        axes = {_TABLE_AXES[name]: v for name, v in point.items() if name != "t"}
+        table = parameter_table(base_cfg, base_spec, **axes)
+        t = point.get("t", sweep.t)
+        valid = table.valid & ((t >= 0.0) | (not t_dependent))
+        values = {}
+        if t_dependent:  # invalid rows, t < 0 among them, are nan: take t = 0
+            sigma, s_pq = closed_forms(table, np.where(valid, t, 0.0))
+            qd, cc = classicality_degrees(sigma, s_pq, table.hbar)
+            values.update(delta_qd=qd, delta_cc=cc, sigma_det=sigma, sigma_pq=s_pq)
+        if not set(sweep.records).issubset(_T_RECORDS):
+            deco, _, statistical = (time_from_rate(x) for x in rates(table))
+            values.update(t_deco=deco, t_d=statistical, t_rel=time_from_rate(table.lam))
+        recorded = [np.where(valid, values[record], math.nan) for record in sweep.records]
+        return np.column_stack([point[name] for name in names] + recorded)
 
-    if "t" not in names:
-        rows = (
-            list(point) + evaluate(dict(zip(names, point)), sweep.t)
-            for point in itertools.product(*grids)
-        )
-    else:
-        t_col = names.index("t")
-        times = np.array(grids[t_col])
-        # the t-independent records are defined at every t
-        keep = (times >= 0.0) | set(_T_RECORDS).isdisjoint(sweep.records)
-        kept = times[keep]
-        other = [i for i in range(len(names)) if i != t_col]
-        columns = len(names) + width
-
-        def block(point: tuple, out: np.ndarray) -> np.ndarray:
-            """Fill ``out`` with the rows of one configuration over the t axis,
-            axis columns included; the values are nan outside ``keep``."""
-            out[:, t_col] = times
-            out[:, other] = point
-            out[:, len(names) :] = math.nan
-            values = evaluate(dict(zip([names[i] for i in other], point)), kept)
-            for j, column in enumerate(values):
-                out[keep, len(names) + j] = column
-            return out
-
-        configs = itertools.product(*(grids[i] for i in other))
-        if t_col == 0:  # t varies slowest: its first row needs every configuration
-            table = np.empty((times.size, math.prod(len(grids[i]) for i in other), columns))
-            for k, point in enumerate(configs):
-                block(point, table[:, k])
-            rows = [table.reshape(-1, columns)]
-        else:
-            rows = (block(point, np.empty((times.size, columns))) for point in configs)
-    write_csv(handle, ",".join(names + list(sweep.records)), rows)
+    total = math.prod(shape)
+    blocks = (
+        evaluate(np.arange(start, min(start + _SWEEP_BLOCK, total)))
+        for start in range(0, total, _SWEEP_BLOCK)
+    )
+    write_csv(handle, ",".join(names + list(sweep.records)), blocks)
 
 
 def _cmd_sweep(args) -> int:

@@ -14,7 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import InitialStateSpec, OscillatorConfig, finite_bath, squeeze_terms
+import numpy as np
+
+from .model import (
+    InitialStateSpec,
+    OscillatorConfig,
+    ParameterTable,
+    parameter_table,
+    squeeze_terms,
+)
 
 __all__ = [
     "TimeScales",
@@ -30,85 +38,76 @@ __all__ = [
 ]
 
 
-def _time_from_rate(rate: float) -> float:
-    """``1/rate``, or ``inf`` when the rate is <= 0 (the process never acts)."""
-    return math.inf if rate <= 0.0 else 1.0 / rate
+def rates(p: ParameterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoherence rate, its high-temperature form and the statistical
+    rate at every point of ``p``, broadcast together (the relaxation rate is
+    ``p.lam``).  With ``corr = r^2/(spread*(1 - r^2))``, ``k_plus/minus`` of
+    :func:`~lindosc.model.squeeze_terms` and ``tau = 2kT/(hbar omega) =
+    1/epsilon`` (0 at T = 0)::
+
+        2 [lam (spread + corr) C + mu (spread - corr) C
+           - lam - mu - omega r/(spread sqrt(1 - r^2))]
+        2 tau [lam (spread + corr) + mu (spread - corr)]
+        2 tau [lam k_plus + mu k_minus]
+
+    The second is the dominant thermal part of the first, with ``C``
+    replaced by ``tau``.  NumPy stays silent; entries at invalid points carry
+    no meaning."""
+    d, r, lam, mu, c = p.spread, p.correlation, p.lam, p.mu, p.coth
+    with np.errstate(all="ignore"):
+        k_plus, k_minus, correction, root = squeeze_terms(p)
+        tau = 1.0 / p.epsilon
+        decoherence = 2.0 * (
+            lam * (d + correction) * c
+            + mu * (d - correction) * c
+            - lam
+            - mu
+            - p.omega * r / (d * root)
+        )
+        high_t = 2.0 * tau * (lam * (d + correction) + mu * (d - correction))
+        statistical = 2.0 * tau * (lam * k_plus + mu * k_minus)
+    return decoherence, high_t, statistical
+
+
+def time_from_rate(rate):
+    """``1/rate``, or ``inf`` where the rate is <= 0 (the process never acts)."""
+    with np.errstate(divide="ignore"):
+        return np.where(rate <= 0.0, math.inf, np.divide(1.0, rate))
 
 
 def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
-    """Initial logarithmic growth rate of the off-diagonal spread coefficient:
-
-        2 [ lam*(spread + corr)*C + mu*(spread - corr)*C
-            - lam - mu - omega*r/(spread*sqrt(1 - r^2)) ]
-
-    with ``corr = r^2/(spread*(1 - r^2))``.  May be <= 0 (no decoherence, e.g.
-    the unsqueezed state at T=0).
-    """
-    d, r = spec.spread, spec.correlation
-    _, _, correction, root = squeeze_terms(spec)
-    c = finite_bath(cfg).coth_epsilon
-    rate = (
-        cfg.lam * (d + correction) * c
-        + cfg.mu * (d - correction) * c
-        - cfg.lam
-        - cfg.mu
-        - cfg.omega * r / (d * root)
-    )
-    return 2.0 * rate
+    """Initial logarithmic growth rate of the off-diagonal spread coefficient
+    (:func:`rates`).  May be <= 0 (no decoherence, e.g. the unsqueezed state
+    at T=0)."""
+    return float(rates(parameter_table(cfg, spec))[0])
 
 
 def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Reciprocal of :func:`decoherence_rate`; ``+inf`` when the rate is <= 0
     (the state never loses coherence — e.g. spread=1, r=0 at T=0)."""
-    return _time_from_rate(decoherence_rate(spec, cfg))
-
-
-def _tau(cfg: OscillatorConfig) -> float:
-    """High-temperature expansion parameter ``tau = 2kT/(hbar omega)`` (the
-    reciprocal of the thermal exponent argument); 0 at T=0."""
-    eps = finite_bath(cfg).epsilon
-    if math.isinf(eps):
-        return 0.0
-    if eps == 0.0:
-        return math.inf
-    return 1.0 / eps
+    return float(time_from_rate(decoherence_rate(spec, cfg)))
 
 
 def decoherence_time_high_temperature(
     spec: InitialStateSpec, cfg: OscillatorConfig
 ) -> float:
-    """High-temperature decoherence time: the dominant thermal part of the
-    rate with the coth factor replaced by ``tau = 2kT/(hbar omega)``:
-
-        1 / (2 tau [ lam*(spread + corr) + mu*(spread - corr) ])
-
-    reducing to ``1/(2 (lam + mu) spread tau)`` for r=0.
-    """
-    d = spec.spread
-    _, _, correction, _ = squeeze_terms(spec)
-    tau = _tau(cfg)
-    return _time_from_rate(
-        2.0 * tau * (cfg.lam * (d + correction) + cfg.mu * (d - correction))
-    )
+    """High-temperature decoherence time, the reciprocal of the second rate
+    of :func:`rates`; ``1/(2 (lam + mu) spread tau)`` for r=0."""
+    return float(time_from_rate(rates(parameter_table(cfg, spec))[1]))
 
 
 def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Time at which thermal (statistical) fluctuations of the uncertainty
-    catch up with the quantum ones, in the high-temperature regime:
-
-        1 / (2 tau [ lam*k_plus + mu*k_minus ])
-
-    with ``k_plus/minus = spread +/- 1/(spread*(1 - r^2))``.  Diverges at T=0
+    catch up with the quantum ones, in the high-temperature regime: the
+    reciprocal of the third rate of :func:`rates`.  Diverges at T=0
     (tau = 0), where thermal fluctuations never take over.
     """
-    k_plus, k_minus, _, _ = squeeze_terms(spec)
-    tau = _tau(cfg)
-    return _time_from_rate(2.0 * tau * (cfg.lam * k_plus + cfg.mu * k_minus))
+    return float(time_from_rate(rates(parameter_table(cfg, spec))[2]))
 
 
 def relaxation_time(cfg: OscillatorConfig) -> float:
     """Energy-relaxation time scale, ``1/lam``; ``inf`` without damping."""
-    return _time_from_rate(cfg.lam)
+    return float(time_from_rate(cfg.lam))
 
 
 def rate_ratio(cfg: OscillatorConfig, separation: float) -> float:

@@ -27,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "NumericError",
     "TemperatureSpec",
     "OscillatorConfig",
-    "finite_bath",
     "DiffusionCoefficients",
     "InitialStateSpec",
     "squeeze_terms",
@@ -240,19 +239,6 @@ class OscillatorConfig:
         return self.boltzmann * self.temperature
 
 
-def finite_bath(cfg: OscillatorConfig) -> OscillatorConfig:
-    """``cfg``, but the closed system at any ``C`` other than 1 becomes the
-    closed system at ``C = 1``.  Without a bath, ``C`` enters only terms that
-    also carry ``lam = mu = 0`` or ``1 - e^{-2 lam t} = 0``, so every ``C``
-    has the value of ``C = 1``.  Read directly, ``C = inf`` and a finite
-    ``C`` above about ``1.3e154``, whose ``C^2`` (and above about ``9e307``,
-    whose ``2 C``) overflows, would give ``inf * 0 = nan`` instead.  The
-    closed forms and the time scales read the bath through this."""
-    if cfg.closed_system and cfg.coth_epsilon != 1.0:
-        return replace(cfg, temp=TemperatureSpec.zero())
-    return cfg
-
-
 @dataclass(frozen=True)
 class DiffusionCoefficients:
     """Constant diffusion coefficients of the master / Fokker-Planck equation.
@@ -423,15 +409,84 @@ class InitialStateSpec:
             )
 
 
-def squeeze_terms(spec: InitialStateSpec) -> tuple[float, float, float, float]:
+def squeeze_terms(spec: InitialStateSpec | ParameterTable) -> tuple:
     """Squeezing combinations entering the closed forms and the rates:
     ``k_plus/minus = spread +/- 1/(spread*(1 - r^2))``,
-    ``correction = r^2/(spread*(1 - r^2))`` and ``sqrt(1 - r^2)``."""
+    ``correction = r^2/(spread*(1 - r^2))`` and ``sqrt(1 - r^2)``; scalars
+    for a spec, arrays for a :class:`ParameterTable`."""
     d = spec.spread
     r = spec.correlation
     one_minus = 1.0 - r * r
     inverse = 1.0 / (d * one_minus)
-    return d + inverse, d - inverse, r * r / (d * one_minus), math.sqrt(one_minus)
+    return d + inverse, d - inverse, r * r / (d * one_minus), np.sqrt(one_minus)
+
+
+@dataclass(frozen=True)
+class ParameterTable:
+    """The parameters of the closed forms and the time scales at many points
+    at once.  ``lam``, ``mu``, ``coth``, ``epsilon``, ``spread``,
+    ``correlation`` and ``valid`` are arrays that broadcast against each
+    other; ``omega`` and ``hbar`` are shared.  Built by
+    :func:`parameter_table`."""
+
+    omega: float
+    hbar: float
+    lam: np.ndarray
+    mu: np.ndarray
+    coth: np.ndarray
+    epsilon: np.ndarray
+    spread: np.ndarray
+    correlation: np.ndarray
+    valid: np.ndarray
+
+    @property
+    def shifted_frequency(self) -> np.ndarray:
+        """``sqrt(omega^2 - mu^2)``; ``nan`` where ``|mu| > omega``."""
+        return np.sqrt(self.omega * self.omega - self.mu * self.mu)
+
+
+def parameter_table(
+    cfg: OscillatorConfig, spec: InitialStateSpec, *,
+    lam=None, mu=None, coth=None, spread=None, correlation=None,
+) -> ParameterTable:
+    """``cfg`` and ``spec`` with each given axis, an array, in place of that
+    parameter.
+
+    ``valid`` is False where the constructors or :func:`thermal_coefficients`
+    would reject the point: ``|mu| >= omega``, ``C < 1``, ``spread <= 0``,
+    ``|r| >= 1``, and outside the closed system ``lam <= |mu|`` (which
+    covers ``lam < 0``) or ``C = inf``.
+
+    Closed-system points (``lam = mu = 0``) read every ``C`` as 1: without a
+    bath, ``C`` enters only terms that also carry ``lam = mu = 0`` or ``1 -
+    e^{-2 lam t} = 0``, so every ``C`` has the value of ``C = 1``.  Read
+    directly, ``C = inf`` and a finite ``C`` above about ``1.3e154``, whose
+    ``C^2`` (and above about ``9e307``, whose ``2 C``) overflows, would give
+    ``inf * 0 = nan`` instead.  ``epsilon`` is the config's ``hbar
+    omega/(2kT)`` where it states a temperature and no ``C`` axis is given,
+    else ``atanh(1/C)``.
+    """
+
+    def axis(values, default) -> np.ndarray:
+        return np.asarray(default if values is None else values, dtype=float)
+
+    lam, mu = axis(lam, cfg.lam), axis(mu, cfg.mu)
+    given_c = axis(coth, cfg.coth_epsilon)
+    spread, r = axis(spread, spec.spread), axis(correlation, spec.correlation)
+    closed = (lam == 0.0) & (mu == 0.0)
+    valid = (np.abs(mu) < cfg.omega) & (given_c >= 1.0) & (spread > 0.0)
+    valid = valid & (np.abs(r) < 1.0) & (closed | ((lam > np.abs(mu)) & ~np.isinf(given_c)))
+    c = np.where(closed, 1.0, given_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = np.arctanh(1.0 / c)  # inf at C = 1, 0 at C = inf
+    if coth is None and cfg.temp.temperature is not None:
+        eps = np.where(closed, eps, cfg.epsilon)
+    return ParameterTable(cfg.omega, cfg.hbar, lam, mu, c, eps, spread, r, valid)
+
+
+def float_or_array(x):
+    """A Python float for a 0-d ``x``, else ``x``: scalar in, float out."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)

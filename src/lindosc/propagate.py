@@ -2,7 +2,9 @@
 
 1. Closed forms: the damped-oscillation expressions for the means, and the
    explicit formulas for the covariance determinant and the position-momentum
-   covariance from a correlated-coherent initial state under a thermal bath.
+   covariance from a correlated-coherent initial state under a thermal bath,
+   one kernel (:func:`closed_forms`) broadcast over the parameters of a
+   :class:`~lindosc.model.ParameterTable` and the times.
 2. Exact propagation: with the oscillation basis ``c = cos(Om t)`` and
    ``s = sin(Om t)/Om`` (:func:`_oscillation`, shared with route 1), which
    never divides by ``Om``, ``E(t) = exp(Y t) = e^{-lam t}[c I + s K]`` with
@@ -40,7 +42,9 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
-    finite_bath,
+    ParameterTable,
+    float_or_array,
+    parameter_table,
     squeeze_terms,
 )
 
@@ -61,20 +65,13 @@ __all__ = [
 TRAJECTORY_HEADER = "t,mean_q,mean_p,s_qq,s_pp,s_pq,sigma_det"
 
 
-def _elementwise(t):
-    """``(math, float(t))`` for a scalar ``t``, else ``(numpy, float array)``;
-    ``t >= 0`` is checked.  The closed forms are elementwise in ``t``, so one
-    formula written against the returned module serves both, and a scalar
-    skips NumPy's per-call overhead and comes back as a float."""
-    if isinstance(t, (int, float)):
-        xp, t = math, float(t)
-        negative = t < 0.0
-    else:
-        xp, t = np, np.asarray(t, dtype=float)
-        negative = bool(np.any(t < 0.0))
-    if negative:
+def _times(t) -> np.ndarray:
+    """``t`` as a float array, 0-d for a scalar; ``ValueError`` unless
+    ``t >= 0``."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
-    return xp, t
+    return t
 
 
 def _sample_count(t_end: float, dt: float) -> float:
@@ -127,23 +124,15 @@ def _generator(cfg: OscillatorConfig) -> np.ndarray:
     return np.array([[cfg.mu, 1.0 / cfg.m], [-cfg.m * cfg.omega**2, -cfg.mu]])
 
 
-def _oscillation(xp, cfg: OscillatorConfig, t):
-    """``(e^{-lam t}, cos(Om t), sin(Om t)/Om)`` for ``xp`` and ``t`` as
-    :func:`_elementwise` returns them.  Where the phase ``Om t`` overflows,
-    the last two are taken at phase 0 if ``e^{-lam t}`` has underflowed to 0,
-    so every product with the decay is its limit, exactly 0; otherwise they
-    are ``nan``, since the phase is lost.  A float ``t`` and an array give the
-    same values, and NumPy stays silent."""
-    big = cfg.shifted_frequency
-    if xp is math:
-        decay, phase = math.exp(-cfg.lam * t), big * t
-        if math.isinf(phase):
-            if decay != 0.0:
-                return decay, math.nan, math.nan
-            phase = 0.0
-        return decay, math.cos(phase), math.sin(phase) / big
+def _oscillation(lam, big, t):
+    """``(e^{-lam t}, cos(Om t), sin(Om t)/Om)`` for the damping ``lam`` and
+    the shifted frequency ``big = Om``, broadcast against ``t``.  Where the
+    phase ``Om t`` overflows, the last two are taken at phase 0 if
+    ``e^{-lam t}`` has underflowed to 0, so every product with the decay is
+    its limit, exactly 0; otherwise they are ``nan``, since the phase is
+    lost.  NumPy stays silent."""
     with np.errstate(over="ignore", invalid="ignore"):
-        decay, phase = np.exp(-cfg.lam * t), big * t
+        decay, phase = np.exp(-lam * t), big * t
         phase = np.where(np.isinf(phase) & (decay == 0.0), 0.0, phase)
         return decay, np.cos(phase), np.sin(phase) / big
 
@@ -162,8 +151,9 @@ def mean_closed_form(state0: GaussianState, cfg: OscillatorConfig, t):
     frequency ``omega`` in the closed system.  Floats for a scalar ``t``,
     arrays for an array.
     """
-    xp, t = _elementwise(t)
-    return _means(state0, cfg, *_oscillation(xp, cfg, t))
+    basis = _oscillation(cfg.lam, cfg.shifted_frequency, _times(t))
+    q, p = _means(state0, cfg, *basis)
+    return float_or_array(q), float_or_array(p)
 
 
 def _moment_system(
@@ -244,8 +234,8 @@ def _propagate_moments(
     ``c^2 + Om^2 s^2 = 1`` gives ``J0 = F - Om^2 J2``.  The denominator
     ``4(lam^2 + omega^2 - mu^2)`` is at least ``4 omega^2`` for ``|mu| <= lam``.
     """
-    _, t = _elementwise(times)
-    decay, c, s = _oscillation(np, cfg, t)
+    t = _times(times)
+    decay, c, s = _oscillation(cfg.lam, cfg.shifted_frequency, t)
     k = _generator(cfg)
     big2 = cfg.shifted_frequency**2
     a = -2.0 * cfg.lam
@@ -278,8 +268,10 @@ def covariance_lyapunov(
     return trajectory_lyapunov(state0, cfg, d, [t]).final
 
 
-def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
-    """Covariance determinant sigma(t) in closed form (thermal bath).
+def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance determinant sigma and the position-momentum covariance
+    s_pq in closed form (thermal bath), at every point of ``p`` and time
+    ``t``, broadcast together; ``ValueError`` unless ``t >= 0``.
 
     With the basis ``c``, ``s`` of :func:`_oscillation`, ``C`` the coth
     factor, ``E = e^{-2 lam t}`` and ``F = 1 - E`` (from ``expm1``)::
@@ -287,54 +279,52 @@ def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
         sigma = (hbar^2/4)[E^2 + C^2 F^2 + k_+ C E F
                  + 2 mu C E (mu s^2 (k_+ - 2C) + k_- s c
                              + 2 r omega s^2 / sqrt(1 - r^2))]
+        s_pq = (hbar/2) E[r/sqrt(1 - r^2) - omega k_- s c
+                 + s^2 (mu omega (2C - k_+) - 2 omega^2 r / sqrt(1 - r^2))]
 
-    Grouped so that no terms of size ``C^2`` cancel at ``mu = 0``: it starts
-    at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``; constant in
-    the closed system, at every ``C`` (:func:`~lindosc.model.finite_bath`).
-    A float for a scalar ``t``, an array for an array.
+    sigma is grouped so that no terms of size ``C^2`` cancel at ``mu = 0``:
+    it starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``;
+    constant in the closed system, at every ``C``.  An open bath at ``C =
+    inf`` has no sigma (``nan``).  s_pq is cov(q, p) of the moment system,
+    so at ``t = 0`` it is ``+hbar*r/(2*sqrt(1-r^2))``; it oscillates at twice
+    the shifted frequency and decays to zero.  NumPy stays silent; entries
+    at invalid points (``p.valid`` False) carry no meaning.
     """
-    xp, t = _elementwise(t)
-    coth = finite_bath(cfg).coth_epsilon
-    mu = cfg.mu
-    k_plus, k_minus, _, root = squeeze_terms(spec)
-    r = spec.correlation
-    if math.isinf(coth):  # an open bath: the C terms give inf * 0, so no value
-        return t * math.nan
-    decay, c, s = _oscillation(xp, cfg, t)
-    e = decay * decay
-    f = -xp.expm1(-2.0 * cfg.lam * t)
-    inner = (
-        mu * s * s * (k_plus - 2.0 * coth)
-        + k_minus * s * c
-        + 2.0 * r * cfg.omega * s * s / root
-    )
-    bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
-    return (cfg.hbar * cfg.hbar / 4.0) * bracket
+    t = _times(t)
+    r, mu, w, coth = p.correlation, p.mu, p.omega, p.coth
+    with np.errstate(all="ignore"):
+        k_plus, k_minus, _, root = squeeze_terms(p)
+        decay, c, s = _oscillation(p.lam, p.shifted_frequency, t)
+        e = decay * decay
+        f = -np.expm1(-2.0 * p.lam * t)
+        inner = (
+            mu * s * s * (k_plus - 2.0 * coth)
+            + k_minus * s * c
+            + 2.0 * r * w * s * s / root
+        )
+        bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
+        sigma = np.where(np.isinf(coth), math.nan, (p.hbar * p.hbar / 4.0) * bracket)
+        bracket = (
+            r / root
+            + s * s * (mu * w * (2.0 * coth - k_plus) - 2.0 * w * w * r / root)
+            - w * k_minus * s * c
+        )
+        return sigma, (p.hbar / 2.0) * decay * decay * bracket
+
+
+def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
+    """Covariance determinant sigma(t) in closed form (thermal bath), see
+    :func:`closed_forms`.  A float for a scalar ``t``, an array for an
+    array."""
+    return float_or_array(closed_forms(parameter_table(cfg, spec), t)[0])
 
 
 def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
-    """Position-momentum covariance s_pq(t) in closed form (thermal bath)::
-
-        s_pq = (hbar/2) e^{-2 lam t}[r/sqrt(1 - r^2) - omega k_- s c
-                 + s^2 (mu omega (2C - k_+) - 2 omega^2 r / sqrt(1 - r^2))]
-
-    Sign convention: this is cov(q, p) of the moment system, so
-    ``sigma_pq_closed(spec, cfg, 0)`` equals the initial-state value
-    ``+hbar*r/(2*sqrt(1-r^2))``.  Oscillates at twice the shifted frequency and
-    decays to zero.  A float for a scalar ``t``, an array for an array.
-    """
-    xp, t = _elementwise(t)
-    coth = finite_bath(cfg).coth_epsilon
-    w = cfg.omega
-    k_plus, k_minus, _, root = squeeze_terms(spec)
-    r = spec.correlation
-    decay, c, s = _oscillation(xp, cfg, t)
-    bracket = (
-        r / root
-        + s * s * (cfg.mu * w * (2.0 * coth - k_plus) - 2.0 * w * w * r / root)
-        - w * k_minus * s * c
-    )
-    return (cfg.hbar / 2.0) * decay * decay * bracket
+    """Position-momentum covariance s_pq(t) in closed form (thermal bath), see
+    :func:`closed_forms`; ``sigma_pq_closed(spec, cfg, 0)`` equals the
+    initial-state value.  A float for a scalar ``t``, an array for an
+    array."""
+    return float_or_array(closed_forms(parameter_table(cfg, spec), t)[1])
 
 
 @dataclass(frozen=True, eq=False)

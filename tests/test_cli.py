@@ -1,20 +1,23 @@
 """End-to-end command-line interface checks (driven through main())."""
 
 import io
+import itertools
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from test_properties import _term_scales
+from test_properties import PROFILE
 
 from lindosc.classicality import (
     classicality_degrees,
     metrics_from_state,
     write_metrics_csv,
 )
-from lindosc.cli import main, parse_sweep_axis
+from lindosc.cli import SweepAxis, SweepSpec, main, parse_sweep_axis, run_sweep
 from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
 from lindosc.model import (
     InitialStateSpec,
@@ -711,24 +714,18 @@ def test_t_axis_sweep_matches_pointwise_evaluation(tmp_path, order, records):
             continue
         # t-independent records at t < 0 compare with their values at t = 0
         t = max(point["t"], 0.0)
-        cfg, spec, expected = _pointwise(0.2, 0.1, point["C"], 4.0, 0.3, t)
-        for name in ("t_deco", "t_d", "t_rel"):
-            assert got.get(name, expected[name]) == expected[name]
+        expected = _pointwise(0.2, 0.1, point["C"], 4.0, 0.3, t)[2]
         checked += 1
-        if not t_dependent:
-            continue
-        det_scale, pq_scale = _term_scales(spec, cfg)
-        assert abs(got["sigma_det"] - expected["sigma_det"]) <= 1e-15 * det_scale
-        assert abs(got["sigma_pq"] - expected["sigma_pq"]) <= 1e-15 * pq_scale
-        # the degrees are exactly those of the row's own sigma and s_pq
-        degrees = classicality_degrees(got["sigma_det"], got["sigma_pq"], cfg.hbar)
-        assert (got["delta_qd"], got["delta_cc"]) == degrees
+        # one evaluation path: every record is exactly its scalar call's value
+        assert got == {name: expected[name] for name in got}
     assert checked == 3 * (3 if t_dependent else 5)
 
 
 def test_sweep_without_t_axis_writes_scalar_closed_forms(tmp_path):
-    # at t = 3.3 NumPy's exp/cos/sin differ from math's in the last bit at
-    # some of these points, so an array evaluation would not pass
+    # the sweep evaluates its points in one broadcast call, the reference one
+    # scalar call per record; both take the one NumPy path, so at t = 3.3,
+    # where NumPy's exp/cos/sin and math's differ in the last bit at some of
+    # these points, the bytes still agree
     out = tmp_path / "lm.csv"
     argv = ["sweep", *SQUEEZED, "--corr-r", "0.3", "--record", SWEEP_RECORDS,
             "--axis", "lambda:0:0.5:6", "--axis", "mu:-0.4:0.4:5", "--t", "3.3"]
@@ -743,6 +740,93 @@ def test_sweep_without_t_axis_writes_scalar_closed_forms(tmp_path):
             lines.append(",".join("%.17g" % x for x in [lam, mu, *values]))
     assert invalid == 16  # lam <= |mu| outside the closed system lam = mu = 0
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+# base models: admissible for the constructors (a bath with lam <= |mu| or
+# at C = inf included); axis ranges that cross every rule of a valid point
+SWEEP_BASES = st.fixed_dictionaries({
+    "lambda": st.sampled_from([0.0, 0.05, 0.2, 1.5]),
+    "mu": st.sampled_from([0.0, -0.1, 0.1, 0.3, 0.9]),
+    "C": st.sampled_from([1.0, 3.0, 1e200, math.inf]),
+    "delta": st.sampled_from([0.5, 4.0]),
+    "r": st.sampled_from([0.0, -0.3, 0.999]),
+    "t": st.sampled_from([0.0, 3.3, -1.0, 1e308]),
+})
+SWEEP_RANGES = {"lambda": (-0.3, 1.5), "mu": (-1.2, 1.2), "delta": (-1.0, 8.0),
+                "r": (-1.2, 1.2), "C": (0.5, 50.0), "t": (-2.0, 20.0)}
+
+
+@st.composite
+def sweep_axes(draw):
+    """One or two distinct axes, each with 1-4 points whose bounds are drawn
+    from the axis range or its edges (0, +/-1 and the range ends)."""
+    names = draw(st.lists(st.sampled_from(list(SWEEP_RANGES)), min_size=1, max_size=2,
+                          unique=True))
+    axes = []
+    for name in names:
+        lo, hi = SWEEP_RANGES[name]
+        bound = st.floats(lo, hi) | st.sampled_from([lo, hi, -1.0, 0.0, 1.0])
+        axes.append((name, draw(bound), draw(bound), draw(st.integers(1, 4))))
+    return axes
+
+
+@PROFILE
+@given(
+    base=SWEEP_BASES,
+    axes=sweep_axes(),
+    records=st.lists(st.sampled_from(SWEEP_RECORDS.split(",")), min_size=1, unique=True),
+)
+@example(  # lam < 0, and lam <= |mu| outside the closed system (lam = |mu| too)
+    base={"lambda": 0.2, "mu": 0.1, "C": 3.0, "delta": 4.0, "r": 0.0, "t": 1.0},
+    axes=[("lambda", -0.1, 0.1, 3), ("mu", -0.1, 0.1, 3)], records=SWEEP_RECORDS.split(","),
+)
+@example(  # |mu| >= omega, and C < 1
+    base={"lambda": 0.2, "mu": 0.1, "C": 3.0, "delta": 4.0, "r": 0.0, "t": 1.0},
+    axes=[("mu", 0.0, 1.5, 4), ("C", 0.5, 3.0, 2)], records=["sigma_det", "t_d"],
+)
+@example(  # delta <= 0 and |r| >= 1
+    base={"lambda": 0.2, "mu": 0.1, "C": 3.0, "delta": 4.0, "r": 0.0, "t": 1.0},
+    axes=[("delta", -1.0, 1.0, 3), ("r", -1.0, 1.0, 3)], records=["delta_cc", "t_deco"],
+)
+@example(  # an open bath at C = inf, and lam = mu = 0 at C = inf (read as 1)
+    base={"lambda": 0.2, "mu": 0.0, "C": math.inf, "delta": 4.0, "r": 0.3, "t": 1.0},
+    axes=[("lambda", 0.0, 0.2, 2)], records=SWEEP_RECORDS.split(","),
+)
+@example(  # lam = mu = 0 at finite C up to 1e308
+    base={"lambda": 0.0, "mu": 0.0, "C": 1.0, "delta": 4.0, "r": 0.3, "t": 1.0},
+    axes=[("C", 1.0, 1e308, 3)], records=SWEEP_RECORDS.split(","),
+)
+@example(  # t < 0 with and without t-dependent records, t the slow axis
+    base={"lambda": 0.2, "mu": 0.1, "C": 3.0, "delta": 4.0, "r": 0.3, "t": 1.0},
+    axes=[("t", -1.0, 1.0, 3), ("C", 0.5, 4.0, 3)], records=["t_rel", "delta_qd"],
+)
+@example(
+    base={"lambda": 0.2, "mu": 0.1, "C": 3.0, "delta": 4.0, "r": 0.3, "t": -1.0},
+    axes=[("C", 0.5, 4.0, 3)], records=["t_rel", "t_deco"],
+)
+@example(  # NumPy's exp/cos/sin and math's differ in the last bit of sigma here
+    base={"lambda": 0.4, "mu": 0.0, "C": 3.0, "delta": 4.0, "r": 0.3, "t": 3.3},
+    axes=[("t", 0.0, 3.3, 2)], records=["sigma_det"],
+)
+def test_sweep_rows_are_the_scalar_calls(base, axes, records):
+    axes = tuple(SweepAxis(name, lo, hi, count) for name, lo, hi, count in axes)
+    cfg = OscillatorConfig(lam=base["lambda"], mu=base["mu"],
+                           temp=TemperatureSpec.from_coth(base["C"]))
+    spec = InitialStateSpec(spread=base["delta"], correlation=base["r"])
+    handle = io.StringIO()
+    run_sweep(SweepSpec(axes=axes, records=tuple(records), t=base["t"]), cfg, spec, handle)
+
+    names = [axis.name for axis in axes]
+    lines = [",".join(names + records)]
+    t_dependent = not {"delta_qd", "delta_cc", "sigma_det", "sigma_pq"}.isdisjoint(records)
+    for values in itertools.product(*(axis.values() for axis in axes)):
+        point = {**base, **dict(zip(names, values))}
+        t = point["t"] if t_dependent else max(point["t"], 0.0)
+        ref = _pointwise(point["lambda"], point["mu"], point["C"], point["delta"],
+                         point["r"], t)
+        row = [math.nan] * len(records) if ref is None else [ref[2][r] for r in records]
+        lines.append(",".join("%.17g" % x for x in [*values, *row]))
+    assert handle.getvalue() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -779,10 +863,13 @@ def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, omega, 
         assert math.isfinite(t_deco)
 
 
-@pytest.mark.parametrize("axis", ["t:0:nan:3", "t:0:inf:3", "C:2:nan:2"])
+@pytest.mark.parametrize(
+    "axis", ["t:0:nan:3", "t:0:inf:3", "C:2:nan:2", "C:2:3:2 --t nan", "C:2:3:2 --t inf"]
+)
 def test_sweep_rejects_non_finite_bounds(tmp_path, axis):
+    # an axis bound, or the evaluation time --t, that is not finite
     out = tmp_path / "bad.csv"
-    argv = ["sweep", *MODEL, "--axis", axis, "--record", "delta_qd,t_deco"]
+    argv = ["sweep", *MODEL, "--axis", *axis.split(), "--record", "delta_qd,t_deco"]
     assert main([*argv, "--out", str(out)]) == 1
     assert not out.exists()
 

@@ -23,6 +23,7 @@ from lindosc.classicality import (
     find_windows,
 )
 from lindosc.csvout import write_csv
+from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
@@ -127,12 +128,10 @@ def test_classicality_degrees_array_matches_scalar(pairs):
     qd, cc = classicality_degrees(sigma, s_pq, 1.5)
     for i, (sig, spq) in enumerate(pairs):
         qd_i, cc_i = classicality_degrees(sig, spq, 1.5)
-        assert isinstance(qd_i, float) and isinstance(cc_i, float)
-        assert math.isclose(qd[i], qd_i, rel_tol=1e-15)
+        assert type(qd_i) is float and type(cc_i) is float
+        assert (qd_i, cc_i) == (qd[i], cc[i])
         if spq == 0.0:
-            assert cc[i] == cc_i == math.inf
-        else:
-            assert math.isclose(cc[i], cc_i, rel_tol=1e-15)
+            assert cc_i == math.inf
 
 
 @st.composite
@@ -153,52 +152,42 @@ def admissible_models(draw):
     return cfg, spec
 
 
-def _term_scales(spec, cfg):
-    """Sums of the magnitudes of the time-dependent terms of sigma_det and
-    s_pq.  ``np.exp``/``np.cos``/``np.sin`` may differ from their ``math``
-    counterparts by an ulp, so array and scalar results agree to a few ulps of
-    these sums, not of the (possibly cancelling) result."""
-    c, w, mu = cfg.coth_epsilon, cfg.omega, cfg.mu
-    big2 = w * w - mu * mu
-    k_plus, k_minus, _, root = squeeze_terms(spec)
-    r = spec.correlation
-    det = (cfg.hbar**2 / 4.0) * (
-        abs(1.0 - k_plus * c + c * c)
-        + c * abs(k_plus - 2.0 * c) * (w * w + mu * mu) / big2
-        + c * abs(k_minus * mu) / math.sqrt(big2)
-        + 4.0 * c * abs(r * mu * w) / (big2 * root)
-        + c * c
-    )
-    pq = (cfg.hbar / (4.0 * big2)) * (
-        2.0 * abs(mu * w * (2.0 * c - k_plus)) + 2.0 * w * w * abs(r) / root
-        + w * math.sqrt(big2) * abs(k_minus) + 2.0 * mu * mu * abs(r) / root
-    )
-    return det, pq
-
-
 @PROFILE
 @given(
     model=admissible_models(),
     times=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20),
 )
 def test_closed_forms_array_matches_scalar(model, times):
+    # a scalar and an array take the one NumPy path: the same bits
     cfg, spec = model
     state0 = initial_state(spec, cfg)
     t = np.array(times)
-    det_scale, pq_scale = _term_scales(spec, cfg)
-    det = sigma_det_closed(spec, cfg, t)
-    pq = sigma_pq_closed(spec, cfg, t)
-    q, p = mean_closed_form(state0, cfg, t)
-    amp_mean = max(abs(spec.center_q), abs(spec.center_p), 1e-300)
+    columns = [
+        sigma_det_closed(spec, cfg, t), sigma_pq_closed(spec, cfg, t),
+        *mean_closed_form(state0, cfg, t),
+    ]
     for i, ti in enumerate(times):
-        det_i = sigma_det_closed(spec, cfg, ti)
-        pq_i = sigma_pq_closed(spec, cfg, ti)
-        q_i, p_i = mean_closed_form(state0, cfg, ti)
-        assert all(isinstance(x, float) for x in (det_i, pq_i, q_i, p_i))
-        assert abs(det[i] - det_i) <= 1e-15 * det_scale
-        assert abs(pq[i] - pq_i) <= 1e-15 * pq_scale
-        assert math.isclose(q[i], q_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
-        assert math.isclose(p[i], p_i, rel_tol=1e-15, abs_tol=1e-15 * amp_mean)
+        values = [
+            sigma_det_closed(spec, cfg, ti), sigma_pq_closed(spec, cfg, ti),
+            *mean_closed_form(state0, cfg, ti),
+        ]
+        assert all(type(x) is float for x in values)
+        assert values == [column[i] for column in columns]
+
+
+def test_scalar_arguments_give_python_floats():
+    # never a NumPy scalar, whose repr reads np.float64(...)
+    cfg, spec = OscillatorConfig.reference(), InitialStateSpec(spread=4.0, correlation=0.3)
+    state0 = initial_state(spec, cfg)
+    values = [relaxation_time(cfg), relaxation_time(OscillatorConfig())]
+    for t in (1, 1.5, np.float64(1.5), np.array(1.5)):
+        sigma, s_pq = sigma_det_closed(spec, cfg, t), sigma_pq_closed(spec, cfg, t)
+        values += [sigma, s_pq, *mean_closed_form(state0, cfg, t)]
+        values += [*classicality_degrees(sigma, s_pq), *classicality_degrees(sigma, 0.0)]
+    for model in ((spec, cfg), (InitialStateSpec(), OscillatorConfig())):  # finite, inf
+        values += [decoherence_time(*model), statistical_time(*model)]
+    assert [type(x) for x in values] == [float] * len(values)
+    assert math.inf in values
 
 
 # ---------------------------------------------------------------------------
