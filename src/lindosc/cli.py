@@ -64,6 +64,7 @@ from .propagate import (
     mean_closed_form,
     time_grid,
     trajectory_lyapunov,
+    whole_steps,
 )
 from .states import (
     GridGeometry,
@@ -276,7 +277,7 @@ def _cmd_trajectory(args) -> int:
 
     # route == "all": pinned columns from the exact propagation, plus the
     # worst per-row cross-route deviation (amplitude-normalized per quantity).
-    if abs(round(args.t_end / args.dt) * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
+    if not whole_steps(args.t_end, args.dt)[1]:
         raise ValueError("route=all needs t-end to be an integer multiple of dt")
     lyap = trajectory_lyapunov(state0, cfg, d, times).table
     closed = _closed_columns(spec, cfg, times)

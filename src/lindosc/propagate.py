@@ -19,7 +19,10 @@
    :func:`_moment_system`, built from :func:`drift_matrix` and ``D`` only; a
    classic RK4 step of a linear autonomous system is the exact map
    ``x <- x + h S (A x + b)`` with ``S = I + hA/2 + (hA)^2/6 + (hA)^3/24``,
-   and the steady state is a solve of the same matrix.
+   and the steady state is a solve of the same matrix.  The powers of that
+   map, built once per call by doubling, give every step of a block of up to
+   1024 from the block start, so the steps are evaluated in array operations
+   block by block, with each step still checked and at most one block held.
 
 All three must agree to tight tolerances; the test suite enforces this.
 The exact and RK4 routes return a :class:`Trajectory`, one validated array of
@@ -87,18 +90,34 @@ def _sample_count(t_end: float, dt: float) -> float:
     return count
 
 
-def time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform sample times ``0, dt, 2 dt, ...`` up to ``t_end``.
+def whole_steps(t_end: float, dt: float) -> tuple[int, bool]:
+    """The number ``n`` of whole ``dt`` steps in ``t_end``, and whether they
+    make it up: ``t_end`` is an integer multiple of ``dt`` when ``n =
+    round(t_end / dt)`` has ``|n dt - t_end| <= 1e-12 t_end``, a slack far
+    above the rounding of ``n dt``; otherwise ``n = floor(t_end / dt)``.  The
+    one such rule, shared by :func:`time_grid`, :func:`integrate_moments_rk4`
+    and ``trajectory --route all``.  ``ValueError`` as :func:`_sample_count`."""
+    count = _sample_count(t_end, dt)
+    n = round(count)
+    if abs(n * dt - t_end) <= 1e-12 * t_end:
+        return n, True
+    return math.floor(count), False
 
-    ``t_end`` itself is the last sample: it is appended unless the last
-    multiple of ``dt`` already lies within ``1e-12 * max(1, t_end)`` of it, and
-    no sample lies past it.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0``
-    and ``t_end / dt`` are finite.
+
+def time_grid(t_end: float, dt: float) -> np.ndarray:
+    """Uniform sample times ``0, dt, 2 dt, ...`` with ``t_end`` itself the
+    last sample.
+
+    If ``t_end`` is an integer multiple ``n dt`` (see :func:`whole_steps`),
+    sample ``n`` is stamped ``t_end``, not the rounded ``n * dt``; otherwise
+    ``t_end`` follows the last multiple below it.  ``ValueError`` unless
+    ``t_end >= 0``, ``dt > 0`` and ``t_end / dt`` are finite.
     """
-    n = int(math.floor(_sample_count(t_end, dt) + 1e-9))
-    times = np.minimum(np.arange(n + 1) * dt, t_end)
-    if times[-1] < t_end - 1e-12 * max(1.0, t_end):
-        times = np.append(times, t_end)
+    n, whole = whole_steps(t_end, dt)
+    times = np.arange(n + 1) * dt
+    if not whole:
+        return np.append(times, t_end)
+    times[-1] = t_end
     return times
 
 
@@ -401,6 +420,38 @@ def trajectory_lyapunov(
     return Trajectory(np.column_stack([times, moments]))
 
 
+# Steps evaluated together from one block start; the increments table and the
+# block buffer hold this many rows, whatever the step count.
+_BLOCK = 1024
+# Trajectory columns (mean_q, mean_p, s_qq, s_pp, s_pq) from the moment-system
+# vector (mean_q, mean_p, s_qq, s_pq, s_pp).
+_ROW_ORDER = [0, 1, 2, 4, 3]
+
+
+def _step_powers(
+    step: np.ndarray, drive: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The increments of ``i = 1..size`` steps of ``x <- x + (M x + g)``:
+    ``x_{k+i} = x_k + (P_i x_k + G_i)`` with ``P_i = (I + M)^i - I``.  From
+    ``P_1 = M`` and ``G_1 = g``, each doubling pass appends ``P_{m+i} = P_i +
+    P_m + P_i P_m`` and ``G_{m+i} = G_i + G_m + P_i G_m`` for ``i = 1..m``,
+    so the table takes ``log2(size)`` array steps.  The table stops before
+    the first power with a non-finite entry: an unstable step then overflows
+    in the moments, at the step where it happens, not in ``inf * 0``."""
+    p, g = step[None], drive[None]
+    with np.errstate(all="ignore"):
+        while len(p) < size:
+            head = slice(0, min(len(p), size - len(p)))
+            p_m, g_m = p[-1], g[-1]
+            p, g = (
+                np.concatenate([p, p[head] + p_m + p[head] @ p_m]),
+                np.concatenate([g, g[head] + g_m + p[head] @ g_m]),
+            )
+    finite = np.isfinite(p).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+    size = len(p) if finite.all() else max(1, int(finite.argmin()))
+    return p[:size], g[:size]
+
+
 def integrate_moments_rk4(
     state0: GaussianState,
     cfg: OscillatorConfig,
@@ -414,52 +465,78 @@ def integrate_moments_rk4(
 
     The system is linear and autonomous, so the four stages of one step sum
     to the exact map ``x <- x + (M x + g)`` with ``M = h A S``, ``g = h S b``
-    and ``S = I + hA/2 + (hA)^2/6 + (hA)^3/24``; ``M`` and ``g`` are built
-    once, and the increment is added to ``x`` (iterating ``x <- (I + M) x +
-    g`` instead lets rounding build up over many steps).
+    and ``S = I + hA/2 + (hA)^2/6 + (hA)^3/24``.  Its powers give every step
+    of a block from the block start, ``x_{k+i} = x_k + (P_i x_k + G_i)``
+    (:func:`_step_powers`), so the steps are evaluated in blocks of up to
+    1024 with array operations, not one Python iteration each.  The mean and
+    covariance blocks are summed separately, in a fixed order that makes row
+    1 the increment form ``x + (M x + g)`` of a single step.  The rounding
+    is no worse than that of the step-by-step increments: a row adds one
+    increment's rounding to its block start, ``P_i`` carries about ``log2 i``
+    roundings from the doubling where ``i`` chained increments carry ``i``,
+    and the block starts chain once per block, not once per step.  (Iterating
+    ``x <- (I + M) x + g`` instead lets rounding build up over many steps.)
 
     Deterministic by construction; every ``record_every``-th step (plus the
-    final step) is recorded.  Aborts with :class:`NumericError` on non-finite
-    values.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0`` and
-    ``t_end / dt`` are finite.
+    final step) is recorded, stamped with the times of :func:`time_grid`, so
+    the final row is at ``t_end`` itself.  Memory holds one block and the
+    recorded rows, whatever the step count.  Aborts with :class:`NumericError`
+    at the first step whose moments are non-finite or whose covariance is not
+    positive definite.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0`` and
+    ``t_end / dt`` are finite and ``t_end`` is an integer multiple of ``dt``
+    (see :func:`whole_steps`).
     """
-    n_steps = int(round(_sample_count(t_end, dt)))
+    n_steps, whole = whole_steps(t_end, dt)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if not whole:
+        raise ValueError("t_end must be an integer multiple of dt")
 
     system, drive = _moment_system(cfg, d)
     ha, eye = dt * system, np.eye(5)
     s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
-    step = ha @ s
-    (m_qq, m_qp), (m_pq, m_pp) = step[:2, :2].tolist()
-    # rows of the covariance block, for the new s_qq, s_pq and s_pp
-    (a_qq, a_pq, a_pp), (b_qq, b_pq, b_pp), (c_qq, c_pq, c_pp) = step[2:, 2:].tolist()
-    g_qq, g_pq, g_pp = (dt * s @ drive)[2:].tolist()
+    powers, drives = _step_powers(ha @ s, dt * s @ drive, min(_BLOCK, max(n_steps, 1)))
+    # column l of every P_i as rows j = 0..4, contiguous over i
+    cols = np.ascontiguousarray(powers.transpose(2, 1, 0))
+    drives = np.ascontiguousarray(drives.T)
 
-    q, p = state0.mean_q, state0.mean_p
-    sqq, spq, spp = state0.s_qq, state0.s_pq, state0.s_pp
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
-
-    rows = [(0.0, q, p, sqq, spp, spq)]
-    for k in range(1, n_steps + 1):
-        q, p = q + (m_qq * q + m_qp * p), p + (m_pq * q + m_pp * p)
-        sqq, spq, spp = (
-            sqq + (a_qq * sqq + a_pq * spq + a_pp * spp + g_qq),
-            spq + (b_qq * sqq + b_pq * spq + b_pp * spp + g_pq),
-            spp + (c_qq * sqq + c_pq * spq + c_pp * spp + g_pp),
-        )
-        if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(sqq)
-                and math.isfinite(spq) and math.isfinite(spp)):
-            raise NumericError(
-                f"moment integration became non-finite at step {k}", step=k
+    x = np.array([state0.mean_q, state0.mean_p, state0.s_qq, state0.s_pq, state0.s_pp])
+    rows = np.empty((n_steps // record_every + 1 + (n_steps % record_every > 0), 6))
+    rows[0] = [0.0, *x[_ROW_ORDER]]
+    recorded, done = 1, 0
+    with np.errstate(all="ignore"):  # a bad row is reported below, not warned
+        while done < n_steps:
+            b = min(len(powers), n_steps - done)
+            out = np.empty((5, b))
+            out[:2] = x[:2, None] + (cols[0, :2, :b] * x[0] + cols[1, :2, :b] * x[1])
+            out[2:] = x[2:, None] + (
+                cols[2, 2:, :b] * x[2]
+                + cols[3, 2:, :b] * x[3]
+                + cols[4, 2:, :b] * x[4]
+                + drives[2:, :b]
             )
-        if sqq <= 0.0 or spp <= 0.0 or sqq * spp - spq * spq <= 0.0:
-            # exact dynamics keep the covariance positive definite, so a sign
-            # loss can only mean the step size is unstable for these parameters
-            raise NumericError(
-                f"covariance lost positivity at step {k}; decrease dt", step=k
-            )
-        if k % record_every == 0 or k == n_steps:
-            rows.append((k * dt, q, p, sqq, spp, spq))
+            s_qq, s_pq, s_pp = out[2:]
+            finite = np.isfinite(out).all(axis=0)
+            det = s_qq * s_pp - s_pq * s_pq
+            bad = ~finite | (s_qq <= 0.0) | (s_pp <= 0.0) | (det <= 0.0)
+            if bad.any():
+                i = int(bad.argmax())
+                k = done + i + 1
+                if not finite[i]:
+                    raise NumericError(
+                        f"moment integration became non-finite at step {k}", step=k
+                    )
+                # exact dynamics keep the covariance positive definite, so a sign
+                # loss can only mean the step size is unstable for these parameters
+                raise NumericError(
+                    f"covariance lost positivity at step {k}; decrease dt", step=k
+                )
+            # block columns whose global step is a multiple of record_every
+            picked = np.arange(record_every - 1 - done % record_every, b, record_every)
+            rows[recorded : recorded + len(picked), 0] = (done + 1 + picked) * dt
+            rows[recorded : recorded + len(picked), 1:] = out[:, picked][_ROW_ORDER].T
+            recorded += len(picked)
+            x = out[:, -1]
+            done += b
+    rows[-1] = [t_end, *x[_ROW_ORDER]]
     return Trajectory(rows)

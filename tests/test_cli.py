@@ -250,7 +250,7 @@ def test_trajectory_all_routes_agree(tmp_path):
     assert max(deviations) < 1e-6
 
 
-@pytest.mark.parametrize("route", ["lyapunov", "closed"])
+@pytest.mark.parametrize("route", ["lyapunov", "closed", "rk4", "all"])
 def test_trajectory_last_time_is_t_end(tmp_path, route):
     # 3 * 0.1 rounds to 0.30000000000000004; the grid never passes t_end
     out = tmp_path / "grid.csv"
@@ -300,6 +300,22 @@ def test_trajectory_all_rejects_t_end_off_the_dt_grid(tmp_path, capsys):
     argv = ["trajectory", *SQUEEZED, "--route", "all", "--t-end", "2.05", "--dt", "0.1"]
     assert main(argv + ["--out", str(tmp_path / "all.csv")]) == 1
     assert "integer multiple of dt" in capsys.readouterr().err
+
+
+def test_trajectory_routes_share_one_integer_multiple_rule(tmp_path, capsys):
+    # 1.0000000005 lies 5e-10 past 10 * 0.1: no integer multiple of dt, so
+    # the time grid ends on an extra sample at t_end and the routes that step
+    # by dt refuse it as invalid input (exit 1), not as a numeric failure
+    argv = [*SQUEEZED, "--t-end", "1.0000000005", "--dt", "0.1"]
+    out = tmp_path / "lyapunov.csv"
+    assert main(["trajectory", *argv, "--out", str(out)]) == 0
+    times = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert times[-3:] == ["0.90000000000000002", "1", "1.0000000005"]
+    for route in ("rk4", "all"):
+        out = tmp_path / f"{route}.csv"
+        assert main(["trajectory", *argv, "--route", route, "--out", str(out)]) == 1
+        assert "integer multiple of dt" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("route", ["lyapunov", "closed", "rk4", "all"])

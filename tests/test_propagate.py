@@ -2,12 +2,14 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
+from lindosc import propagate
 from lindosc.csvout import format_float
 from lindosc.model import (
     DiffusionCoefficients,
@@ -315,6 +317,115 @@ def test_rk4_rejects_incommensurate_step():
         integrate_moments_rk4(state0, REF, REF_D, 1.0, 0.3)
 
 
+def _sequential_rk4(state0, cfg, d, dt, n_steps):
+    """The step-by-step increment loop, one Python iteration per step: rows
+    ``(k dt, mean_q, mean_p, s_qq, s_pp, s_pq)`` for every step, with the
+    same checks and messages as :func:`integrate_moments_rk4`."""
+    system, drive = propagate._moment_system(cfg, d)
+    ha, eye = dt * system, np.eye(5)
+    s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
+    step = ha @ s
+    (m_qq, m_qp), (m_pq, m_pp) = step[:2, :2].tolist()
+    (a_qq, a_pq, a_pp), (b_qq, b_pq, b_pp), (c_qq, c_pq, c_pp) = step[2:, 2:].tolist()
+    g_qq, g_pq, g_pp = (dt * s @ drive)[2:].tolist()
+    q, p = state0.mean_q, state0.mean_p
+    sqq, spq, spp = state0.s_qq, state0.s_pq, state0.s_pp
+    rows = [(0.0, q, p, sqq, spp, spq)]
+    for k in range(1, n_steps + 1):
+        q, p = q + (m_qq * q + m_qp * p), p + (m_pq * q + m_pp * p)
+        sqq, spq, spp = (
+            sqq + (a_qq * sqq + a_pq * spq + a_pp * spp + g_qq),
+            spq + (b_qq * sqq + b_pq * spq + b_pp * spp + g_pq),
+            spp + (c_qq * sqq + c_pq * spq + c_pp * spp + g_pp),
+        )
+        if not all(map(math.isfinite, (q, p, sqq, spq, spp))):
+            message = f"moment integration became non-finite at step {k}"
+            raise NumericError(message, step=k)
+        if sqq <= 0.0 or spp <= 0.0 or sqq * spp - spq * spq <= 0.0:
+            message = f"covariance lost positivity at step {k}; decrease dt"
+            raise NumericError(message, step=k)
+        rows.append((k * dt, q, p, sqq, spp, spq))
+    return np.array(rows)
+
+
+def test_rk4_blocks_agree_with_the_sequential_loop(monkeypatch):
+    monkeypatch.setattr(propagate, "_BLOCK", 16)
+    state0 = initial_state(
+        InitialStateSpec(spread=4.0, correlation=0.3, center_q=1.0, center_p=-0.5), REF
+    )
+    n_steps, dt = 100, 0.05  # six whole blocks and a partial one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_moments_rk4(state0, REF, REF_D, n_steps * dt, dt).rows
+    ref = _sequential_rk4(state0, REF, REF_D, dt, n_steps)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[:2], ref[:2])  # row 1 is the single-step increment
+    for lo in range(1, n_steps + 1, 16):
+        block = slice(lo, lo + 16)
+        steps = min(lo + 15, n_steps)
+        peak = np.abs(ref[block, 1:]).max(axis=0)
+        gap = np.abs(got[block, 1:] - ref[block, 1:]).max(axis=0)
+        assert (gap <= 4.0 * np.finfo(float).eps * steps * peak).all(), (lo, gap / peak)
+
+
+@pytest.mark.parametrize(
+    "block, cfg, d, state0, dt",
+    [
+        # unstable covariance block: positivity lost at step 157 (block 10)
+        (16, REF, REF_D, initial_state(InitialStateSpec(4.0, 0.3), REF), 1.45),
+        # h lam = 2.9: every moment grows, tiny variances overflow at step 290
+        # while P_i of the full-size table already overflows near i = 218
+        (
+            None,
+            OscillatorConfig(m=1e10, omega=1e-10, lam=0.9, mu=0.0),
+            DiffusionCoefficients.zero(),
+            GaussianState(mean_q=0.0, mean_p=0.0, s_qq=1e-100, s_pp=1e-100, s_pq=0.0),
+            3.2,
+        ),
+    ],
+    ids=["positivity-block-10", "overflow-past-the-table"],
+)
+def test_rk4_numeric_error_in_a_later_block_has_the_sequential_step(
+    monkeypatch, block, cfg, d, state0, dt
+):
+    if block is not None:
+        monkeypatch.setattr(propagate, "_BLOCK", block)
+    with pytest.raises(NumericError) as expected:
+        _sequential_rk4(state0, cfg, d, dt, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as caught:
+            integrate_moments_rk4(state0, cfg, d, 1000 * dt, dt)
+    assert expected.value.step > 2 * (block or 64)
+    assert caught.value.step == expected.value.step
+    assert str(caught.value) == str(expected.value)
+
+
+def test_rk4_records_the_final_step_off_the_record_grid(monkeypatch):
+    monkeypatch.setattr(propagate, "_BLOCK", 8)
+    state0 = initial_state(InitialStateSpec(spread=2.0, correlation=-0.4), REF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_moments_rk4(state0, REF, REF_D, 3.7, 0.1, record_every=5)
+    ref = _sequential_rk4(state0, REF, REF_D, 0.1, 37)
+    assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.7]
+    expected = ref[[*range(0, 36, 5), 37], 1:]
+    np.testing.assert_allclose(traj.rows[:, 1:], expected, rtol=1e-13)
+
+
+def test_rk4_memory_does_not_grow_with_the_step_count():
+    # every step of 1e6 held as five float64 would take 40 MB
+    state0 = initial_state(InitialStateSpec(spread=2.0, correlation=0.2), REF)
+    tracemalloc.start()
+    try:
+        traj = integrate_moments_rk4(state0, REF, REF_D, 1e3, 1e-3, record_every=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 101
+    assert peak < 2_000_000
+
+
 @pytest.mark.parametrize(
     "t_end, dt",
     [
@@ -507,6 +618,9 @@ def test_time_grid_rules():
     assert time_grid(0.0, 0.1).tolist() == [0.0]
     assert time_grid(0.25, 0.1).tolist() == [0.0, 0.1, 0.2, 0.25]
     assert time_grid(0.3, 0.1)[-1] == 0.3  # 3 * 0.1 would pass t_end
+    # within 1e-12 t_end of 10 dt, t_end is that multiple; 5e-10 past it is not
+    assert time_grid(1.0 + 1e-13, 0.1).tolist()[-2:] == [0.9, 1.0 + 1e-13]
+    assert time_grid(1.0000000005, 0.1).tolist()[-2:] == [1.0, 1.0000000005]
     with pytest.raises(ValueError):
         time_grid(-1.0, 0.1)
     with pytest.raises(ValueError):
