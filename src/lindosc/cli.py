@@ -675,25 +675,16 @@ def _cmd_selftest(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog=PROG, description=__doc__.split("\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str, model: bool = True):
-        p = sub.add_parser(name, help=help_text)
-        if model:
-            _add_model_flags(p)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("coeffs", _cmd_coeffs, "print bath diffusion coefficients")
+def _coeffs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="-")
 
-    p = add("validate", _cmd_validate, "run physicality checks")
+
+def _validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-")
 
-    p = add("trajectory", _cmd_trajectory, "emit moment trajectory CSV")
+
+def _trajectory_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument(
@@ -703,12 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="-")
 
-    p = add("metrics", _cmd_metrics, "emit classicality metrics CSV")
+
+def _metrics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", dest="t_end", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--out", default="-")
 
-    p = add("window", _cmd_window, "report classicality windows (JSON)")
+
+def _window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", dest="t_end", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument(
@@ -719,13 +712,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="-")
 
-    p = add("deco", _cmd_deco, "time-scale and regime report")
+
+def _deco_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--high-T", dest="high_t", action="store_true")
     p.add_argument("--separation", type=float)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="-")
 
-    p = add("figdata", _cmd_figdata, "regenerate figure data files", model=False)
+
+def _figdata_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("figure", choices=_FIGURES + ("all",))
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--n", type=int, default=201, help="grid points per axis")
@@ -734,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="time samples for the trajectory/surface figures",
     )
 
-    p = add("sweep", _cmd_sweep, "parameter sweep to long-form CSV")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--axis",
         action="append",
@@ -752,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0, help="evaluation time")
     p.add_argument("--out", default="-")
 
-    p = add("fpe", _cmd_fpe, "grid-solver run with manifest")
+
+def _fpe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-n", dest="grid_n", type=int, default=256)
     p.add_argument("--coverage", type=float, default=6.0)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
@@ -761,12 +758,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    add("selftest", _cmd_selftest, "run the acceptance suite", model=False)
+
+def _no_flags(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+# Each subcommand: its handler, its help line, whether it takes the model
+# flags, and the function that adds its own flags.
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "print bath diffusion coefficients", True, _coeffs_flags),
+    "validate": (_cmd_validate, "run physicality checks", True, _validate_flags),
+    "trajectory": (
+        _cmd_trajectory, "emit moment trajectory CSV", True, _trajectory_flags
+    ),
+    "metrics": (_cmd_metrics, "emit classicality metrics CSV", True, _metrics_flags),
+    "window": (
+        _cmd_window, "report classicality windows (JSON)", True, _window_flags
+    ),
+    "deco": (_cmd_deco, "time-scale and regime report", True, _deco_flags),
+    "figdata": (
+        _cmd_figdata, "regenerate figure data files", False, _figdata_flags
+    ),
+    "sweep": (_cmd_sweep, "parameter sweep to long-form CSV", True, _sweep_flags),
+    "fpe": (_cmd_fpe, "grid-solver run with manifest", True, _fpe_flags),
+    "selftest": (_cmd_selftest, "run the acceptance suite", False, _no_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``lindosc`` parser: every subcommand with its help line, and the
+    flags of ``command`` alone, the only subcommand a call can parse.
+
+    Adding flags is most of a parser's cost, so the other subcommands get
+    none; a ``command`` that names no subcommand gets no flags at all.
+    """
+    parser = _Parser(prog=PROG, description=__doc__.split("\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, model, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == command:
+            if model:
+                _add_model_flags(p)
+            add_flags(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first word that is no option (the top-level
+    # parser knows no option but --help, and an unknown one is an error)
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

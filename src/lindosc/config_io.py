@@ -76,7 +76,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, float]:
             raise ConfigError(f"{source}:{lineno}: missing value for {key!r}")
         try:
             values[key] = float(Decimal(value_text))
-        except InvalidOperation as exc:
+        except (InvalidOperation, ValueError) as exc:  # ValueError: sNaN
             raise ConfigError(
                 f"{source}:{lineno}: invalid number {value_text!r} for {key!r}"
             ) from exc

@@ -12,7 +12,10 @@ can be one off next to a power of ten, so a ``y`` outside ``[1e16, 1e17)``
 is scaled again with the neighbouring exponent.  The 17 digits are then laid
 out by the ``%g`` rules with word-wide bit operations: fixed notation for
 ``-4 <= e < 17`` and exponent notation otherwise, trailing zeros and a bare
-point dropped, and the exponent given with at least two digits.
+point dropped, and the exponent given with at least two digits.  The
+constants of an exponent (``hi``, ``lo``, the layout bytes) are computed once
+per process, when a block first needs them; each formatting pass gathers
+those of its own exponents, one more on either side for the corrections.
 
 Python's own ``%`` (Gay's correctly rounded dtoa) formats only the cells the
 kernel cannot certify: ``y`` within 1e-9 of a rounding tie, and finite
@@ -35,7 +38,6 @@ _FLOAT = "%.17g"  # locale-independent, round-trips every double
 _CHUNK = 1 << 13  # cells per formatting pass: temporaries of about 1 MiB
 _SURE_MIN, _SURE_MAX = 1e-270, 1e270  # magnitudes the kernel formats itself
 _TIE = 1e-9  # digits this close to a rounding tie are left to ``%``
-_E_MIN, _E_MAX = -280, 280  # decimal exponents of the power-of-ten table
 _SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 _SLOT = 32  # bytes of one formatted cell, zero bytes dropped on output
 
@@ -118,47 +120,67 @@ def _format_rows(block: np.ndarray) -> str:
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
-@functools.cache
-def _tables() -> dict[str, np.ndarray]:
-    """Lookup tables of the kernel, built on first use (a few ms).
+# The per-exponent columns of ``_window``, in ``_exponent_row`` order.
+_ROW_COLUMNS = (
+    ("hi", np.float64), ("hi_head", np.float64), ("hi_tail", np.float64),
+    ("lo", np.float64), ("point", np.int64), ("lead", np.int64),
+    ("prefix", np.uint64), ("expo", np.uint64),
+)
 
-    Per decimal exponent ``e`` in ``[_E_MIN, _E_MAX]`` (index ``e - _E_MIN``):
+
+@functools.cache
+def _exponent_row(e: int) -> tuple[float, float, float, float, int, int, int, int]:
+    """The kernel's constants for the decimal exponent ``e``, computed once.
+
     ``hi``, ``hi_head``, ``hi_tail`` and ``lo`` of ``10**(16 - e) = hi + lo``
     (``hi`` correctly rounded, ``lo`` the correctly rounded remainder,
     ``hi_head + hi_tail = hi`` its Dekker split); ``point``, the digits
-    before the point (17, none, in ``0.000ddd``); ``lead``, the digits
-    always shown; ``prefix`` and ``expo``, the slot bytes 1-5 and 24-28.
-    Per four-digit group: its ``"%04d"`` ASCII word and its trailing zeros.
-    Per ``point * 18 + kept`` digits shown: the masks ``before``, ``after``
-    and the point byte ``dot`` of slot words 0-2, cut at the last digit.
+    before the point (17, none, in ``0.000ddd``); ``lead``, the digits always
+    shown; ``prefix`` and ``expo``, the slot bytes 1-5 and 24-28.
     """
-    hi, lo, point, lead, prefix, expo = [], [], [], [], [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        h = num / den  # int true division rounds correctly
-        h_num, h_den = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
-        if -4 <= e < 0:  # 0.000ddd: the point comes before the digits
-            p, shown, head_bytes, tail_bytes = 17, 1, b"\0" + b"0.000"[: 1 - e], b""
-        elif 0 <= e < 17:  # ddd.ddd: every integer digit is shown
-            p, shown, head_bytes, tail_bytes = e + 1, e + 1, b"", b""
-        else:  # d.ddde+XX
-            p, shown, head_bytes, tail_bytes = 1, 1, b"", b"e%+03d" % e
-        point.append(p)
-        lead.append(shown)
-        prefix.append(int.from_bytes(head_bytes, "little"))
-        expo.append(int.from_bytes(tail_bytes, "little"))
-    hi = np.array(hi)
+    num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+    hi = num / den  # int true division rounds correctly
+    hi_num, hi_den = hi.as_integer_ratio()
+    lo = (num * hi_den - hi_num * den) / (den * hi_den)
     c = _SPLIT * hi
     head = c - (c - hi)
-    quads = np.arange(10000)
-    ascii4 = sum(
-        (quads // 10 ** (3 - i) % 10 + 48) << (8 * i) for i in range(4)
-    ).astype(np.uint64)
-    zeros4 = np.select(
-        [quads == 0, quads % 1000 == 0, quads % 100 == 0, quads % 10 == 0], [4, 3, 2, 1]
-    )
+    if -4 <= e < 0:  # 0.000ddd: the point comes before the digits
+        point, lead, head_bytes, tail_bytes = 17, 1, b"\0" + b"0.000"[: 1 - e], b""
+    elif 0 <= e < 17:  # ddd.ddd: every integer digit is shown
+        point, lead, head_bytes, tail_bytes = e + 1, e + 1, b"", b""
+    else:  # d.ddde+XX
+        point, lead, head_bytes, tail_bytes = 1, 1, b"", b"e%+03d" % e
+    prefix, expo = (int.from_bytes(b, "little") for b in (head_bytes, tail_bytes))
+    return hi, head, hi - head, lo, point, lead, prefix, expo
+
+
+def _window(first: int, last: int) -> dict[str, np.ndarray]:
+    """The ``_exponent_row`` columns of the exponents ``first..last``, each
+    an array indexed by ``e - first``."""
+    columns = zip(*map(_exponent_row, range(first, last + 1)))
+    return {
+        name: np.array(column, dtype)
+        for (name, dtype), column in zip(_ROW_COLUMNS, columns)
+    }
+
+
+@functools.cache
+def _digit_tables() -> dict[str, np.ndarray]:
+    """The exponent-independent lookup tables, built on first use.
+
+    Per four-digit group: its ``"%04d"`` ASCII word and its trailing zeros,
+    each from the 100 two-digit pairs.  Per ``point * 18 + kept`` digits
+    shown: the masks ``before``, ``after`` and the point byte ``dot`` of slot
+    words 0-2, cut at the last digit.
+    """
+    pairs = range(100)
+    ascii2 = np.frombuffer(b"".join(b"%02d" % k for k in pairs), "<u2")
+    ascii2 = ascii2.astype(np.uint64)
+    zeros2 = np.array([2 if k == 0 else int(k % 10 == 0) for k in pairs])
+    # group 100 * a + b is the pair a, then the pair b; its trailing zeros
+    # are those of b, or two more than those of a when b is 00
+    ascii4 = (ascii2[:, None] | ascii2[None, :] << np.uint64(16)).ravel()
+    zeros4 = np.where(zeros2 == 2, 2 + zeros2[:, None], zeros2).ravel()
     # per (point, kept): the slot bytes of the digits before the point and
     # after it, and the point itself, cut after the last digit shown
     points = np.arange(18)[:, None, None]
@@ -173,32 +195,29 @@ def _tables() -> dict[str, np.ndarray]:
     after = words(np.where((pos > _BODY + points) & cut, 0xFF, 0))
     dot = words(np.where((pos == _BODY + points) & cut, ord("."), 0))
     return {
-        "hi": hi, "hi_head": head, "hi_tail": hi - head, "lo": np.array(lo),
-        "point": np.array(point), "lead": np.array(lead),
-        "prefix": np.array(prefix, dtype=np.uint64),
-        "expo": np.array(expo, dtype=np.uint64),
         "ascii4": ascii4, "zeros4": zeros4,
         "before": before, "after": after, "dot": dot,
     }
 
 
-def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``floor(y)`` as int64 and ``y - floor(y)`` for ``y = ax * 10**(16 - e)``.
+def _scaled(
+    ax: np.ndarray, i: np.ndarray, consts: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``floor(y)`` as int64 and ``y - floor(y)`` for ``y = ax * 10**(16 - e)``,
+    with the constants of ``e`` at index ``i`` of the ``_window`` ``consts``.
 
     ``ax * hi = p + err`` exactly (Dekker's product with 26-bit halves), and
     ``ax * lo`` adds the rest; for ``y < 2**63`` the fraction is within about
     1e-13 of the exact one.
     """
-    t = _tables()
-    i = e - _E_MIN
-    hi, head, tail = t["hi"][i], t["hi_head"][i], t["hi_tail"][i]
+    hi, head, tail = consts["hi"][i], consts["hi_head"][i], consts["hi_tail"][i]
     p = ax * hi
     c = _SPLIT * ax
     a_head = c - (c - ax)
     a_tail = ax - a_head
     err = a_tail * tail - (((p - a_head * head) - a_tail * head) - a_head * tail)
     whole = np.floor(p)
-    f = (p - whole) + (err + ax * t["lo"][i])
+    f = (p - whole) + (err + ax * consts["lo"][i])
     carry = np.floor(f)
     return whole.astype(np.int64) + carry.astype(np.int64), f - carry
 
@@ -212,16 +231,19 @@ def _divmod(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     """The ``(n, 32)`` byte slots of the cells ``x``, each ``"%.17g" % x``
     followed by its separator ``sep`` (character codes), zero-padded."""
-    t = _tables()
+    t = _digit_tables()
     ax = np.abs(x)
     sure = (ax >= _SURE_MIN) & (ax <= _SURE_MAX)  # false for nan
     ax = np.where(sure, ax, 1.0)
     e = np.floor(np.log10(ax)).astype(np.int64)
-    num, frac = _scaled(ax, e)
+    # the block's exponents, one more each side for the corrections below
+    e0 = int(e.min()) - 1
+    consts = _window(e0, int(e.max()) + 1)
+    num, frac = _scaled(ax, e - e0, consts)
     off = (num < 10**16) | (num >= 10**17)  # log10 one off at a power of ten
     if off.any():
         e[off] += np.where(num[off] < 10**16, -1, 1)
-        num[off], frac[off] = _scaled(ax[off], e[off])
+        num[off], frac[off] = _scaled(ax[off], e[off] - e0, consts)
     num += frac > 0.5
     carry = num == 10**17  # rounded up to the next power of ten
     num[carry] = 10**16
@@ -241,9 +263,9 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
         8 + np.where(a_lo == 0, 4 + zeros4[a_hi], zeros4[a_lo]),
         np.where(b_lo == 0, 4 + zeros4[b_hi], zeros4[b_lo]),
     )
-    i = e - _E_MIN
-    point = t["point"][i]
-    kept = np.maximum(17 - zeros, t["lead"][i])
+    i = e - e0
+    point = consts["point"][i]
+    kept = np.maximum(17 - zeros, consts["lead"][i])
     j = point * 18 + kept
 
     # digits at slot bytes 6.. (before the point) and 7.. (after it)
@@ -257,8 +279,8 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
             | (after[w] & t["after"][w][j])
             | t["dot"][w][j]
         )
-    slots[0] |= t["prefix"][i]
-    slots[3] = t["expo"][i]
+    slots[0] |= consts["prefix"][i]
+    slots[3] = consts["expo"][i]
     if not sure.all():
         k = np.flatnonzero((x == 0.0) | ~np.isfinite(x))
         slots[:, k] = 0

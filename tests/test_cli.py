@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -35,6 +36,58 @@ from lindosc.propagate import (
 
 MODEL = ["--lambda", "0.2", "--mu", "0.1", "--coth", "3"]
 SQUEEZED = MODEL + ["--delta-sq", "4"]
+
+
+# ---------------------------------------------------------------------------
+# help surface: each call attaches the flags of its own subcommand only
+# ---------------------------------------------------------------------------
+
+MODEL_FLAGS = {
+    "--config", "--m", "--omega", "--lambda", "--mu", "--hbar", "--coth",
+    "--temp", "--delta-sq", "--corr-r", "--q0", "--p0", "--closed",
+}
+# each subcommand's own flags, and whether it takes the model flags
+COMMAND_FLAGS = {
+    "coeffs": ({"--json", "--out"}, True),
+    "validate": ({"--out"}, True),
+    "trajectory": ({"--t-end", "--dt", "--route", "--out"}, True),
+    "metrics": ({"--t-end", "--dt", "--out"}, True),
+    "window": (
+        {"--t-end", "--dt", "--qd-threshold", "--cc-threshold", "--out"}, True
+    ),
+    "deco": ({"--high-T", "--separation", "--json", "--out"}, True),
+    "figdata": ({"--out-dir", "--n", "--t-samples"}, False),
+    "sweep": ({"--axis", "--record", "--t", "--out"}, True),
+    "fpe": (
+        {"--grid-n", "--coverage", "--t-end", "--dt", "--snapshots",
+         "--stationary", "--out-dir"},
+        True,
+    ),
+    "selftest": (set(), False),
+}
+
+
+def _help_text(capsys, *argv: str) -> str:
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_top_level_help_lists_all_ten_subcommands(capsys):
+    out = _help_text(capsys, "--help")
+    assert "{" + ",".join(COMMAND_FLAGS) + "}" in out
+    for command in COMMAND_FLAGS:
+        assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_subcommand_help_names_its_flags(capsys, command):
+    own, model = COMMAND_FLAGS[command]
+    out = _help_text(capsys, command, "--help")
+    assert out.startswith(f"usage: lindosc {command} ")
+    flags = set(re.findall(r"(?<![\w-])--[\w-]+", out))
+    assert flags == {"--help"} | own | (MODEL_FLAGS if model else set())
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_non_numeric_value_rejected():
         parse_config_text("m = fast\n")
 
 
+@pytest.mark.parametrize("text", ["sNaN", "-sNaN", "sNaN7"])
+def test_signalling_nan_reports_its_location(text):
+    # float(Decimal("sNaN")) raises ValueError, not InvalidOperation
+    with pytest.raises(ConfigError, match=rf"^osc\.cfg:2: invalid number '{text}' for 'mu'$"):
+        parse_config_text(f"lambda = 0.2\nmu = {text}\n", source="osc.cfg")
+
+
 def test_infinite_temperature_accepted():
     values = parse_config_text("temp.C = inf\n")
     assert math.isinf(values["temp.C"])
