@@ -73,7 +73,6 @@ from .states import (
     density_grid,
     geometry_for_states,
     render_grid,
-    stationary_density,
     stationary_grid,
 )
 
@@ -378,27 +377,19 @@ def _write_fig2(out_dir: Path, which: str, n_time: int) -> list[Path]:
     return [path]
 
 
-def _density_figure(which: str, n: int) -> PhaseSpaceGrid:
-    if which == "3a":
-        cfg = OscillatorConfig.reference(3.0)
-        state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
-        bound = 6.0 * math.sqrt(state0.s_qq)
-        values = np.abs(density_grid(state0, -bound, bound, n, hbar=cfg.hbar)[0])
-        return PhaseSpaceGrid(GridGeometry(-bound, bound, -bound, bound, n, n), values)
-    cfg = OscillatorConfig.reference(3.0 if which == "3b" else 20.0)
-    bound = 6.0 * math.sqrt(asymptotic_covariance(cfg).s_qq)
+def _grid_figure(which: str, n: int) -> PhaseSpaceGrid:
+    """|rho(q, q')| on a +/-6 sigma square (3a-3c) or W over the state's own
+    box (4a, 4b), of the squeezed initial state (3a, 4a) or the long-time one."""
+    cfg = OscillatorConfig.reference(20.0 if which == "3c" else 3.0)
+    if which in ("3a", "4a"):
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
+    else:
+        state = asymptotic_covariance(cfg)
+    if which.startswith("4"):
+        return render_grid(state, geometry_for_states([state], n))
+    bound = 6.0 * math.sqrt(state.s_qq)
     geom = GridGeometry(-bound, bound, -bound, bound, n, n)
-    axis = geom.q_centers()
-    return PhaseSpaceGrid(geom, stationary_density(cfg, axis[:, None], axis[None, :]))
-
-
-def _wigner_figure(which: str, n: int) -> PhaseSpaceGrid:
-    cfg = OscillatorConfig.reference(3.0)
-    if which == "4a":
-        state0 = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
-        geom = geometry_for_states([state0], n)
-        return render_grid(state0, geom)
-    return stationary_grid(cfg, n)
+    return PhaseSpaceGrid(geom, np.abs(density_grid(state, geom, cfg.hbar)))
 
 
 def _cmd_figdata(args) -> int:
@@ -416,12 +407,8 @@ def _cmd_figdata(args) -> int:
         elif figure in ("2a", "2b"):
             written += _write_fig2(out_dir, figure, args.t_samples)
         else:  # phase-space grids 3a-3c, 4a, 4b
-            if figure.startswith("3"):
-                grid = _density_figure(figure, args.n)
-            else:
-                grid = _wigner_figure(figure, args.n)
             path = out_dir / f"fig{figure}.csv"
-            grid.to_csv(path)
+            _grid_figure(figure, args.n).to_csv(path)
             written.append(path)
     for path in written:
         print(path)

@@ -116,10 +116,13 @@ def rate_ratio(cfg: OscillatorConfig, separation: float) -> float:
     approximately ``m k T separation^2 / hbar^2`` at high temperature.
 
     An order-of-magnitude quantity; requires ``mu = 0`` (the pure
-    momentum-diffusion regime in which the two rates share the factor lam).
+    momentum-diffusion regime in which the two rates share the factor lam),
+    and a finite ``separation`` (its sign does not enter).
     """
     if cfg.mu != 0.0:
         raise ValueError("rate_ratio is defined for mu = 0")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     c = cfg.coth_epsilon
     return (cfg.m * cfg.omega / (2.0 * cfg.hbar)) * separation * separation * c
 

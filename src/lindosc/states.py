@@ -1,5 +1,5 @@
 """Pointwise evaluation of Gaussian states: density matrix, Wigner function,
-stationary limits, and phase-space grids.
+the stationary density, and phase-space grids.
 
 The density matrix is evaluated in coordinate representation.  In the
 center/offset variables ``center = (q + q')/2`` and ``offset = q - q'`` a
@@ -43,7 +43,6 @@ __all__ = [
     "wigner_from_coefficients",
     "wigner_from_density",
     "stationary_density",
-    "stationary_wigner",
     "GridGeometry",
     "PhaseSpaceGrid",
     "render_grid",
@@ -170,46 +169,15 @@ def wigner_from_density(
 
 
 def stationary_density(cfg: OscillatorConfig, q, qp):
-    """Long-time density matrix (real Gaussian), evaluated directly:
+    """Long-time density matrix, the real Gaussian
 
         rho_inf(q, q') = sqrt(m omega/(pi hbar C))
             * exp(-(m omega/(4 hbar)) [ (q + q')^2 / C + C (q - q')^2 ])
 
-    Requires damping (the asymptotic state must exist).
+    evaluated as :func:`density_matrix` of :func:`asymptotic_covariance`,
+    which requires damping and a finite C.
     """
-    if cfg.lam <= 0.0:
-        raise ValueError("no stationary state without damping")
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
-    c = cfg.coth_epsilon
-    scale = cfg.m * cfg.omega
-    pref = math.sqrt(scale / (math.pi * cfg.hbar * c))
-    plus = q + qp
-    minus = q - qp
-    return pref * np.exp(
-        -(scale / (4.0 * cfg.hbar)) * (plus * plus / c + c * minus * minus)
-    )
-
-
-def stationary_wigner(cfg: OscillatorConfig, q, p):
-    """Long-time Wigner function, evaluated directly:
-
-        W_inf(q, p) = (1/(pi hbar C)) exp(-(1/(hbar C)) [ m omega q^2 + p^2/(m omega) ])
-
-    Axially symmetric in the scaled coordinates (quantum equipartition); peak
-    ``1/(pi hbar C)`` at the origin.
-    """
-    if cfg.lam <= 0.0:
-        raise ValueError("no stationary state without damping")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    c = cfg.coth_epsilon
-    scale = cfg.m * cfg.omega
-    return (
-        1.0
-        / (math.pi * cfg.hbar * c)
-        * np.exp(-(scale * q * q + p * p / scale) / (cfg.hbar * c))
-    )
+    return density_matrix(asymptotic_covariance(cfg), q, qp, cfg.hbar).real
 
 
 # -- grids -------------------------------------------------------------------
@@ -265,6 +233,8 @@ class PhaseSpaceGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("grid values must be real; take .real or abs() first")
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.geom.n_q, self.geom.n_p):
             raise ValueError(
@@ -302,36 +272,19 @@ def render_grid(state: GaussianState, geom: GridGeometry) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(geom=geom, values=wigner(state, q, p))
 
 
-def density_grid(
-    state: GaussianState,
-    q_min: float,
-    q_max: float,
-    n: int,
-    hbar: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrix sampled on an n x n cell-centered (q, q') lattice.
-
-    Returns ``(values, axis)`` with complex ``values[i, j] = rho(q_i, q'_j)``
-    (q slow axis) and the shared coordinate axis.
-    """
-    if q_max <= q_min:
-        raise ValueError("degenerate grid range")
-    if n < 3:
-        raise ValueError("grid size must be >= 3")
-    step = (q_max - q_min) / n
-    axis = q_min + (np.arange(n) + 0.5) * step
-    values = density_matrix(state, axis[:, None], axis[None, :], hbar)
-    return values, axis
+def density_grid(state: GaussianState, geom: GridGeometry, hbar: float = 1.0) -> np.ndarray:
+    """Density matrix sampled at the cell centers of ``geom``, whose p axis
+    holds q': complex ``values[i, j] = rho(q_i, q'_j)`` (q slow axis)."""
+    return density_matrix(state, geom.q_centers()[:, None], geom.p_centers()[None, :], hbar)
 
 
 def geometry_for_states(
     states: Sequence[GaussianState] | Iterable[GaussianState],
-    n_q: int,
-    n_p: int | None = None,
+    n: int,
     coverage: float = 6.0,
 ) -> GridGeometry:
-    """Smallest symmetric-per-axis box covering mean +/- coverage * std for
-    every given state (the domain-sizing rule used by the grid solver)."""
+    """Smallest n x n box, symmetric per axis, covering mean +/- coverage * std
+    of every given state (the domain-sizing rule used by the grid solver)."""
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
@@ -339,20 +292,10 @@ def geometry_for_states(
     q_hi = max(s.mean_q + coverage * math.sqrt(s.s_qq) for s in states)
     p_lo = min(s.mean_p - coverage * math.sqrt(s.s_pp) for s in states)
     p_hi = max(s.mean_p + coverage * math.sqrt(s.s_pp) for s in states)
-    return GridGeometry(
-        q_min=q_lo,
-        q_max=q_hi,
-        p_min=p_lo,
-        p_max=p_hi,
-        n_q=n_q,
-        n_p=n_p if n_p is not None else n_q,
-    )
+    return GridGeometry(q_min=q_lo, q_max=q_hi, p_min=p_lo, p_max=p_hi, n_q=n, n_p=n)
 
 
 def stationary_grid(cfg: OscillatorConfig, n: int, coverage: float = 6.0) -> PhaseSpaceGrid:
     """Stationary Wigner function rendered over its own +/- coverage std box."""
     state = asymptotic_covariance(cfg)
-    geom = geometry_for_states([state], n, coverage=coverage)
-    q = geom.q_centers()[:, None]
-    p = geom.p_centers()[None, :]
-    return PhaseSpaceGrid(geom=geom, values=stationary_wigner(cfg, q, p))
+    return render_grid(state, geometry_for_states([state], n, coverage=coverage))

@@ -533,6 +533,15 @@ def test_deco_json_with_separation(capsys):
     assert payload["separation"] == 1.0
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
+def test_deco_rejects_non_finite_separation(capsys, separation):
+    argv = ["deco", "--lambda", "0.2", "--coth", "3", f"--separation={separation}", "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"lindosc: separation must be finite, got {float(separation)!r}\n"
+
+
 def test_deco_underflowing_thermal_exponent_is_infinite_temperature(capsys):
     # hbar*omega/(2kT) rounds to 0 at T = 1e308, so C = inf as with --coth inf
     argv = ["deco", "--lambda", "0.2", "--mu", "0.1", "--delta-sq", "4"]

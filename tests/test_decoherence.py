@@ -205,6 +205,15 @@ class TestRateRatio:
         with pytest.raises(ValueError):
             rate_ratio(CFG, 1.0)  # mu != 0 mixes in momentum coupling
 
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            rate_ratio(make_cfg(mu=0.0), separation)
+
+    def test_negative_separation_enters_squared(self):
+        cfg = make_cfg(mu=0.0)
+        assert rate_ratio(cfg, -0.5) == rate_ratio(cfg, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # temperature regimes

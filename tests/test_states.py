@@ -14,7 +14,7 @@ from lindosc.model import (
     initial_state,
     thermal_coefficients,
 )
-from lindosc.propagate import covariance_lyapunov
+from lindosc.propagate import asymptotic_covariance, covariance_lyapunov
 from lindosc.quadrature import simpson_refine
 from lindosc.states import (
     GridGeometry,
@@ -27,7 +27,6 @@ from lindosc.states import (
     render_grid,
     stationary_density,
     stationary_grid,
-    stationary_wigner,
     wigner,
     wigner_from_coefficients,
     wigner_from_density,
@@ -228,9 +227,34 @@ class TestStationary:
         assert stationary_density(CFG, 0.0, 0.0) == pytest.approx(0.32574, abs=5e-6)
 
     def test_wigner_peak(self):
-        assert stationary_wigner(CFG, 0.0, 0.0) == pytest.approx(
+        assert wigner(asymptotic_covariance(CFG), 0.0, 0.0) == pytest.approx(
             1.0 / (3.0 * math.pi), rel=1e-14
         )
+
+    @pytest.mark.parametrize("c", [1.0, 3.0, 20.0])
+    def test_generic_kernels_match_the_paper_formulas(self, c):
+        # the paper's long-time Wigner function and density matrix, written out
+        cfg = OscillatorConfig(
+            m=1.3, omega=0.7, lam=0.2, mu=0.1, hbar=1.1, temp=TemperatureSpec.from_coth(c)
+        )
+        mw, hc = cfg.m * cfg.omega, cfg.hbar * c
+        state = asymptotic_covariance(cfg)
+        q = np.linspace(-6.0, 6.0, 41)[:, None] * math.sqrt(state.s_qq)
+        p = np.linspace(-6.0, 6.0, 41)[None, :] * math.sqrt(state.s_pp)
+        w_inf = np.exp(-(mw * q * q + p * p / mw) / hc) / (math.pi * hc)
+        got = wigner(state, q, p)
+        assert np.max(np.abs(got - w_inf)) <= 1e-15 * np.max(w_inf)
+        qp = q.T
+        rho_inf = math.sqrt(mw / (math.pi * hc)) * np.exp(
+            -(mw / (4.0 * cfg.hbar)) * ((q + qp) ** 2 / c + c * (q - qp) ** 2)
+        )
+        for got in (density_matrix(state, q, qp, cfg.hbar), stationary_density(cfg, q, qp)):
+            assert np.max(np.abs(got - rho_inf)) <= 1e-15 * np.max(rho_inf)
+
+    def test_density_needs_a_finite_temperature(self):
+        # Sigma(inf) diverges at C = inf; no state, rather than a nan density
+        with pytest.raises(ValueError, match="infinite temperature"):
+            stationary_density(make_cfg(c=math.inf), 0.0, 0.0)
 
     def test_coherence_suppression(self):
         # off-diagonal coherences shrink with temperature
@@ -250,7 +274,6 @@ def test_scalar_coordinates_give_numpy_scalars():
             "density_matrix": density_matrix(state, q, p),
             "density_sigma_delta": density_sigma_delta(state, q, p),
             "stationary_density": stationary_density(CFG, q, p),
-            "stationary_wigner": stationary_wigner(CFG, q, p),
         }
         for name, value in values.items():
             assert isinstance(value, np.generic), name
@@ -323,9 +346,20 @@ class TestGrids:
 
     def test_density_grid_diagonal_matches_density(self):
         state = evolved_state(0.7)
-        values, axis = density_grid(state, -6.0, 6.0, 64)
+        geom = GridGeometry(-6.0, 6.0, -6.0, 6.0, 64, 64)
+        values = density_grid(state, geom)
+        axis = geom.q_centers()
         k = 20
         assert values[k, k] == pytest.approx(
             density_matrix(state, axis[k], axis[k]), rel=1e-12
         )
         assert axis[0] == pytest.approx(-6.0 + 12.0 / 128.0)
+
+    def test_grid_rejects_complex_values(self):
+        # a complex density grid must not lose its imaginary part silently
+        state = evolved_state(0.7, correlation=0.3)
+        geom = GridGeometry(-6.0, 6.0, -6.0, 6.0, 16, 16)
+        values = density_grid(state, geom)
+        assert np.any(values.imag != 0.0)
+        with pytest.raises(ValueError, match="real"):
+            PhaseSpaceGrid(geom, values)
