@@ -22,13 +22,23 @@ kernel cannot certify: ``y`` within 1e-9 of a rounding tie, and finite
 non-zero magnitudes outside the range above (subnormals included).  ``nan``
 (whatever its sign bit), ``inf``, ``-inf``, ``0`` and ``-0`` are laid out by
 the kernel.
+
+Equal float64 bits give equal ``%.17g`` text, and the cells of a column share
+a separator, so a cell whose bits equal those of the cell above it reuses
+that cell's 32-byte slot.  In a formatting pass where at least one cell in
+16 repeats the one above, the kernel formats only the first cell of each
+run of equal cells in a column, and the slots are expanded column by column
+back to the rows; the other passes go to the kernel whole.  Comparing bits,
+not values, keeps ``0`` and ``-0``, NaN payloads and the ``%`` cells apart.
+The runs start afresh in every pass.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +50,8 @@ _SURE_MIN, _SURE_MAX = 1e-270, 1e270  # magnitudes the kernel formats itself
 _TIE = 1e-9  # digits this close to a rounding tie are left to ``%``
 _SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 _SLOT = 32  # bytes of one formatted cell, zero bytes dropped on output
+_RUN_SHARE = 16  # a pass formats by run when 1/16 of its cells repeat
+_ASCII = "0123456789+-.,\neinaf"  # every character a cell or separator uses
 
 # A cell is built in a 32-byte slot of four little-endian 64-bit words, at
 # fixed places; the unused bytes stay zero and are dropped on output:
@@ -75,16 +87,32 @@ def write_csv(
     array kernel described in the module docstring, in passes of at most
     ``2**13`` cells (whole rows; a wider row is one pass), so the writer
     streams and its temporaries stay near 1 MiB.  Each pass ends in one
-    ``write`` call.
+    ``write`` call: of its ASCII bytes to the binary ``buffer`` of an
+    ``io.TextIOWrapper`` whose encoding keeps ASCII as is (files, stdout),
+    after the header is flushed through the text layer, and of its text to
+    any other handle (``StringIO``).  The rows so bypass a wrapper's newline
+    translation: they end in ``"\\n"`` whatever its ``newline``.
     """
     if not hasattr(target, "write"):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             return write_csv(handle, header, rows)
     target.write(header + "\n")
+    write = _pass_writer(target)
     for block in _blocks(rows):
         step = max(1, _CHUNK // max(block.shape[1], 1))
         for start in range(0, len(block), step):
-            target.write(_format_rows(block[start : start + step]))
+            write(_format_rows(block[start : start + step]))
+
+
+def _pass_writer(target: IO[str]) -> Callable[[bytes], object]:
+    """The ``write`` that takes a pass's ASCII bytes to ``target``."""
+    if (
+        isinstance(target, io.TextIOWrapper)
+        and _ASCII.encode(target.encoding) == _ASCII.encode("ascii")
+    ):
+        target.flush()
+        return target.buffer.write
+    return lambda data: target.write(data.decode("ascii"))
 
 
 def _blocks(rows) -> Iterator[np.ndarray]:
@@ -110,14 +138,28 @@ def _blocks(rows) -> Iterator[np.ndarray]:
         yield np.array(run, dtype=float)
 
 
-def _format_rows(block: np.ndarray) -> str:
-    """The CSV lines of one 2-D block: its cells' slots with the zero bytes
-    dropped."""
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of one 2-D block as ASCII: its cells' slots, zero bytes
+    dropped, each run of equal cells down a column formatted once.  With
+    fewer than one repeat in ``_RUN_SHARE`` cells, finding the runs would
+    cost about what it saves, so the block goes to the kernel whole."""
     rows, width = block.shape
     ends = np.full(width, ord(","), np.uint64)
     ends[-1] = ord("\n")
-    slots = _cells(block.ravel(), np.tile(ends, rows))
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    x = np.ascontiguousarray(block)
+    bits = x.view(np.uint64)
+    same = bits[1:] == bits[:-1]
+    if np.count_nonzero(same) * _RUN_SHARE < x.size:
+        slots = _cells(x.ravel(), np.tile(ends, rows))
+    else:
+        # column-major, where the cells of a run follow its first cell
+        fresh = np.empty((width, rows), bool)
+        fresh[:, 0] = True
+        np.logical_not(same.T, out=fresh[:, 1:])
+        firsts = _cells(x.T[fresh], np.repeat(ends, fresh.sum(axis=1)))
+        run = np.cumsum(fresh, dtype=np.intp) - 1  # each cell's run
+        slots = firsts.take(run.reshape(width, rows).T.ravel(), axis=0)
+    return slots.tobytes().translate(None, b"\0")
 
 
 # The per-exponent columns of ``_window``, in ``_exponent_row`` order.
@@ -229,7 +271,7 @@ def _divmod(v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
-    """The ``(n, 32)`` byte slots of the cells ``x``, each ``"%.17g" % x``
+    """The ``(n, 4)`` word slots of the cells ``x``, each ``"%.17g" % x``
     followed by its separator ``sep`` (character codes), zero-padded."""
     t = _digit_tables()
     ax = np.abs(x)
@@ -272,7 +314,8 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     u8, u56 = np.uint64(8), np.uint64(56)
     before = (d0 << np.uint64(48) | a << u56, a >> u8 | b << u56, b >> u8)
     after = (d0 << u56, a, b)
-    slots = np.empty((4, x.size), _WORDS)
+    cells = np.empty((x.size, 4), _WORDS)
+    slots = cells.T  # word w of every cell in row w
     for w in range(3):
         slots[w] = (
             (before[w] & t["before"][w][j])
@@ -292,4 +335,4 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     ).tolist():
         cell = (_FLOAT % x[k]).encode() + bytes([int(sep[k])])
         slots[:, k] = np.frombuffer(cell.ljust(_SLOT, b"\0"), _WORDS)
-    return np.ascontiguousarray(slots.T).view(np.uint8)
+    return cells

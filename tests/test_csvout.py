@@ -7,11 +7,18 @@ nearest 10**k that lie below it round up to the next power), exact rounding
 ties at the 17th digit, dyadic rationals, integers and a linspace.  Before
 them, one call writes blocks whose decimal exponents lie far apart, so each
 formatting pass reads the kernel's constants for its own exponents.
+
+A Hypothesis test then draws tables made of runs of equal cells, which the
+writer formats once per run: constant columns, runs across the boundary of
+a formatting pass, NaNs and zeros whose bits differ, infinities, subnormals
+and rounding ties inside runs.
 """
 
 import io
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lindosc.csvout import write_csv
 
@@ -95,3 +102,89 @@ def test_write_csv_matches_format_17g_on_a_million_doubles():
     for mine, ref in zip(got.splitlines(), expected.splitlines()):
         assert mine == ref  # names the first differing row
     assert got == expected
+
+
+PASS = 1 << 13  # cells per formatting pass of the writer
+
+
+def _bits(pattern: int) -> float:
+    return float(np.array([pattern], np.uint64).view(np.float64)[0])
+
+
+def _tie(q: int, m: int) -> float:
+    """A double with 18 significant digits, the last a 5 (see ``_doubles``)."""
+    lo = int(np.ceil(10.0 ** (17 - q) * 2.0**q))
+    hi = min(int(10.0 ** (18 - q) * 2.0**q), 2**53)
+    return float(np.ldexp(float((lo + m % (hi - lo)) | 1), -q))
+
+
+SIGNED = st.integers(0, 1).map(lambda s: s << 63)
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    # NaNs that differ only in their payload and sign bits
+    st.builds(lambda s, m: _bits(s | 0x7FF << 52 | m), SIGNED, st.integers(1, 2**52 - 1)),
+    st.builds(lambda s, m: _bits(s | m), SIGNED, st.integers(1, 2**52 - 1)),
+    st.builds(_tie, st.integers(2, 20), st.integers(0, 2**40)),
+)
+
+
+@st.composite
+def run_tables(draw) -> np.ndarray:
+    """A table whose columns each cycle through a few cells in runs: of one
+    row (so ``[0.0, -0.0]`` alternates), of about ``mean`` rows, or one run
+    over the whole column.  Some tables span more than one formatting pass."""
+    width = draw(st.integers(1, 9))
+    per_pass = PASS // width
+    rows = draw(st.integers(1, 40) | st.integers(per_pass - 2, 2 * per_pass + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    columns = []
+    for _ in range(width):
+        cells = draw(st.lists(CELLS, min_size=1, max_size=4))
+        mean = draw(st.sampled_from([1, 4, 100, per_pass, None]))
+        if mean is None:
+            lengths = np.array([rows])
+        else:
+            lengths = rng.geometric(1.0 / mean, size=rows)
+        run = np.repeat(np.arange(lengths.size), lengths)[:rows]
+        columns.append(np.array(cells)[run % len(cells)])
+    return np.column_stack(columns)
+
+
+def _mixed_runs() -> np.ndarray:
+    """Three passes of five columns: one constant, ``0.0``/``-0.0``
+    alternating, two NaN payloads and their negatives in runs of three, and
+    runs of 1000 through an infinity, a subnormal and a rounding tie, the
+    last column cycling through the same cells one row at a time."""
+    rows = 3 * PASS // 5 + 7
+    nans = [_bits(s | 0x7FF << 52 | m) for s in (0, 1 << 63) for m in (1, 2**51)]
+    cells = np.array([np.inf, _bits(3), _tie(5, 12345), -np.inf, -_bits(2**52 - 1)])
+    k = np.arange(rows)
+    return np.column_stack([
+        np.full(rows, 0.1),
+        np.where(k % 2, -0.0, 0.0),
+        np.array(nans)[k // 3 % 4],
+        cells[k // 1000 % 5],
+        cells[k % 5],
+    ])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(table=run_tables(), as_rows=st.booleans())
+@example(table=_mixed_runs(), as_rows=False)
+@example(table=_mixed_runs(), as_rows=True)
+def test_write_csv_matches_format_17g_on_runs(table, as_rows):
+    expected = "h\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()
+    )
+    rows = table.tolist() if as_rows else table
+    text = io.StringIO()
+    write_csv(text, "h", rows)
+    # as lines, so that a failure names the first differing row
+    lines = expected.splitlines(keepends=True)
+    assert text.getvalue().splitlines(keepends=True) == lines
+    raw = io.BytesIO()
+    handle = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+    write_csv(handle, "h", rows)
+    handle.flush()
+    assert raw.getvalue().decode().splitlines(keepends=True) == lines
