@@ -25,12 +25,11 @@ the kernel.
 
 Equal float64 bits give equal ``%.17g`` text, and the cells of a column share
 a separator, so a cell whose bits equal those of the cell above it reuses
-that cell's 32-byte slot.  In a formatting pass where at least one cell in
-16 repeats the one above, the kernel formats only the first cell of each
-run of equal cells in a column, and the slots are expanded column by column
-back to the rows; the other passes go to the kernel whole.  Comparing bits,
-not values, keeps ``0`` and ``-0``, NaN payloads and the ``%`` cells apart.
-The runs start afresh in every pass.
+that cell's 32-byte slot.  The kernel formats only the first cell of each
+run of equal cells down a column, and the slots are expanded column by
+column back to the rows.  Comparing bits, not values, keeps ``0`` and
+``-0``, NaN payloads and the ``%`` cells apart.  The runs start afresh in
+every pass.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ _SURE_MIN, _SURE_MAX = 1e-270, 1e270  # magnitudes the kernel formats itself
 _TIE = 1e-9  # digits this close to a rounding tie are left to ``%``
 _SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 _SLOT = 32  # bytes of one formatted cell, zero bytes dropped on output
-_RUN_SHARE = 16  # a pass formats by run when 1/16 of its cells repeat
 _ASCII = "0123456789+-.,\neinaf"  # every character a cell or separator uses
 
 # A cell is built in a 32-byte slot of four little-endian 64-bit words, at
@@ -86,32 +84,36 @@ def write_csv(
     and 2-D blocks of rows, in output order.  The cells are formatted by the
     array kernel described in the module docstring, in passes of at most
     ``2**13`` cells (whole rows; a wider row is one pass), so the writer
-    streams and its temporaries stay near 1 MiB.  Each pass ends in one
-    ``write`` call: of its ASCII bytes to the binary ``buffer`` of an
-    ``io.TextIOWrapper`` whose encoding keeps ASCII as is (files, stdout),
-    after the header is flushed through the text layer, and of its text to
-    any other handle (``StringIO``).  The rows so bypass a wrapper's newline
-    translation: they end in ``"\\n"`` whatever its ``newline``.
+    streams and its temporaries stay near 1 MiB.  The header and each pass
+    are one ``write`` call each: of bytes to the binary ``buffer`` of an
+    ``io.TextIOWrapper`` (exactly that type) whose encoding keeps ASCII as
+    is (files, stdout), after flushing its text layer, and of text to any
+    other handle (``StringIO``).  A wrapper's newline translation is so
+    bypassed: every line of the file, the header too, ends in ``"\\n"``
+    whatever its ``newline``.
     """
     if not hasattr(target, "write"):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             return write_csv(handle, header, rows)
-    target.write(header + "\n")
-    write = _pass_writer(target)
+    write = _line_writer(target, header)
     for block in _blocks(rows):
         step = max(1, _CHUNK // max(block.shape[1], 1))
         for start in range(0, len(block), step):
             write(_format_rows(block[start : start + step]))
 
 
-def _pass_writer(target: IO[str]) -> Callable[[bytes], object]:
-    """The ``write`` that takes a pass's ASCII bytes to ``target``."""
+def _line_writer(target: IO[str], header: str) -> Callable[[bytes], object]:
+    """Write ``header`` and its newline to ``target``, and return the
+    ``write`` that takes a pass's ASCII bytes there."""
     if (
-        isinstance(target, io.TextIOWrapper)
+        type(target) is io.TextIOWrapper
         and _ASCII.encode(target.encoding) == _ASCII.encode("ascii")
     ):
         target.flush()
-        return target.buffer.write
+        write = target.buffer.write
+        write((header + "\n").encode(target.encoding, target.errors))
+        return write
+    target.write(header + "\n")
     return lambda data: target.write(data.decode("ascii"))
 
 
@@ -140,25 +142,19 @@ def _blocks(rows) -> Iterator[np.ndarray]:
 
 def _format_rows(block: np.ndarray) -> bytes:
     """The CSV lines of one 2-D block as ASCII: its cells' slots, zero bytes
-    dropped, each run of equal cells down a column formatted once.  With
-    fewer than one repeat in ``_RUN_SHARE`` cells, finding the runs would
-    cost about what it saves, so the block goes to the kernel whole."""
+    dropped, each run of equal cells down a column formatted once."""
     rows, width = block.shape
     ends = np.full(width, ord(","), np.uint64)
     ends[-1] = ord("\n")
     x = np.ascontiguousarray(block)
     bits = x.view(np.uint64)
-    same = bits[1:] == bits[:-1]
-    if np.count_nonzero(same) * _RUN_SHARE < x.size:
-        slots = _cells(x.ravel(), np.tile(ends, rows))
-    else:
-        # column-major, where the cells of a run follow its first cell
-        fresh = np.empty((width, rows), bool)
-        fresh[:, 0] = True
-        np.logical_not(same.T, out=fresh[:, 1:])
-        firsts = _cells(x.T[fresh], np.repeat(ends, fresh.sum(axis=1)))
-        run = np.cumsum(fresh, dtype=np.intp) - 1  # each cell's run
-        slots = firsts.take(run.reshape(width, rows).T.ravel(), axis=0)
+    # column-major, where the cells of a run follow its first cell
+    fresh = np.empty((width, rows), bool)
+    fresh[:, 0] = True
+    np.not_equal(bits[1:].T, bits[:-1].T, out=fresh[:, 1:])
+    firsts = _cells(x.T[fresh], np.repeat(ends, fresh.sum(axis=1)))
+    run = np.cumsum(fresh, dtype=np.intp) - 1  # each cell's run
+    slots = firsts.take(run.reshape(width, rows).T.ravel(), axis=0)
     return slots.tobytes().translate(None, b"\0")
 
 

@@ -79,32 +79,19 @@ def density_sigma_delta(state: GaussianState, center, offset, hbar: float = 1.0)
     """Density matrix in center/offset coordinates (complex value).
 
     ``center = (q + q')/2`` and ``offset = q - q'``; accepts scalars or
-    broadcastable arrays.  With no phase (``beta == 0`` and ``<p> == 0``,
-    as for the stationary states and the uncorrelated states at rest) the
-    value is real: only the real exponent is formed, and the result is
-    complex with a zero imaginary part.
+    broadcastable arrays.
     """
     center = np.asarray(center, dtype=float)
     offset = np.asarray(offset, dtype=float)
     coeff = alpha_beta_gamma(state, hbar)
     dq = center - state.mean_q
-    norm = math.sqrt(coeff.alpha / math.pi)
-    exponent = -coeff.alpha * dq * dq - coeff.gamma * offset * offset
-    if coeff.beta == 0.0 and state.mean_p == 0.0:
-        # the complex exp of a zero imaginary part is the platform's exp,
-        # bit for bit the real part of the phased formula below (NumPy's
-        # own float64 exp can differ from it in the last bit)
-        rho = np.zeros(exponent.shape, complex)
-        rho.real = exponent
-        np.exp(rho, out=rho)
-        rho.real *= norm
-        return rho[()]
     exponent = (
-        exponent
+        -coeff.alpha * dq * dq
+        - coeff.gamma * offset * offset
         + 1j * coeff.beta * dq * offset
         + 1j * state.mean_p * offset / hbar
     )
-    return norm * np.exp(exponent)
+    return math.sqrt(coeff.alpha / math.pi) * np.exp(exponent)
 
 
 def density_matrix(state: GaussianState, q, qp, hbar: float = 1.0):

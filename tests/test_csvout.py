@@ -183,8 +183,30 @@ def test_write_csv_matches_format_17g_on_runs(table, as_rows):
     # as lines, so that a failure names the first differing row
     lines = expected.splitlines(keepends=True)
     assert text.getvalue().splitlines(keepends=True) == lines
-    raw = io.BytesIO()
-    handle = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
-    write_csv(handle, "h", rows)
-    handle.flush()
-    assert raw.getvalue().decode().splitlines(keepends=True) == lines
+    # a file handle gets the bytes on its buffer: every line, the header
+    # too, ends in "\n", also where the handle would translate newlines
+    for newline in ("\n", "\r\n"):
+        raw = io.BytesIO()
+        handle = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+        write_csv(handle, "h", rows)
+        handle.flush()
+        assert raw.getvalue().decode().splitlines(keepends=True) == lines
+
+
+class _Tee(io.TextIOWrapper):
+    """A text handle that also keeps every string written to it."""
+
+    def __init__(self, raw):
+        super().__init__(raw, encoding="utf-8")
+        self.seen = []
+
+    def write(self, text):
+        self.seen.append(text)
+        return super().write(text)
+
+
+def test_write_csv_writes_text_through_a_wrapper_subclass():
+    table = np.column_stack([np.zeros(3), np.arange(3.0)])
+    handle = _Tee(io.BytesIO())
+    write_csv(handle, "a,b", table)
+    assert "".join(handle.seen) == "a,b\n0,0\n0,1\n0,2\n"
