@@ -42,10 +42,10 @@ from .propagate import (
     sigma_pq_closed,
     trajectory_lyapunov,
 )
-from .quadrature import simpson_refine
 from .states import (
     alpha_beta_gamma,
     density_matrix,
+    gaussian_trapezoid,
     geometry_for_states,
     render_grid,
     stationary_grid,
@@ -285,15 +285,17 @@ def check_wigner_density_consistency() -> CriterionResult:
         )
         sq = math.sqrt(state.s_qq)
         sp = math.sqrt(state.s_pp)
+        # at fixed q the Wigner function is a Gaussian in p, of width
+        # hbar sqrt(2 gamma) around <p> + hbar beta (q - <q>)
+        coeff = alpha_beta_gamma(state, cfg.hbar)
         for _ in range(10):
             q = state.mean_q + rng.uniform(-3.0, 3.0) * sq
             p = state.mean_p + rng.uniform(-3.0, 3.0) * sp
 
-            marginal = simpson_refine(
+            marginal = gaussian_trapezoid(
                 lambda pv: wigner(state, q, pv),
-                state.mean_p - 10.0 * sp,
-                state.mean_p + 10.0 * sp,
-                rel_tol=1e-10,
+                state.mean_p + cfg.hbar * coeff.beta * (q - state.mean_q),
+                cfg.hbar * math.sqrt(2.0 * coeff.gamma),
             )
             diagonal = density_matrix(state, q, q, cfg.hbar).real
             worst_marginal = max(worst_marginal, abs(marginal - diagonal))

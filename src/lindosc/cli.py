@@ -212,6 +212,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_deco(args) -> int:
     cfg, spec = _model_from_args(args)
+    thermal_coefficients(cfg)  # rejects a bath that is no Lindblad generator
     scales = time_scales(spec, cfg, high_temperature=args.high_t)
     regime = regime_report(cfg)
     payload: dict[str, object] = {

@@ -158,11 +158,12 @@ def regime_report(cfg: OscillatorConfig) -> RegimeReport:
     c = cfg.coth_epsilon
     quarter = cfg.hbar * cfg.hbar / 4.0
     sigma_be = math.inf if math.isinf(c) else quarter * c * c
-    kt = cfg.thermal_energy
-    sigma_mb = math.inf if math.isinf(kt) else (kt / cfg.omega) ** 2
+    kt_omega = cfg.thermal_energy / cfg.omega
+    sigma_mb = kt_omega * kt_omega
+    ratio = cfg.epsilon * c  # sigma_be / sigma_mb = ratio^2, never inf/inf or 0/0
     if c < 1.01:
         regime = "quantum"
-    elif math.isinf(c) or abs(sigma_be / sigma_mb - 1.0) <= 0.01:
+    elif math.isinf(c) or abs(ratio * ratio - 1.0) <= 0.01:
         regime = "classical-statistical"
     else:
         regime = "quantum-statistical"

@@ -54,7 +54,7 @@ HBAR_SI = 1.054571817e-34  # J*s
 
 
 class NumericError(RuntimeError):
-    """An evolution or quadrature produced non-finite values.
+    """An evolution produced non-finite values.
 
     ``step`` carries the offending step index when available.
     """
@@ -334,10 +334,11 @@ def validate(cfg: OscillatorConfig) -> ValidationReport:
     ``d_pp, d_qq > 0`` (``lam > |mu|`` and ``C`` finite), or the system is
     closed; and ``thermal_constraint``, ``(lam^2 - mu^2) C^2 >= lam^2``, which
     for these coefficients is the determinant bound
-    ``d_pp*d_qq - d_pq^2 >= (lam*hbar/2)^2`` divided by ``hbar^2/4``.  Its
-    slack is relative to the compared values, so it decides alike in SI and
-    natural units, where ``lam^2`` may be far below 1.  At ``C = inf`` it holds
-    when ``lam > |mu|`` or ``lam = 0``.  The weak-coupling condition
+    ``d_pp*d_qq - d_pq^2 >= (lam*hbar/2)^2`` divided by ``hbar^2/4``.  It is
+    decided divided by ``lam^2 C^2``, as ``1 - (mu/lam)^2 >= 1/C^2``, where
+    nothing overflows or underflows, with a slack relative to the compared
+    values.  Since ``1/C^2 > 0``, it needs ``lam > |mu|`` or ``lam = mu = 0``,
+    also in the limit ``C = inf``.  The weak-coupling condition
     ``lam < omega/10`` is advisory only.
     """
     try:
@@ -354,18 +355,19 @@ def validate(cfg: OscillatorConfig) -> ValidationReport:
 
     c = cfg.coth_epsilon
     lam2 = cfg.lam * cfg.lam
-    if math.isinf(c):
-        thermal_ok = cfg.lam > abs(cfg.mu) or cfg.lam == 0.0
-        lhs_text = "inf"
+    diff = lam2 - cfg.mu * cfg.mu
+    if cfg.lam == 0.0:
+        thermal_ok = cfg.closed_system
     else:
-        lhs = (lam2 - cfg.mu * cfg.mu) * c * c
-        thermal_ok = lhs >= lam2 - 1e-12 * max(abs(lhs), lam2)
-        lhs_text = f"{lhs:.6g}"
+        ratio = abs(cfg.mu) / cfg.lam
+        left, right = (1.0 - ratio) * (1.0 + ratio), 1.0 / c / c
+        thermal_ok = ratio < 1.0 and left >= right - 1e-12 * max(left, right)
+    lhs = math.copysign(math.inf, diff) if math.isinf(c) else diff * c * c
     thermal = CheckResult(
         "thermal_constraint",
         thermal_ok,
         True,
-        f"(lam^2 - mu^2)*C^2 = {lhs_text} vs lam^2 = {lam2:.6g}",
+        f"(lam^2 - mu^2)*C^2 = {lhs:.6g} vs lam^2 = {lam2:.6g}",
     )
 
     weak = CheckResult(

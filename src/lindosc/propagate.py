@@ -187,7 +187,8 @@ def _moment_system(
     system = np.zeros((5, 5))
     system[:2, :2] = [[a, b], [c, e]]
     system[2:, 2:] = [[2.0 * a, 2.0 * b, 0.0], [c, a + e, b], [0.0, 2.0 * c, 2.0 * e]]
-    return system, 2.0 * np.array([0.0, 0.0, d.d_qq, d.d_pq, d.d_pp])
+    # doubled as Python floats, which overflow to inf without a NumPy warning
+    return system, np.array([0.0, 0.0, 2.0 * d.d_qq, 2.0 * d.d_pq, 2.0 * d.d_pp])
 
 
 def steady_state_covariance(
@@ -252,6 +253,7 @@ def _propagate_moments(
     ``J2 = (a e^{a t} s^2 + 2F - 2 e^{a t} s c) / (a^2 + 4 Om^2)``; and
     ``c^2 + Om^2 s^2 = 1`` gives ``J0 = F - Om^2 J2``.  The denominator
     ``4(lam^2 + omega^2 - mu^2)`` is at least ``4 omega^2`` for ``|mu| <= lam``.
+    NumPy stays silent; a non-finite row is the caller's to report.
     """
     t = _times(times)
     decay, c, s = _oscillation(cfg.lam, cfg.shifted_frequency, t)
@@ -259,17 +261,17 @@ def _propagate_moments(
     big2 = cfg.shifted_frequency**2
     a = -2.0 * cfg.lam
     e2 = decay * decay
-    x = a * t
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        x = a * t
         flat = np.where(x == 0.0, t, np.expm1(x) / a)
-    j2 = (a * e2 * s * s + 2.0 * flat - 2.0 * e2 * s * c) / (a * a + 4.0 * big2)
-    j1 = 0.5 * (e2 * s * s - a * j2)
-    j0 = flat - big2 * j2
-    cov = np.column_stack([e2 * c * c, e2 * c * s, e2 * s * s]) @ _symmetric_terms(
-        k, state0.covariance()
-    )
-    cov += np.column_stack([j0, j1, j2]) @ _symmetric_terms(k, 2.0 * d.matrix())
-    return np.column_stack([*_means(state0, cfg, decay, c, s), cov])
+        j2 = (a * e2 * s * s + 2.0 * flat - 2.0 * e2 * s * c) / (a * a + 4.0 * big2)
+        j1 = 0.5 * (e2 * s * s - a * j2)
+        j0 = flat - big2 * j2
+        cov = np.column_stack([e2 * c * c, e2 * c * s, e2 * s * s]) @ _symmetric_terms(
+            k, state0.covariance()
+        )
+        cov += np.column_stack([j0, j1, j2]) @ _symmetric_terms(k, 2.0 * d.matrix())
+        return np.column_stack([*_means(state0, cfg, decay, c, s), cov])
 
 
 def covariance_lyapunov(
@@ -315,7 +317,7 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
         k_plus, k_minus, _, root = squeeze_terms(p)
         decay, c, s = _oscillation(p.lam, p.shifted_frequency, t)
         e = decay * decay
-        f = -np.expm1(-2.0 * p.lam * t)
+        f = -np.expm1(-2.0 * (p.lam * t))
         inner = (
             mu * s * s * (k_plus - 2.0 * coth)
             + k_minus * s * c
@@ -414,9 +416,14 @@ def trajectory_lyapunov(
     d: DiffusionCoefficients,
     times: Sequence[float],
 ) -> Trajectory:
-    """Exact-propagation trajectory sampled at the given times."""
+    """Exact-propagation trajectory sampled at the given times; raises
+    :class:`NumericError` at the first sample whose moments are non-finite."""
     times = np.asarray(times, dtype=float)
     moments = _propagate_moments(state0, cfg, d, times)
+    bad = ~np.isfinite(moments).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericError(f"exact moments non-finite at t={float(times[i])}", step=i)
     return Trajectory(np.column_stack([times, moments]))
 
 
@@ -493,9 +500,11 @@ def integrate_moments_rk4(
         raise ValueError("t_end must be an integer multiple of dt")
 
     system, drive = _moment_system(cfg, d)
-    ha, eye = dt * system, np.eye(5)
-    s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
-    powers, drives = _step_powers(ha @ s, dt * s @ drive, min(_BLOCK, max(n_steps, 1)))
+    with np.errstate(all="ignore"):  # a non-finite step map fails at step 1 below
+        ha, eye = dt * system, np.eye(5)
+        s = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
+        step, drive = ha @ s, dt * s @ drive
+    powers, drives = _step_powers(step, drive, min(_BLOCK, max(n_steps, 1)))
     # column l of every P_i as rows j = 0..4, contiguous over i
     cols = np.ascontiguousarray(powers.transpose(2, 1, 0))
     drives = np.ascontiguousarray(drives.T)

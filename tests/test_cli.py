@@ -36,6 +36,7 @@ from lindosc.propagate import (
 
 MODEL = ["--lambda", "0.2", "--mu", "0.1", "--coth", "3"]
 SQUEEZED = MODEL + ["--delta-sq", "4"]
+HUGE_DAMPING = ["--lambda", "1e308", "--mu", "0.1", "--coth", "3", "--delta-sq", "4"]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,23 @@ _NO_DAMPING = "pass  weak_coupling (advisory): lam=0 vs omega/10=0.1"
             "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = 0.03 vs lam^2 = 0.04",
             _WEAK,
         ]),
+        # the bound fails at every finite C unless lam > |mu| or lam = mu = 0,
+        # so also in the limit C = inf, and where (lam^2 - mu^2) C^2 overflows
+        (["--lambda", "0", "--mu", "0.1", "--coth", "inf"], 1, [
+            _NEED_LAM.format("0.0"),
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = -inf vs lam^2 = 0",
+            _NO_DAMPING,
+        ]),
+        (["--lambda", "0.2", "--mu", "0.2", "--coth", "inf"], 1, [
+            _NEED_LAM.replace("mu=0.1", "mu=0.2").format("0.2"),
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = inf vs lam^2 = 0.04",
+            _WEAK,
+        ]),
+        (["--lambda", "0.2", "--mu", "0.3", "--coth", "1e200"], 1, [
+            _NEED_LAM.replace("mu=0.1", "mu=0.3").format("0.2"),
+            "FAIL  thermal_constraint: (lam^2 - mu^2)*C^2 = -inf vs lam^2 = 0.04",
+            _WEAK,
+        ]),
     ],
 )
 def test_validate_report(capsys, argv, code, lines):
@@ -219,24 +237,13 @@ def test_trajectory_lyapunov(tmp_path):
 
 def test_trajectory_closed_route_blanks_variances(tmp_path):
     out = tmp_path / "closed.csv"
-    code = main(
-        [
-            "trajectory",
-            *SQUEEZED,
-            "--route",
-            "closed",
-            "--t-end",
-            "0.5",
-            "--dt",
-            "0.1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    row = out.read_text().splitlines()[1].split(",")
-    assert row[3] == "nan" and row[4] == "nan"
-    assert row[6] == "0.25"  # sigma_det is known in closed form
+    # at lam = 1e308, -2 lam t at t = 0 must not form -inf * 0
+    for model in (SQUEEZED, HUGE_DAMPING):
+        argv = [*model, "--route", "closed", "--t-end", "0.5", "--dt", "0.1"]
+        assert main(["trajectory", *argv, "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[3] == "nan" and row[4] == "nan"
+        assert row[6] == "0.25"  # sigma_det is known in closed form
 
 
 def test_closed_forms_of_the_closed_system_at_infinite_temperature(tmp_path):
@@ -468,12 +475,14 @@ def test_window_reports_intervals(capsys):
 
 @pytest.mark.parametrize("lam", ["0", "0.05"])
 def test_window_rejects_inadmissible_bath(lam, capsys):
-    # lam <= |mu| is no Lindblad generator; trajectory and metrics reject it too
-    argv = ["--lambda", lam, "--mu", "0.1", "--coth", "3", "--t-end", "5"]
-    assert main(["window", *argv]) == 1
+    # lam <= |mu| is no Lindblad generator; trajectory, metrics and deco reject it too
+    model = ["--lambda", lam, "--mu", "0.1", "--coth", "3"]
+    assert main(["window", *model, "--t-end", "5"]) == 1
     err = capsys.readouterr().err
     assert "thermal coefficients need lam > |mu|" in err
-    assert main(["metrics", *argv]) == 1
+    assert main(["metrics", *model, "--t-end", "5"]) == 1
+    assert capsys.readouterr().err == err
+    assert main(["deco", *model]) == 1
     assert capsys.readouterr().err == err
 
 
@@ -547,9 +556,17 @@ def test_deco_underflowing_thermal_exponent_is_infinite_temperature(capsys):
     argv = ["deco", "--lambda", "0.2", "--mu", "0.1", "--delta-sq", "4"]
     assert main([*argv, "--coth", "inf"]) == 1
     err = capsys.readouterr().err
-    assert err == "lindosc: t_deco must be positive (may be inf), got 0.0\n"
+    assert err == "lindosc: thermal coefficients diverge at infinite temperature\n"
     assert main([*argv, "--temp", "1e308"]) == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("hbar", ["1e-308", "1e308"])
+def test_deco_regime_at_extreme_hbar(capsys, hbar):
+    # sigma_be and sigma_mb underflow to 0 or overflow to inf; their ratio
+    # (epsilon C)^2 = 1.08 does not depend on hbar
+    assert main(["deco", *SQUEEZED, "--hbar", hbar]) == 0
+    assert "regime = quantum-statistical" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("extra", [[], ["--corr-r", "0.5", "--high-T"]])
@@ -1097,6 +1114,24 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--route", "lyapunov"],
+        ["trajectory", "--route", "all"],
+        ["trajectory", "--route", "rk4"],
+        ["metrics"],
+    ],
+)
+def test_overflowing_damping_is_one_numeric_failure(tmp_path, capsys, argv):
+    # a NumPy warning would raise here, and the stderr must be the one line
+    out = str(tmp_path / "x.csv")
+    code = main([*argv, *HUGE_DAMPING, "--t-end", "0.2", "--dt", "0.1", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lindosc: numeric failure: ") and err.count("\n") == 1
 
 
 def test_config_file_drives_model(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from lindosc.model import (
     GaussianState,
@@ -15,7 +16,6 @@ from lindosc.model import (
     thermal_coefficients,
 )
 from lindosc.propagate import asymptotic_covariance, covariance_lyapunov
-from lindosc.quadrature import simpson_refine
 from lindosc.states import (
     GridGeometry,
     PhaseSpaceGrid,
@@ -23,6 +23,7 @@ from lindosc.states import (
     density_grid,
     density_matrix,
     density_sigma_delta,
+    gaussian_trapezoid,
     geometry_for_states,
     render_grid,
     stationary_density,
@@ -101,22 +102,23 @@ class TestDensityMatrix:
 
     def test_unit_trace(self):
         state = evolved_state(1.3)
-        half = 10.0 * math.sqrt(state.s_qq)
-        trace = simpson_refine(
+        trace = gaussian_trapezoid(
             lambda q: density_matrix(state, q, q).real,
-            state.mean_q - half,
-            state.mean_q + half,
+            state.mean_q,
+            math.sqrt(state.s_qq),
         )
-        assert trace == pytest.approx(1.0, abs=1e-8)
+        assert trace == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_is_position_marginal(self):
         state = evolved_state(0.6, correlation=-0.3)
         q = state.mean_q + 0.8
-        half = 10.0 * math.sqrt(state.s_pp)
-        marginal = simpson_refine(
-            lambda p: wigner(state, q, p), state.mean_p - half, state.mean_p + half
+        # at fixed q, W is a Gaussian in p of variance sigma_det/s_qq
+        marginal = gaussian_trapezoid(
+            lambda p: wigner(state, q, p),
+            state.mean_p + state.s_pq / state.s_qq * 0.8,
+            math.sqrt(state.sigma_det / state.s_qq),
         )
-        assert marginal == pytest.approx(density_matrix(state, q, q).real, abs=1e-10)
+        assert marginal == pytest.approx(density_matrix(state, q, q).real, abs=1e-15)
 
     def test_off_diagonal_width(self):
         # for gamma = 0.75 the |rho(q, -q)| envelope is exp(-gamma q^2 / hbar^2)
@@ -129,21 +131,10 @@ class TestDensityMatrix:
     def test_pure_state_purity(self):
         # Tr rho^2 = 1 for a minimum-uncertainty state
         state = pure_state(spread=2.0, correlation=0.4)
-
-        def inner(qs):
-            # simpson_refine hands the integrand a whole node array at once
-            return np.array(
-                [
-                    simpson_refine(
-                        lambda qp: np.abs(density_matrix(state, q, qp)) ** 2,
-                        -12.0,
-                        12.0,
-                    )
-                    for q in np.atleast_1d(qs)
-                ]
-            )
-
-        purity = simpson_refine(inner, -12.0, 12.0, rel_tol=1e-8)
+        purity, _ = dblquad(
+            lambda qp, q: abs(density_matrix(state, q, qp)) ** 2,
+            -12.0, 12.0, -12.0, 12.0,
+        )
         assert purity == pytest.approx(1.0, abs=1e-6)
 
 
@@ -166,23 +157,12 @@ class TestWigner:
 
     def test_normalization(self):
         state = evolved_state(0.5, correlation=0.6)
-        half_p = 10.0 * math.sqrt(state.s_pp)
-
-        def q_slice(qs):
-            return np.array(
-                [
-                    simpson_refine(
-                        lambda p: wigner(state, q, p),
-                        state.mean_p - half_p,
-                        state.mean_p + half_p,
-                    )
-                    for q in np.atleast_1d(qs)
-                ]
-            )
-
         half_q = 10.0 * math.sqrt(state.s_qq)
-        total = simpson_refine(
-            q_slice, state.mean_q - half_q, state.mean_q + half_q, rel_tol=1e-8
+        half_p = 10.0 * math.sqrt(state.s_pp)
+        total, _ = dblquad(
+            lambda p, q: wigner(state, q, p),
+            state.mean_q - half_q, state.mean_q + half_q,
+            state.mean_p - half_p, state.mean_p + half_p,
         )
         assert total == pytest.approx(1.0, abs=1e-7)
 
@@ -201,6 +181,27 @@ class TestWigner:
             assert wigner_from_density(state, q, p) == pytest.approx(
                 wigner(state, q, p), abs=1e-8
             )
+
+    def test_transform_route_resolves_the_phase_far_out(self):
+        # far from <p> the integrand oscillates many times per width; a grid
+        # sized from the width alone aliases there
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            spec = InitialStateSpec(
+                spread=10.0 ** rng.uniform(-2.0, 2.0),
+                correlation=rng.uniform(-0.99, 0.99),
+                center_q=rng.uniform(-2.0, 2.0),
+                center_p=rng.uniform(-2.0, 2.0),
+            )
+            state = initial_state(spec, CFG)
+            peak = wigner(state, state.mean_q, state.mean_p)
+            sq, sp = math.sqrt(state.s_qq), math.sqrt(state.s_pp)
+            for k in (0.0, 3.0, 30.0, -100.0, 300.0, -300.0):
+                q = state.mean_q + rng.uniform(-3.0, 3.0) * sq
+                p = state.mean_p + k * sp
+                assert wigner_from_density(state, q, p) == pytest.approx(
+                    wigner(state, q, p), rel=0.0, abs=1e-14 * peak
+                )
 
     def test_translation_covariance(self):
         base = pure_state(spread=2.0, correlation=0.3)
