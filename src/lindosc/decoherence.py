@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (
     InitialStateSpec,
+    NumericError,
     OscillatorConfig,
     ParameterTable,
     parameter_table,
@@ -70,9 +71,11 @@ def rates(p: ParameterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def time_from_rate(rate):
-    """``1/rate``, or ``inf`` where the rate is <= 0 (the process never acts)."""
+    """``1/rate``; ``inf`` where the rate is <= 0 (the process never acts),
+    ``nan`` where it is not finite (its time is not resolved, not 0)."""
     with np.errstate(divide="ignore"):
-        return np.where(rate <= 0.0, math.inf, np.divide(1.0, rate))
+        time = np.where(rate < math.inf, np.divide(1.0, rate), math.nan)
+        return np.where(rate <= 0.0, math.inf, time)
 
 
 def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
@@ -202,11 +205,11 @@ def time_scales(
     *,
     high_temperature: bool = False,
 ) -> TimeScales:
-    """Bundle the decoherence, statistical, and relaxation times.
+    """Bundle the decoherence, statistical, and relaxation times;
+    :class:`NumericError` names a rate that is not finite.
 
     With ``high_temperature=True`` the decoherence time uses the
-    high-temperature reduction (tau in place of the coth factor).
-    """
+    high-temperature reduction (tau in place of the coth factor)."""
     r_zero = spec.correlation == 0.0
     if high_temperature:
         t_deco = decoherence_time_high_temperature(spec, cfg)
@@ -214,9 +217,8 @@ def time_scales(
     else:
         t_deco = decoherence_time(spec, cfg)
         variant = "r0" if r_zero else "general"
-    return TimeScales(
-        t_deco=t_deco,
-        t_d=statistical_time(spec, cfg),
-        t_rel=relaxation_time(cfg),
-        variant=variant,
-    )
+    t_d = statistical_time(spec, cfg)
+    for name, time in (("decoherence", t_deco), ("statistical", t_d)):
+        if math.isnan(time):
+            raise NumericError(f"the {name} rate is not finite")
+    return TimeScales(t_deco=t_deco, t_d=t_d, t_rel=relaxation_time(cfg), variant=variant)

@@ -491,13 +491,35 @@ def float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _sigma(s_qq, s_pp, s_pq):
+    """The one formula of sigma, ``s_qq s_pp - s_pq^2``; silent where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s_qq * s_pp - s_pq * s_pq
+
+
+def _moment_fault(rows) -> tuple[int, str] | None:
+    """The first moment row ``(mean_q, mean_p, s_qq, s_pp, s_pq)`` of the array
+    ``rows`` that is no Gaussian state, as ``(index, fault)``, or ``None``:
+    ``"moments not finite"``, also where sigma is ``nan`` (both products
+    overflow), else ``"covariance not positive definite"`` unless ``s_qq > 0``
+    and sigma > 0 (so ``s_pp > 0``).  sigma = +inf passes.  Silent."""
+    sigma, finite = _sigma(*rows.T[2:]), np.isfinite(rows)
+    good = (rows.T[2] > 0.0) & (sigma > 0.0)
+    if good.all() and finite.all():  # the common case, without a per-row pass
+        return None
+    finite = finite.all(axis=-1) & ~np.isnan(sigma)
+    i = int(np.argmin(finite & good))
+    return i, "covariance not positive definite" if finite.flat[i] else "moments not finite"
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First and second moments of a Gaussian phase-space state at time ``t``.
 
     ``s_qq``, ``s_pp``, ``s_pq`` are the central second moments (variances and
     covariance); the determinant ``s_qq*s_pp - s_pq**2`` is the generalized
-    uncertainty, bounded below by ``hbar**2/4`` for physical states.
+    uncertainty, bounded below by ``hbar**2/4`` for physical states.  A state
+    has finite moments, sigma not ``nan``, ``s_qq > 0`` and sigma > 0.
     """
 
     mean_q: float
@@ -508,19 +530,16 @@ class GaussianState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("mean_q", "mean_p", "s_qq", "s_pp", "s_pq"):
-            _require_finite(name, getattr(self, name))
         if math.isnan(self.t):
             raise ValueError("t must not be NaN")
-        if self.s_qq <= 0.0 or self.s_pp <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.sigma_det <= 0.0:
-            raise ValueError("covariance matrix must be positive definite")
+        moments = np.array([self.mean_q, self.mean_p, self.s_qq, self.s_pp, self.s_pq])
+        if (fault := _moment_fault(moments)) is not None:
+            raise ValueError(fault[1])
 
     @property
     def sigma_det(self) -> float:
         """Generalized uncertainty: determinant of the covariance matrix."""
-        return self.s_qq * self.s_pp - self.s_pq * self.s_pq
+        return _sigma(self.s_qq, self.s_pp, self.s_pq)
 
     def mean(self) -> np.ndarray:
         return np.array([self.mean_q, self.mean_p])

@@ -46,6 +46,7 @@ from .model import (
     NumericError,
     OscillatorConfig,
     ParameterTable,
+    _moment_fault,
     float_or_array,
     parameter_table,
     squeeze_terms,
@@ -352,8 +353,8 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
 class Trajectory:
     """Moments at strictly increasing times: ``rows`` is one read-only
     ``(n, 6)`` array of rows ``(t, mean_q, mean_p, s_qq, s_pp, s_pq)``, the
-    trajectory CSV columns but the derived ``sigma_det``.  Every row is checked
-    as :class:`GaussianState` checks a state (``ValueError``).  Columns are
+    trajectory CSV columns but the derived ``sigma_det``.  Every row must be a
+    :class:`GaussianState`, by its one check (``ValueError``).  Columns are
     read by their state names; ``traj[i]``, iteration and :attr:`final` build
     states on access only, and no other module knows the row layout."""
 
@@ -366,15 +367,10 @@ class Trajectory:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         t = self.times
-        if not np.isfinite(rows[:, 1:]).all():
-            raise ValueError("moments must be finite")
         if np.isnan(t).any():
             raise ValueError("t must not be NaN")
-        if (self.s_qq <= 0.0).any() or (self.s_pp <= 0.0).any():
-            raise ValueError("variances must be positive")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if (self.sigma_det <= 0.0).any():
-                raise ValueError("covariance matrix must be positive definite")
+        if (fault := _moment_fault(rows[:, 1:])) is not None:
+            raise ValueError(fault[1])
         if (t[1:] <= t[:-1]).any():
             raise ValueError("trajectory times must be strictly increasing")
 
@@ -417,13 +413,12 @@ def trajectory_lyapunov(
     times: Sequence[float],
 ) -> Trajectory:
     """Exact-propagation trajectory sampled at the given times; raises
-    :class:`NumericError` at the first sample whose moments are non-finite."""
+    :class:`NumericError` at the first sample that is no Gaussian state."""
     times = np.asarray(times, dtype=float)
     moments = _propagate_moments(state0, cfg, d, times)
-    bad = ~np.isfinite(moments).all(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        raise NumericError(f"exact moments non-finite at t={float(times[i])}", step=i)
+    if (fault := _moment_fault(moments)) is not None:
+        i, what = fault
+        raise NumericError(f"exact {what} at t={float(times[i])}", step=i)
     return Trajectory(np.column_stack([times, moments]))
 
 
@@ -524,21 +519,15 @@ def integrate_moments_rk4(
                 + cols[4, 2:, :b] * x[4]
                 + drives[2:, :b]
             )
-            s_qq, s_pq, s_pp = out[2:]
-            finite = np.isfinite(out).all(axis=0)
-            det = s_qq * s_pp - s_pq * s_pq
-            bad = ~finite | (s_qq <= 0.0) | (s_pp <= 0.0) | (det <= 0.0)
-            if bad.any():
-                i = int(bad.argmax())
-                k = done + i + 1
-                if not finite[i]:
-                    raise NumericError(
-                        f"moment integration became non-finite at step {k}", step=k
-                    )
+            if (fault := _moment_fault(out[_ROW_ORDER].T)) is not None:
+                k = done + fault[0] + 1
                 # exact dynamics keep the covariance positive definite, so a sign
                 # loss can only mean the step size is unstable for these parameters
                 raise NumericError(
-                    f"covariance lost positivity at step {k}; decrease dt", step=k
+                    f"moment integration became non-finite at step {k}"
+                    if fault[1] == "moments not finite"
+                    else f"covariance lost positivity at step {k}; decrease dt",
+                    step=k,
                 )
             # block columns whose global step is a multiple of record_every
             picked = np.arange(record_every - 1 - done % record_every, b, record_every)

@@ -1134,6 +1134,47 @@ def test_overflowing_damping_is_one_numeric_failure(tmp_path, capsys, argv):
     assert err.startswith("lindosc: numeric failure: ") and err.count("\n") == 1
 
 
+CANCELLING = [*MODEL, "--delta-sq", "1e20", "--t-end", "2", "--dt", "0.5"]
+HOT = ["--lambda", "0.2", "--mu", "0.1", "--coth", "1e300", "--delta-sq", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sigma cancels to <= 0 at t = 0.5
+        ["trajectory", "--route", "lyapunov", *CANCELLING],
+        ["trajectory", "--route", "all", *CANCELLING],
+        ["trajectory", "--route", "rk4", *CANCELLING],
+        ["metrics", *CANCELLING],
+        # s_qq s_pp and s_pq^2 both overflow, so sigma is nan
+        ["metrics", *MODEL, "--delta-sq", "1e300", "--t-end", "0.2", "--dt", "0.1"],
+        ["trajectory", "--route", "lyapunov", *HOT, "--t-end", "0.2", "--dt", "0.1"],
+        ["trajectory", "--route", "rk4", *HOT, "--t-end", "0.2", "--dt", "0.1"],
+        ["trajectory", "--route", "all", *HOT, "--t-end", "0.2", "--dt", "0.1"],
+        # the decoherence rate overflows to inf
+        ["deco", *HUGE_DAMPING],
+    ],
+    ids=[
+        "cancel-lyapunov", "cancel-all", "cancel-rk4", "cancel-metrics", "nan-metrics",
+        "nan-lyapunov", "nan-rk4", "nan-all", "deco-rate",
+    ],
+)
+def test_moments_that_are_no_gaussian_state_are_one_numeric_failure(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lindosc: numeric failure: ") and err.count("\n") == 1
+
+
+def test_sweep_writes_nan_for_an_overflowing_rate(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", *SQUEEZED, "--axis", "lambda:1e308:1e308:1", "--record", "t_deco,t_d"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "1e+308,nan,nan"
+
+
 def test_config_file_drives_model(tmp_path, capsys):
     cfg = tmp_path / "osc.cfg"
     cfg.write_text("lambda = 0.2\nmu = 0.1\ntemp.C = 3\n")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lindosc.decoherence import (
@@ -14,10 +15,12 @@ from lindosc.decoherence import (
     regime_report,
     relaxation_time,
     statistical_time,
+    time_from_rate,
     time_scales,
 )
 from lindosc.model import (
     InitialStateSpec,
+    NumericError,
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
@@ -166,6 +169,16 @@ def test_time_scales_variants():
         time_scales(spec_of(4.0, r=0.3), CFG, high_temperature=True).variant
         == "high_T"
     )
+
+
+def test_overflowing_rate_has_no_time():
+    # 1/inf = 0 would read as an instant process; the true time underflows
+    times = time_from_rate(np.array([math.inf, math.nan, 2.0, 0.0, -1.0]))
+    assert np.array_equal(times, [math.nan, math.nan, 0.5, math.inf, math.inf], equal_nan=True)
+    with pytest.raises(NumericError, match="the decoherence rate is not finite"):
+        time_scales(spec_of(4.0), make_cfg(lam=1e308))
+    with pytest.raises(NumericError, match="the statistical rate is not finite"):
+        time_scales(spec_of(1.0), make_cfg(c=6e307, lam=1.0, mu=0.0))  # t_deco 8e-309
 
 
 # ---------------------------------------------------------------------------

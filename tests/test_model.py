@@ -223,3 +223,12 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(mean_q=0, mean_p=0, s_qq=1.0, s_pp=1.0, s_pq=1.5, t=0.0)
 
+    def test_nan_determinant_is_not_finite(self):
+        # s_qq s_pp and s_pq^2 both overflow, so sigma = inf - inf = nan
+        with pytest.raises(ValueError, match="moments not finite"):
+            GaussianState(mean_q=0, mean_p=0, s_qq=1e200, s_pp=1e200, s_pq=1e200)
+
+    def test_infinite_determinant_from_finite_moments_passes(self):
+        state = GaussianState(mean_q=0, mean_p=0, s_qq=1e200, s_pp=1e200, s_pq=0.0)
+        assert state.sigma_det == math.inf
+

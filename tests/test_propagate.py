@@ -338,10 +338,11 @@ def _sequential_rk4(state0, cfg, d, dt, n_steps):
             spq + (b_qq * sqq + b_pq * spq + b_pp * spp + g_pq),
             spp + (c_qq * sqq + c_pq * spq + c_pp * spp + g_pp),
         )
-        if not all(map(math.isfinite, (q, p, sqq, spq, spp))):
+        det = sqq * spp - spq * spq
+        if not all(map(math.isfinite, (q, p, sqq, spq, spp))) or math.isnan(det):
             message = f"moment integration became non-finite at step {k}"
             raise NumericError(message, step=k)
-        if sqq <= 0.0 or spp <= 0.0 or sqq * spp - spq * spq <= 0.0:
+        if not (sqq > 0.0 and det > 0.0):
             message = f"covariance lost positivity at step {k}; decrease dt"
             raise NumericError(message, step=k)
         rows.append((k * dt, q, p, sqq, spp, spq))
@@ -373,13 +374,16 @@ def test_rk4_blocks_agree_with_the_sequential_loop(monkeypatch):
     [
         # unstable covariance block: positivity lost at step 157 (block 10)
         (16, REF, REF_D, initial_state(InitialStateSpec(4.0, 0.3), REF), 1.45),
-        # h lam = 2.9: every moment grows, tiny variances overflow at step 290
-        # while P_i of the full-size table already overflows near i = 218
+        # h lam = 2.9: the variances grow ~27x a step, from 1e-101 to 1.5e307
+        # at step 289, and overflow at step 290, while P_i of the full-size
+        # table already overflows near i = 218; the coupling 1/m = 1e-200 (m
+        # omega^2 underflows to 0) keeps s_pq^2 below 1e221, so sigma is inf,
+        # not nan, until then
         (
             None,
-            OscillatorConfig(m=1e10, omega=1e-10, lam=0.9, mu=0.0),
+            OscillatorConfig(m=1e200, omega=1e-200, lam=0.9, mu=0.0),
             DiffusionCoefficients.zero(),
-            GaussianState(mean_q=0.0, mean_p=0.0, s_qq=1e-100, s_pp=1e-100, s_pq=0.0),
+            GaussianState(mean_q=0.0, mean_p=0.0, s_qq=1e-101, s_pp=1e-101, s_pq=0.0),
             3.2,
         ),
     ],
@@ -550,6 +554,22 @@ def test_trajectory_requires_increasing_times():
     row = (s.t, s.mean_q, s.mean_p, s.s_qq, s.s_pp, s.s_pq)
     with pytest.raises(ValueError):
         Trajectory([row, row])
+
+
+def test_trajectory_rejects_a_nan_determinant():
+    good, nan_det = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1e200, 1e200, 1e200)
+    with pytest.raises(ValueError, match="moments not finite"):
+        Trajectory([good, nan_det])
+
+
+def test_exact_route_cancellation_is_a_numeric_error():
+    # at delta = 1e20, sigma of the first sample after t = 0 cancels to <= 0
+    state0 = initial_state(InitialStateSpec(spread=1e20), REF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not positive definite") as caught:
+            trajectory_lyapunov(state0, REF, REF_D, time_grid(2.0, 0.5))
+    assert caught.value.step == 1
 
 
 def test_trajectory_csv_layout():
