@@ -27,8 +27,8 @@ from .model import (
     GaussianState,
     InitialStateSpec,
     OscillatorConfig,
+    _lindblad_table,
     float_or_array,
-    parameter_table,
 )
 from .propagate import closed_forms, time_grid
 from .states import alpha_beta_gamma
@@ -69,12 +69,11 @@ def delta_qd_asymptotic(cfg: OscillatorConfig) -> float:
 
     Depends on temperature only — the initial squeezing and correlation are
     forgotten.  Equals 1 at T=0 (the asymptotic state is pure) and tends to 0
-    at high temperature.
+    at high temperature.  ``ValueError`` unless the bath is a Lindblad
+    generator, ``lam > |mu|`` with a finite ``C`` or the closed system
+    ``lam = mu = 0``, which keeps sigma = hbar^2/4: 1 at every ``C``.
     """
-    c = cfg.coth_epsilon
-    if math.isinf(c):
-        return 0.0
-    return 1.0 / c
+    return float(1.0 / _lindblad_table(cfg, InitialStateSpec()).coth)
 
 
 def delta_cc(state: GaussianState) -> float:
@@ -149,8 +148,8 @@ def closed_form_metric_evaluator(
 ) -> Callable[[float], tuple[float, float]]:
     """(delta_qd(t), delta_cc(t)) from one evaluation of the closed forms
     (:func:`~lindosc.propagate.closed_forms`); ``t`` may be a scalar or an
-    array."""
-    table = parameter_table(cfg, spec)
+    array.  ``ValueError`` where the bath is no Lindblad generator."""
+    table = _lindblad_table(cfg, spec)
 
     def evaluate(t):
         return classicality_degrees(*closed_forms(table, t), cfg.hbar)

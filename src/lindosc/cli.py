@@ -51,6 +51,7 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
+    _lindblad_table,
     initial_state,
     parameter_table,
     thermal_coefficients,
@@ -212,7 +213,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_deco(args) -> int:
     cfg, spec = _model_from_args(args)
-    thermal_coefficients(cfg)  # rejects a bath that is no Lindblad generator
     scales = time_scales(spec, cfg, high_temperature=args.high_t)
     regime = regime_report(cfg)
     payload: dict[str, object] = {
@@ -251,7 +251,7 @@ def _closed_columns(
 ) -> np.ndarray:
     """Trajectory columns from the closed forms; s_qq and s_pp are nan."""
     q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
-    sigma, s_pq = closed_forms(parameter_table(cfg, spec), times)
+    sigma, s_pq = closed_forms(_lindblad_table(cfg, spec), times)
     blank = np.full_like(times, math.nan)
     return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
@@ -317,7 +317,6 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_window(args) -> int:
     cfg, spec = _model_from_args(args)
-    thermal_coefficients(cfg)  # rejects a bath that is no Lindblad generator
     windows = find_windows(
         spec,
         cfg,
@@ -513,9 +512,8 @@ def run_sweep(
 ) -> None:
     """Evaluate the sweep grid row-major (first axis slow) into CSV.
 
-    Points where the parameter combination is invalid (e.g. |mu| >= omega, so
-    the motion is no longer underdamped, C below 1, or lam <= |mu| outside
-    the closed system, so the bath is no Lindblad generator) record ``nan``
+    Points that :func:`~lindosc.model.parameter_table` marks invalid (e.g.
+    ``|mu| >= omega``, or a bath that is no Lindblad generator) record ``nan``
     for every quantity rather than aborting the sweep; so do points at
     ``t < 0`` when a t-dependent quantity is recorded.
 
@@ -583,9 +581,7 @@ def _cmd_fpe(args) -> int:
         initial_desc: dict[str, object] = {"stationary": True}
     else:
         state0 = initial_state(spec, cfg)
-        cover = [state0]
-        if cfg.lam > 0.0 and not math.isinf(cfg.coth_epsilon):
-            cover.append(asymptotic_covariance(cfg))
+        cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
         geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
         w0 = render_grid(state0, geom)
         initial_desc = {

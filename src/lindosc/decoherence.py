@@ -6,7 +6,8 @@ The central object is the short-time growth rate of the off-diagonal spread
 coefficient gamma: coherences of length scale L decay like
 ``exp(-gamma(t) L^2 ...)``, so the reciprocal of gamma's initial logarithmic
 growth rate is the decoherence time.  All formulas below assume a thermal bath
-and a correlated-coherent initial state.
+and a correlated-coherent initial state; the functions of one ``(spec, cfg)``
+raise ``ValueError`` where that bath is no Lindblad generator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .model import (
     NumericError,
     OscillatorConfig,
     ParameterTable,
-    parameter_table,
+    _lindblad_table,
     squeeze_terms,
 )
 
@@ -71,9 +72,9 @@ def rates(p: ParameterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def time_from_rate(rate):
-    """``1/rate``; ``inf`` where the rate is <= 0 (the process never acts),
-    ``nan`` where it is not finite (its time is not resolved, not 0)."""
-    with np.errstate(divide="ignore"):
+    """``1/rate``, silent; ``inf`` where the rate is <= 0 (never acts) or
+    1/rate overflows, ``nan`` where it is not finite (not resolved, not 0)."""
+    with np.errstate(divide="ignore", over="ignore"):
         time = np.where(rate < math.inf, np.divide(1.0, rate), math.nan)
         return np.where(rate <= 0.0, math.inf, time)
 
@@ -82,7 +83,7 @@ def decoherence_rate(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Initial logarithmic growth rate of the off-diagonal spread coefficient
     (:func:`rates`).  May be <= 0 (no decoherence, e.g. the unsqueezed state
     at T=0)."""
-    return float(rates(parameter_table(cfg, spec))[0])
+    return float(rates(_lindblad_table(cfg, spec))[0])
 
 
 def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
@@ -96,7 +97,7 @@ def decoherence_time_high_temperature(
 ) -> float:
     """High-temperature decoherence time, the reciprocal of the second rate
     of :func:`rates`; ``1/(2 (lam + mu) spread tau)`` for r=0."""
-    return float(time_from_rate(rates(parameter_table(cfg, spec))[1]))
+    return float(time_from_rate(rates(_lindblad_table(cfg, spec))[1]))
 
 
 def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
@@ -105,7 +106,7 @@ def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     reciprocal of the third rate of :func:`rates`.  Diverges at T=0
     (tau = 0), where thermal fluctuations never take over.
     """
-    return float(time_from_rate(rates(parameter_table(cfg, spec))[2]))
+    return float(time_from_rate(rates(_lindblad_table(cfg, spec))[2]))
 
 
 def relaxation_time(cfg: OscillatorConfig) -> float:

@@ -268,6 +268,20 @@ class DiffusionCoefficients:
         )
 
 
+def _lindblad_bath(lam, mu, coth, strict: bool = False):
+    """The bath rule, broadcast: True where the bath is a Lindblad generator,
+    the closed system ``lam = mu = 0`` at any ``C`` or ``lam > |mu|`` with a
+    finite ``C``.  ``strict`` raises its ``ValueError`` at a False scalar."""
+    closed = (lam == 0.0) & (mu == 0.0)
+    damped, finite = closed | (lam > np.abs(mu)), closed | ~np.isinf(coth)
+    if strict and not damped:
+        raise ValueError("thermal coefficients need lam > |mu| for positive diffusion; "
+                         f"got lam={lam!r}, mu={mu!r}")
+    if strict and not finite:
+        raise ValueError("thermal coefficients diverge at infinite temperature")
+    return damped & finite
+
+
 def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
     """Diffusion coefficients of a bath driving the oscillator to a Gibbs state.
 
@@ -275,20 +289,14 @@ def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
         d_qq = (lam - mu)/2 * hbar / (m * omega) * C
         d_pq = 0
 
-    with ``C`` the thermal coth factor.  Requires ``lam > |mu|`` so both
-    diagonal coefficients are positive; the closed system (``lam = mu = 0``)
-    returns all zeros.
+    with ``C`` the thermal coth factor.  ``ValueError`` unless the bath is a
+    Lindblad generator: ``lam > |mu|`` (both coefficients positive) with a
+    finite ``C``, or the closed system ``lam = mu = 0``, which returns zeros.
     """
+    c = cfg.coth_epsilon
+    _lindblad_bath(cfg.lam, cfg.mu, c, strict=True)
     if cfg.closed_system:
         return DiffusionCoefficients.zero()
-    if cfg.lam <= abs(cfg.mu):
-        raise ValueError(
-            "thermal coefficients need lam > |mu| for positive diffusion; "
-            f"got lam={cfg.lam!r}, mu={cfg.mu!r}"
-        )
-    c = cfg.coth_epsilon
-    if math.isinf(c):
-        raise ValueError("thermal coefficients diverge at infinite temperature")
     half_sum = 0.5 * (cfg.lam + cfg.mu)
     half_diff = 0.5 * (cfg.lam - cfg.mu)
     scale = cfg.m * cfg.omega
@@ -456,8 +464,8 @@ def parameter_table(
 
     ``valid`` is False where the constructors or :func:`thermal_coefficients`
     would reject the point: ``|mu| >= omega``, ``C < 1``, ``spread <= 0``,
-    ``|r| >= 1``, and outside the closed system ``lam <= |mu|`` (which
-    covers ``lam < 0``) or ``C = inf``.
+    ``|r| >= 1``, and a bath that is no Lindblad generator, one other than
+    the closed system ``lam = mu = 0`` or ``lam > |mu|`` with a finite ``C``.
 
     Closed-system points (``lam = mu = 0``) read every ``C`` as 1: without a
     bath, ``C`` enters only terms that also carry ``lam = mu = 0`` or ``1 -
@@ -477,13 +485,19 @@ def parameter_table(
     spread, r = axis(spread, spec.spread), axis(correlation, spec.correlation)
     closed = (lam == 0.0) & (mu == 0.0)
     valid = (np.abs(mu) < cfg.omega) & (given_c >= 1.0) & (spread > 0.0)
-    valid = valid & (np.abs(r) < 1.0) & (closed | ((lam > np.abs(mu)) & ~np.isinf(given_c)))
+    valid = valid & (np.abs(r) < 1.0) & _lindblad_bath(lam, mu, given_c)
     c = np.where(closed, 1.0, given_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = np.arctanh(1.0 / c)  # inf at C = 1, 0 at C = inf
     if coth is None and cfg.temp.temperature is not None:
         eps = np.where(closed, eps, cfg.epsilon)
     return ParameterTable(cfg.omega, cfg.hbar, lam, mu, c, eps, spread, r, valid)
+
+
+def _lindblad_table(cfg: OscillatorConfig, spec: InitialStateSpec) -> ParameterTable:
+    """:func:`parameter_table` of ``(cfg, spec)``, raising by the bath rule."""
+    _lindblad_bath(cfg.lam, cfg.mu, cfg.coth_epsilon, strict=True)
+    return parameter_table(cfg, spec)
 
 
 def float_or_array(x):

@@ -46,9 +46,10 @@ from .model import (
     NumericError,
     OscillatorConfig,
     ParameterTable,
+    _lindblad_bath,
+    _lindblad_table,
     _moment_fault,
     float_or_array,
-    parameter_table,
     squeeze_terms,
 )
 
@@ -211,13 +212,12 @@ def asymptotic_covariance(cfg: OscillatorConfig) -> GaussianState:
         s_qq(inf) = hbar*C/(2 m omega),  s_pp(inf) = hbar*m*omega*C/2,
         s_pq(inf) = 0,
 
-    independent of the initial state.  Requires ``lam > 0``.
+    independent of the initial state; ``ValueError`` without a damped Lindblad bath.
     """
-    if cfg.lam <= 0.0:
+    if cfg.closed_system:
         raise ValueError("no asymptotic state without damping (lam > 0 required)")
     c = cfg.coth_epsilon
-    if math.isinf(c):
-        raise ValueError("asymptotic covariance diverges at infinite temperature")
+    _lindblad_bath(cfg.lam, cfg.mu, c, strict=True)
     scale = cfg.m * cfg.omega
     return GaussianState(
         mean_q=0.0,
@@ -306,11 +306,11 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
 
     sigma is grouped so that no terms of size ``C^2`` cancel at ``mu = 0``:
     it starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``;
-    constant in the closed system, at every ``C``.  An open bath at ``C =
-    inf`` has no sigma (``nan``).  s_pq is cov(q, p) of the moment system,
-    so at ``t = 0`` it is ``+hbar*r/(2*sqrt(1-r^2))``; it oscillates at twice
-    the shifted frequency and decays to zero.  NumPy stays silent; entries
-    at invalid points (``p.valid`` False) carry no meaning.
+    constant in the closed system, at every ``C``.  s_pq is cov(q, p) of the
+    moment system, so at ``t = 0`` it is ``+hbar*r/(2*sqrt(1-r^2))``; it
+    oscillates at twice the shifted frequency and decays to zero.  NumPy
+    stays silent; entries at invalid points (``p.valid`` False) carry no
+    meaning, and every caller masks or rejects them.
     """
     t = _times(t)
     r, mu, w, coth = p.correlation, p.mu, p.omega, p.coth
@@ -325,7 +325,7 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
             + 2.0 * r * w * s * s / root
         )
         bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
-        sigma = np.where(np.isinf(coth), math.nan, (p.hbar * p.hbar / 4.0) * bracket)
+        sigma = (p.hbar * p.hbar / 4.0) * bracket
         bracket = (
             r / root
             + s * s * (mu * w * (2.0 * coth - k_plus) - 2.0 * w * w * r / root)
@@ -337,16 +337,16 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath), see
     :func:`closed_forms`.  A float for a scalar ``t``, an array for an
-    array."""
-    return float_or_array(closed_forms(parameter_table(cfg, spec), t)[0])
+    array; ``ValueError`` where the bath is no Lindblad generator."""
+    return float_or_array(closed_forms(_lindblad_table(cfg, spec), t)[0])
 
 
 def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Position-momentum covariance s_pq(t) in closed form (thermal bath), see
     :func:`closed_forms`; ``sigma_pq_closed(spec, cfg, 0)`` equals the
     initial-state value.  A float for a scalar ``t``, an array for an
-    array."""
-    return float_or_array(closed_forms(parameter_table(cfg, spec), t)[1])
+    array; ``ValueError`` where the bath is no Lindblad generator."""
+    return float_or_array(closed_forms(_lindblad_table(cfg, spec), t)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,6 +61,12 @@ def test_delta_qd_asymptotic_equals_inverse_coth():
         assert delta_qd_asymptotic(make_cfg(c=c)) == pytest.approx(1.0 / c, rel=1e-14)
 
 
+@pytest.mark.parametrize("c", [1.0, 3.0, 1e308, math.inf])
+def test_delta_qd_asymptotic_of_the_closed_system_is_one(c):
+    # without a bath every route keeps sigma = hbar^2/4, so delta_qd = 1
+    assert delta_qd_asymptotic(OscillatorConfig(temp=TemperatureSpec.from_coth(c))) == 1.0
+
+
 def test_delta_qd_asymptotic_equals_tanh():
     cfg = make_cfg(c=3.0)
     assert delta_qd_asymptotic(cfg) == pytest.approx(math.tanh(cfg.epsilon), rel=1e-13)

@@ -767,7 +767,6 @@ def _pointwise(lam, mu, coth, spread, corr, t):
     ``run_sweep``."""
     try:
         cfg = OscillatorConfig(lam=lam, mu=mu, temp=TemperatureSpec.from_coth(coth))
-        thermal_coefficients(cfg)
         spec = InitialStateSpec(spread=spread, correlation=corr)
         sigma = sigma_det_closed(spec, cfg, float(t))
         s_pq = sigma_pq_closed(spec, cfg, float(t))
@@ -1166,6 +1165,45 @@ def test_moments_that_are_no_gaussian_state_are_one_numeric_failure(capsys, argv
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("lindosc: numeric failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bath, message",
+    [
+        (["--lambda", "0.1", "--mu", "0.2", "--coth", "3"],
+         "thermal coefficients need lam > |mu| for positive diffusion; got lam=0.1, mu=0.2"),
+        (["--lambda", "0.2", "--mu", "0.1", "--coth", "inf"],
+         "thermal coefficients diverge at infinite temperature"),
+    ],
+    ids=["mu-above-lam", "open-infinite-C"],
+)
+@pytest.mark.parametrize("command", ["deco", "window"])
+def test_a_bath_that_is_no_lindblad_generator_is_invalid_input(capsys, command, bath, message):
+    # deco reaches the bath rule through time_scales, window through find_windows
+    assert main([command, *bath, "--delta-sq", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"lindosc: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deco", "--lambda", "1e-310", "--mu", "0", "--coth", "3", "--delta-sq", "4"],
+        ["sweep", "--mu", "0", "--coth", "3", "--axis", "lambda:0:1e-320:3",
+         "--record", "t_rel,t_deco"],
+    ],
+    ids=["deco", "sweep"],
+)
+def test_a_relaxation_time_that_overflows_is_inf_without_a_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] == "deco":
+        assert "t_rel = inf" in out
+    else:
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["inf"] * 3
 
 
 def test_sweep_writes_nan_for_an_overflowing_rate(tmp_path):

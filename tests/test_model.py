@@ -2,8 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from lindosc.classicality import (
+    closed_form_metric_evaluator,
+    delta_qd_asymptotic,
+    find_windows,
+)
+from lindosc.cli import _closed_columns
+from lindosc.decoherence import (
+    decoherence_rate,
+    decoherence_time,
+    decoherence_time_high_temperature,
+    statistical_time,
+    time_scales,
+)
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
@@ -14,6 +28,8 @@ from lindosc.model import (
     thermal_coefficients,
     validate,
 )
+from lindosc.propagate import asymptotic_covariance, sigma_det_closed, sigma_pq_closed
+from lindosc.states import stationary_density, stationary_grid
 
 
 def make_cfg(lam=0.2, mu=0.1, c=3.0, **kw):
@@ -129,6 +145,55 @@ class TestThermalCoefficients:
         d = thermal_coefficients(make_cfg(lam=0.2, mu=-0.1))
         assert d.d_pp == pytest.approx(0.15, rel=1e-15)
         assert d.d_qq == pytest.approx(0.45, rel=1e-15)
+
+
+# every entry point of one (spec, cfg) takes the one bath rule: a bath that is
+# no Lindblad generator raises one of its two messages, never a number
+SPEC = InitialStateSpec(spread=4.0, correlation=0.3)
+BATH_ENTRY_POINTS = {
+    "thermal_coefficients": thermal_coefficients,
+    "sigma_det_closed": lambda cfg: sigma_det_closed(SPEC, cfg, 1.0),
+    "sigma_pq_closed": lambda cfg: sigma_pq_closed(SPEC, cfg, np.array([0.0, 1.0])),
+    "decoherence_rate": lambda cfg: decoherence_rate(SPEC, cfg),
+    "decoherence_time": lambda cfg: decoherence_time(SPEC, cfg),
+    "decoherence_time_high_temperature": lambda cfg: decoherence_time_high_temperature(
+        SPEC, cfg
+    ),
+    "statistical_time": lambda cfg: statistical_time(SPEC, cfg),
+    "time_scales": lambda cfg: time_scales(SPEC, cfg),
+    "closed_form_metric_evaluator": lambda cfg: closed_form_metric_evaluator(SPEC, cfg),
+    "find_windows": lambda cfg: find_windows(SPEC, cfg, 20.0, 0.01, 0.9, 0.5),
+    "closed_columns": lambda cfg: _closed_columns(SPEC, cfg, np.array([0.0, 1.0])),
+    "delta_qd_asymptotic": delta_qd_asymptotic,
+}
+# these have no value in the closed system, which has no long-time state
+ASYMPTOTIC_ENTRY_POINTS = {
+    "asymptotic_covariance": asymptotic_covariance,
+    "stationary_grid": lambda cfg: stationary_grid(cfg, 16),
+    "stationary_density": lambda cfg: stationary_density(cfg, 0.0, 0.0),
+}
+NO_LINDBLAD_BATH = {
+    "mu-above-lam": (make_cfg(lam=0.1, mu=0.2), "need lam > |mu|.*lam=0.1, mu=0.2$"),
+    "lam-zero": (make_cfg(lam=0.0, mu=0.1), "need lam > |mu|.*lam=0.0, mu=0.1$"),
+    "open-infinite-C": (make_cfg(c=math.inf), "diverge at infinite temperature$"),
+}
+
+
+@pytest.mark.parametrize("bad", NO_LINDBLAD_BATH.values(), ids=NO_LINDBLAD_BATH.keys())
+@pytest.mark.parametrize(
+    "entry",
+    [*BATH_ENTRY_POINTS.values(), *ASYMPTOTIC_ENTRY_POINTS.values()],
+    ids=[*BATH_ENTRY_POINTS, *ASYMPTOTIC_ENTRY_POINTS],
+)
+def test_entry_points_reject_a_bath_that_is_no_lindblad_generator(entry, bad):
+    cfg, message = bad
+    with pytest.raises(ValueError, match=f"^thermal coefficients {message}"):
+        entry(cfg)
+
+
+@pytest.mark.parametrize("entry", BATH_ENTRY_POINTS.values(), ids=BATH_ENTRY_POINTS.keys())
+def test_entry_points_give_values_for_the_closed_system_at_infinite_c(entry):
+    assert entry(OscillatorConfig(temp=TemperatureSpec.from_coth(math.inf))) is not None
 
 
 class TestValidate:

@@ -191,16 +191,20 @@ def test_sigma_det_closed_at_high_temperature(c, t):
 
 @pytest.mark.parametrize("lam, mu", [(0.0, 0.0), (0.2, 0.1)])
 def test_sigma_det_closed_has_no_value_at_infinite_temperature(lam, mu):
-    # an open bath has no value at C = inf; without a bath C enters no term,
-    # so the closed system keeps sigma = hbar^2/4 there as at every finite C
+    # an open bath has no value at C = inf (the bath rule rejects it); without
+    # a bath C enters no term, so the closed system keeps sigma = hbar^2/4
+    # there as at every finite C
     cfg = make_cfg(lam=lam, mu=mu, c=math.inf)
     spec = InitialStateSpec(spread=4.0, correlation=0.0)
-    expected = 0.25 if cfg.closed_system else math.nan
-    assert sigma_det_closed(spec, cfg, 1.0) == pytest.approx(expected, nan_ok=True)
+    if not cfg.closed_system:
+        with pytest.raises(ValueError, match="diverge at infinite temperature"):
+            sigma_det_closed(spec, cfg, 1.0)
+        return
+    assert sigma_det_closed(spec, cfg, 1.0) == pytest.approx(0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sigma_det_closed(spec, cfg, np.array([0.0, 1.0, 1e4]))
-    assert got == pytest.approx(np.full(3, expected), nan_ok=True)
+    assert got == pytest.approx(np.full(3, 0.25))
 
 
 @pytest.mark.parametrize("c", [1e200, 5e307, 1e308])

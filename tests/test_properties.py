@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lindosc.classicality import (
@@ -23,13 +23,19 @@ from lindosc.classicality import (
     find_windows,
 )
 from lindosc.csvout import write_csv
-from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
+from lindosc.decoherence import (
+    decoherence_rate,
+    decoherence_time,
+    relaxation_time,
+    statistical_time,
+)
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
     OscillatorConfig,
     TemperatureSpec,
     initial_state,
+    parameter_table,
     squeeze_terms,
     thermal_coefficients,
 )
@@ -188,6 +194,51 @@ def test_scalar_arguments_give_python_floats():
         values += [decoherence_time(*model), statistical_time(*model)]
     assert [type(x) for x in values] == [float] * len(values)
     assert math.inf in values
+
+
+# ---------------------------------------------------------------------------
+# the bath rule
+# ---------------------------------------------------------------------------
+
+# C from a coth value or from a temperature, where T = inf and a temperature
+# whose exponent hbar omega/(2kT) underflows are C = inf too
+TEMPERATURES = st.builds(
+    TemperatureSpec.from_coth,
+    st.sampled_from([1.0, 3.0, 1e308, math.inf]) | st.floats(1.0, 1e300),
+) | st.builds(TemperatureSpec.from_temperature, st.sampled_from([0.0, 1.0, 1e308, math.inf]))
+
+
+@st.composite
+def baths(draw):
+    """Baths on both sides of the rule: lam <= |mu| (lam = |mu| too), the
+    closed system lam = mu = 0, and C = inf, next to admissible ones."""
+    lam = draw(st.sampled_from([0.0, 5e-324, 0.1, 0.2]) | st.floats(0.0, 2.0))
+    mu = draw(st.sampled_from([0.0, -0.0, 0.1, -0.2, lam, -lam]) | st.floats(-0.99, 0.99))
+    assume(abs(mu) < 1.0)
+    return OscillatorConfig(lam=lam, mu=mu, temp=draw(TEMPERATURES))
+
+
+@PROFILE
+@given(cfg=baths())
+@example(cfg=OscillatorConfig(temp=TemperatureSpec.from_coth(math.inf)))
+@example(cfg=OscillatorConfig(lam=0.1, mu=-0.1, temp=TemperatureSpec.from_coth(3.0)))
+@example(cfg=OscillatorConfig(lam=0.2, mu=0.1, temp=TemperatureSpec.from_temperature(1e308)))
+def test_parameter_table_valid_is_the_bath_rule(cfg):
+    # valid where thermal_coefficients has coefficients, and exactly there the
+    # scalar closed forms and rates give a value rather than ValueError
+    spec = InitialStateSpec(spread=4.0, correlation=0.3)
+    valid = parameter_table(cfg, spec).valid
+    for call in (
+        lambda: thermal_coefficients(cfg),
+        lambda: sigma_det_closed(spec, cfg, 1.0),
+        lambda: decoherence_rate(spec, cfg),
+    ):
+        try:
+            call()
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
 
 
 # ---------------------------------------------------------------------------
