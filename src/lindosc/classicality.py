@@ -148,7 +148,7 @@ def closed_form_metric_evaluator(
 ) -> Callable[[float], tuple[float, float]]:
     """(delta_qd(t), delta_cc(t)) from one evaluation of the closed forms
     (:func:`~lindosc.propagate.closed_forms`); ``t`` may be a scalar or an
-    array.  ``ValueError`` where the bath is no Lindblad generator."""
+    array.  ``ValueError`` where the bath breaks the bath rule."""
     table = _lindblad_table(cfg, spec)
 
     def evaluate(t):

@@ -513,7 +513,7 @@ def run_sweep(
     """Evaluate the sweep grid row-major (first axis slow) into CSV.
 
     Points that :func:`~lindosc.model.parameter_table` marks invalid (e.g.
-    ``|mu| >= omega``, or a bath that is no Lindblad generator) record ``nan``
+    ``|mu| >= omega``, or a bath that breaks the bath rule) record ``nan``
     for every quantity rather than aborting the sweep; so do points at
     ``t < 0`` when a t-dependent quantity is recorded.
 

@@ -7,7 +7,8 @@ coefficient gamma: coherences of length scale L decay like
 ``exp(-gamma(t) L^2 ...)``, so the reciprocal of gamma's initial logarithmic
 growth rate is the decoherence time.  All formulas below assume a thermal bath
 and a correlated-coherent initial state; the functions of one ``(spec, cfg)``
-raise ``ValueError`` where that bath is no Lindblad generator.
+raise ``ValueError`` where that bath breaks the bath rule of
+:func:`~lindosc.model.thermal_coefficients`.
 """
 
 from __future__ import annotations
@@ -211,14 +212,12 @@ def time_scales(
 
     With ``high_temperature=True`` the decoherence time uses the
     high-temperature reduction (tau in place of the coth factor)."""
+    decoherence, high_t, statistical = rates(_lindblad_table(cfg, spec))
+    t_deco = float(time_from_rate(high_t if high_temperature else decoherence))
+    t_d = float(time_from_rate(statistical))
     r_zero = spec.correlation == 0.0
-    if high_temperature:
-        t_deco = decoherence_time_high_temperature(spec, cfg)
-        variant = "high_T_r0" if r_zero else "high_T"
-    else:
-        t_deco = decoherence_time(spec, cfg)
-        variant = "r0" if r_zero else "general"
-    t_d = statistical_time(spec, cfg)
+    variant = (("high_T_r0" if r_zero else "high_T") if high_temperature
+               else ("r0" if r_zero else "general"))
     for name, time in (("decoherence", t_deco), ("statistical", t_d)):
         if math.isnan(time):
             raise NumericError(f"the {name} rate is not finite")

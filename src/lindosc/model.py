@@ -64,9 +64,36 @@ class NumericError(RuntimeError):
         self.step = step
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+# The admissible range of each model field, as ``(text, test)``: ``test(x,
+# omega)`` broadcasts, so one table serves the constructors (floats) and
+# :func:`parameter_table` (arrays); ``nan`` fails every test.
+_FINITE = "finite", lambda x, omega: abs(x) < math.inf
+_POSITIVE = "finite and > 0", lambda x, omega: (x > 0.0) & (x < math.inf)
+_NON_NEGATIVE = "finite and >= 0", lambda x, omega: (x >= 0.0) & (x < math.inf)
+_RANGES = {
+    "m": _POSITIVE, "omega": _POSITIVE, "hbar": _POSITIVE, "boltzmann": _POSITIVE,
+    "spread": _POSITIVE, "lam": _NON_NEGATIVE, "d_pp": _NON_NEGATIVE, "d_qq": _NON_NEGATIVE,
+    "center_q": _FINITE, "center_p": _FINITE, "d_pq": _FINITE,
+    "mu": ("finite with |mu| < omega={omega!r}", lambda x, omega: abs(x) < omega),
+    "coth_value": (">= 1 (inf allowed)", lambda x, omega: x >= 1.0),
+    "temperature": (">= 0", lambda x, omega: x >= 0.0),
+    "correlation": ("in (-1, 1)", lambda x, omega: abs(x) < 1.0),
+}
+
+
+def _in_range(fields: dict, omega: float = math.nan, strict: bool = False):
+    """The range tests of ``fields``, a map of field name to value, broadcast
+    and combined by AND; ``mu`` is tested against ``omega``.  ``strict``
+    raises ``ValueError`` at the first field whose scalar fails, in the form
+    ``<field> must be <range>, got <value>``."""
+    ok = True
+    for name, value in fields.items():
+        text, test = _RANGES[name]
+        passed = test(value, omega)
+        if strict and not passed:
+            raise ValueError(f"{name} must be {text.format(omega=omega)}, got {value!r}")
+        ok = ok & passed
+    return ok
 
 
 @dataclass(frozen=True)
@@ -94,14 +121,8 @@ class TemperatureSpec:
             raise ValueError(
                 "exactly one of coth_value or temperature must be given"
             )
-        if self.coth_value is not None:
-            c = self.coth_value
-            if math.isnan(c) or c < 1.0:
-                raise ValueError(f"coth factor must be >= 1, got {c!r}")
-        if self.temperature is not None:
-            t = self.temperature
-            if math.isnan(t) or t < 0.0:
-                raise ValueError(f"temperature must be >= 0, got {t!r}")
+        name = "temperature" if self.coth_value is None else "coth_value"
+        _in_range({name: getattr(self, name)}, strict=True)
 
     @classmethod
     def zero(cls) -> "TemperatureSpec":
@@ -146,19 +167,9 @@ class OscillatorConfig:
     temp: TemperatureSpec = field(default_factory=TemperatureSpec.zero)
 
     def __post_init__(self) -> None:
-        for name in ("m", "omega", "hbar", "boltzmann"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        _require_finite("lam", self.lam)
-        _require_finite("mu", self.mu)
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam!r}")
-        if abs(self.mu) >= self.omega:
-            raise ValueError(
-                f"underdamped regime requires omega > |mu|; got omega={self.omega!r}, mu={self.mu!r}"
-            )
+        fields = {"m": self.m, "omega": self.omega, "hbar": self.hbar,
+                  "boltzmann": self.boltzmann, "lam": self.lam, "mu": self.mu}
+        _in_range(fields, self.omega, strict=True)
 
     @classmethod
     def reference(cls, coth: float = 3.0) -> "OscillatorConfig":
@@ -252,10 +263,7 @@ class DiffusionCoefficients:
     d_pq: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("d_pp", "d_qq", "d_pq"):
-            _require_finite(name, getattr(self, name))
-        if self.d_pp < 0.0 or self.d_qq < 0.0:
-            raise ValueError("diagonal diffusion coefficients must be >= 0")
+        _in_range(vars(self), strict=True)
 
     @classmethod
     def zero(cls) -> "DiffusionCoefficients":
@@ -269,9 +277,10 @@ class DiffusionCoefficients:
 
 
 def _lindblad_bath(lam, mu, coth, strict: bool = False):
-    """The bath rule, broadcast: True where the bath is a Lindblad generator,
+    """The bath rule, broadcast: True where the diffusion is positive or zero,
     the closed system ``lam = mu = 0`` at any ``C`` or ``lam > |mu|`` with a
-    finite ``C``.  ``strict`` raises its ``ValueError`` at a False scalar."""
+    finite ``C``; a Lindblad generator also needs the fluctuation bound of
+    :func:`validate`.  ``strict`` raises its ``ValueError`` at a False scalar."""
     closed = (lam == 0.0) & (mu == 0.0)
     damped, finite = closed | (lam > np.abs(mu)), closed | ~np.isinf(coth)
     if strict and not damped:
@@ -289,8 +298,8 @@ def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
         d_qq = (lam - mu)/2 * hbar / (m * omega) * C
         d_pq = 0
 
-    with ``C`` the thermal coth factor.  ``ValueError`` unless the bath is a
-    Lindblad generator: ``lam > |mu|`` (both coefficients positive) with a
+    with ``C`` the thermal coth factor.  ``ValueError`` unless the bath
+    passes the bath rule: ``lam > |mu|`` (both coefficients positive) with a
     finite ``C``, or the closed system ``lam = mu = 0``, which returns zeros.
     """
     c = cfg.coth_epsilon
@@ -407,16 +416,7 @@ class InitialStateSpec:
     center_p: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("spread", self.spread)
-        _require_finite("correlation", self.correlation)
-        _require_finite("center_q", self.center_q)
-        _require_finite("center_p", self.center_p)
-        if self.spread <= 0.0:
-            raise ValueError(f"spread must be > 0, got {self.spread!r}")
-        if abs(self.correlation) >= 1.0:
-            raise ValueError(
-                f"correlation must satisfy |r| < 1, got {self.correlation!r}"
-            )
+        _in_range(vars(self), strict=True)
 
 
 def squeeze_terms(spec: InitialStateSpec | ParameterTable) -> tuple:
@@ -463,9 +463,9 @@ def parameter_table(
     parameter.
 
     ``valid`` is False where the constructors or :func:`thermal_coefficients`
-    would reject the point: ``|mu| >= omega``, ``C < 1``, ``spread <= 0``,
-    ``|r| >= 1``, and a bath that is no Lindblad generator, one other than
-    the closed system ``lam = mu = 0`` or ``lam > |mu|`` with a finite ``C``.
+    would reject the point: a field outside its range (the table of
+    ``_in_range``), or a bath that breaks the bath rule, one other than the
+    closed system ``lam = mu = 0`` or ``lam > |mu|`` with a finite ``C``.
 
     Closed-system points (``lam = mu = 0``) read every ``C`` as 1: without a
     bath, ``C`` enters only terms that also carry ``lam = mu = 0`` or ``1 -
@@ -484,10 +484,10 @@ def parameter_table(
     given_c = axis(coth, cfg.coth_epsilon)
     spread, r = axis(spread, spec.spread), axis(correlation, spec.correlation)
     closed = (lam == 0.0) & (mu == 0.0)
-    valid = (np.abs(mu) < cfg.omega) & (given_c >= 1.0) & (spread > 0.0)
-    valid = valid & (np.abs(r) < 1.0) & _lindblad_bath(lam, mu, given_c)
+    fields = {"lam": lam, "mu": mu, "coth_value": given_c, "spread": spread, "correlation": r}
+    valid = _in_range(fields, cfg.omega) & _lindblad_bath(lam, mu, given_c)
     c = np.where(closed, 1.0, given_c)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # 1/C overflows at a subnormal C < 1
         eps = np.arctanh(1.0 / c)  # inf at C = 1, 0 at C = inf
     if coth is None and cfg.temp.temperature is not None:
         eps = np.where(closed, eps, cfg.epsilon)

@@ -337,7 +337,7 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
 def sigma_det_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Covariance determinant sigma(t) in closed form (thermal bath), see
     :func:`closed_forms`.  A float for a scalar ``t``, an array for an
-    array; ``ValueError`` where the bath is no Lindblad generator."""
+    array; ``ValueError`` where the bath breaks the bath rule."""
     return float_or_array(closed_forms(_lindblad_table(cfg, spec), t)[0])
 
 
@@ -345,7 +345,7 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     """Position-momentum covariance s_pq(t) in closed form (thermal bath), see
     :func:`closed_forms`; ``sigma_pq_closed(spec, cfg, 0)`` equals the
     initial-state value.  A float for a scalar ``t``, an array for an
-    array; ``ValueError`` where the bath is no Lindblad generator."""
+    array; ``ValueError`` where the bath breaks the bath rule."""
     return float_or_array(closed_forms(_lindblad_table(cfg, spec), t)[1])
 
 

@@ -171,6 +171,20 @@ def test_time_scales_variants():
     )
 
 
+def test_time_scales_builds_one_table_and_gives_the_scalar_times(monkeypatch):
+    import lindosc.decoherence as decoherence
+
+    tables = []
+    build = decoherence._lindblad_table
+    monkeypatch.setattr(decoherence, "_lindblad_table", lambda *a: tables.append(a) or build(*a))
+    spec = spec_of(4.0, r=0.3)
+    for high_t, t_deco in ((False, decoherence_time), (True, decoherence_time_high_temperature)):
+        tables.clear()
+        scales = time_scales(spec, CFG, high_temperature=high_t)
+        assert len(tables) == 1
+        assert (scales.t_deco, scales.t_d) == (t_deco(spec, CFG), statistical_time(spec, CFG))
+
+
 def test_overflowing_rate_has_no_time():
     # 1/inf = 0 would read as an instant process; the true time underflows
     times = time_from_rate(np.array([math.inf, math.nan, 2.0, 0.0, -1.0]))

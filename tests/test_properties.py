@@ -11,6 +11,7 @@ import io
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,16 +219,45 @@ def baths(draw):
     return OscillatorConfig(lam=lam, mu=mu, temp=draw(TEMPERATURES))
 
 
+# one field of the point set to an edge of its range (omega = 1, so 1 is
+# omega too) or to an ordinary value
+FIELD_VALUES = st.tuples(
+    st.sampled_from(["lam", "mu", "coth", "spread", "correlation"]),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 0.0), 1e308,
+                     math.inf, -math.inf, math.nan, -1.0]) | st.floats(-2.0, 2.0),
+)
+UNCHANGED = ("spread", 4.0)
+
+
+def _with_field(cfg, spec, field, value):
+    """``(cfg, spec)`` with one field set to ``value`` through the constructors."""
+    if field == "coth":
+        return replace(cfg, temp=TemperatureSpec(coth_value=value)), spec
+    if field in ("lam", "mu"):
+        return replace(cfg, **{field: value}), spec
+    return cfg, replace(spec, **{field: value})
+
+
 @PROFILE
-@given(cfg=baths())
-@example(cfg=OscillatorConfig(temp=TemperatureSpec.from_coth(math.inf)))
-@example(cfg=OscillatorConfig(lam=0.1, mu=-0.1, temp=TemperatureSpec.from_coth(3.0)))
-@example(cfg=OscillatorConfig(lam=0.2, mu=0.1, temp=TemperatureSpec.from_temperature(1e308)))
-def test_parameter_table_valid_is_the_bath_rule(cfg):
-    # valid where thermal_coefficients has coefficients, and exactly there the
-    # scalar closed forms and rates give a value rather than ValueError
+@given(cfg=baths(), point=FIELD_VALUES)
+@example(cfg=OscillatorConfig(temp=TemperatureSpec.from_coth(math.inf)), point=UNCHANGED)
+@example(cfg=OscillatorConfig(lam=0.1, mu=-0.1, temp=TemperatureSpec.from_coth(3.0)), point=UNCHANGED)
+@example(cfg=OscillatorConfig(lam=0.2, mu=0.1, temp=TemperatureSpec.from_temperature(1e308)),
+         point=UNCHANGED)
+@example(cfg=OscillatorConfig.reference(), point=("lam", math.inf))
+@example(cfg=OscillatorConfig.reference(), point=("spread", math.inf))
+def test_parameter_table_valid_is_the_bath_rule(cfg, point):
+    # valid where the constructors accept the point's field and
+    # thermal_coefficients has coefficients, and exactly there the scalar
+    # closed forms and rates give a value rather than ValueError
     spec = InitialStateSpec(spread=4.0, correlation=0.3)
-    valid = parameter_table(cfg, spec).valid
+    field, value = point
+    valid = parameter_table(cfg, spec, **{field: value}).valid
+    try:
+        cfg, spec = _with_field(cfg, spec, field, value)
+    except ValueError:
+        assert not valid
+        return
     for call in (
         lambda: thermal_coefficients(cfg),
         lambda: sigma_det_closed(spec, cfg, 1.0),
