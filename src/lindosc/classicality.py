@@ -114,11 +114,11 @@ def write_metrics_csv(
     metrics: Iterable[ClassicalityMetrics], target: str | Path | IO[str]
 ) -> None:
     """Metrics CSV with infinity serialized as the literal ``inf``."""
-    rows = (
+    rows = [
         (m.t, m.delta_qd, m.delta_cc, m.gamma, m.sigma_det, m.sigma_pq)
         for m in metrics
-    )
-    write_csv(target, METRICS_HEADER, rows)
+    ]
+    write_csv(target, METRICS_HEADER, np.array(rows, dtype=float).reshape(-1, 6))
 
 
 def one_sigma_contour(state: GaussianState, n_points: int = 256) -> np.ndarray:

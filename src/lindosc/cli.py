@@ -249,9 +249,15 @@ def _cmd_deco(args) -> int:
 def _closed_columns(
     spec: InitialStateSpec, cfg: OscillatorConfig, times: np.ndarray
 ) -> np.ndarray:
-    """Trajectory columns from the closed forms; s_qq and s_pp are nan."""
+    """Trajectory columns from the closed forms; s_qq and s_pp are nan.
+    ``NumericError`` where sigma or s_pq is not finite (sigma overflows at
+    a huge C)."""
     q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
     sigma, s_pq = closed_forms(_lindblad_table(cfg, spec), times)
+    finite = np.isfinite(sigma) & np.isfinite(s_pq)
+    if not finite.all():
+        t = float(times[np.argmin(finite)])
+        raise NumericError(f"closed-form sigma_det or s_pq not finite at t={t}")
     blank = np.full_like(times, math.nan)
     return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
@@ -583,6 +589,14 @@ def _cmd_fpe(args) -> int:
         state0 = initial_state(spec, cfg)
         cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
         geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
+        # at two standard deviations a cell sum of the Gaussian misses its
+        # mass by about 2 exp(-pi^2/2) = 1.4 %, beyond the solver's 1e-3
+        width_q, width_p = math.sqrt(state0.s_qq), math.sqrt(state0.s_pp)
+        if geom.dq > 2.0 * width_q or geom.dp > 2.0 * width_p:
+            raise ValueError(
+                f"grid cell {geom.dq:.6g} x {geom.dp:.6g} is wider than twice the"
+                f" initial state's standard deviations {width_q:.6g} x {width_p:.6g}"
+            )
         w0 = render_grid(state0, geom)
         initial_desc = {
             "stationary": False,
@@ -770,33 +784,37 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``lindosc`` parser: every subcommand with its help line, and the
-    flags of ``command`` alone, the only subcommand a call can parse.
+    """The parser of ``lindosc <command>``, with that subcommand's flags
+    alone; where ``command`` names no subcommand, the ``lindosc`` listing
+    parser, every subcommand with its help line and no flags, for
+    ``--help`` and for argument errors.
 
-    Adding flags is most of a parser's cost, so the other subcommands get
-    none; a ``command`` that names no subcommand gets no flags at all.
+    Adding flags is most of a parser's cost, so a call builds the flags of
+    its own subcommand only.
     """
+    if command in _COMMANDS:
+        _, _, model, add_flags = _COMMANDS[command]
+        parser = _Parser(prog=f"{PROG} {command}")
+        if model:
+            _add_model_flags(parser)
+        add_flags(parser)
+        return parser
     parser = _Parser(prog=PROG, description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, model, add_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if name == command:
-            if model:
-                _add_model_flags(p)
-            add_flags(p)
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the subcommand is the first word that is no option (the top-level
-    # parser knows no option but --help, and an unknown one is an error)
-    command = next((word for word in argv if not word.startswith("-")), None)
-    parser = build_parser(command)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        if command not in _COMMANDS:
+            build_parser().parse_args(argv)  # prints the help, or fails
+            raise ConfigError("the subcommand must be the first argument")
+        args = build_parser(command).parse_args(argv[1:])
+        return _COMMANDS[command][0](args)
     except NumericError as exc:
         print(f"{PROG}: numeric failure: {exc}", file=sys.stderr)
         return 2

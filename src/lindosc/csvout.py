@@ -1,15 +1,19 @@
 """CSV output: every cell is exactly Python's ``"%.17g" % x``.
 
 ``write_csv`` formats whole blocks of doubles with NumPy array operations and
-no per-cell Python call.  For a finite ``x`` with ``1e-270 <= |x| <= 1e270``
-it scales ``|x|`` by ``10**(16 - e)``, where ``e`` is the decimal exponent,
-so that the 17 significant digits are the integer part of the product
-``y``.  The power of ten is held in two parts, ``hi + lo``, and ``|x| * hi``
-is formed exactly as a sum of two doubles by Dekker's product (Dekker 1971,
-*Numer. Math.* 18:224).  That fixes ``y`` to about 1e-13, far below the 1e-9
-margin from a rounding tie that the kernel asks for.  ``floor(log10|x|)``
-can be one off next to a power of ten, so a ``y`` outside ``[1e16, 1e17)``
-is scaled again with the neighbouring exponent.  The 17 digits are then laid
+no per-cell Python call.  For a finite non-zero ``x`` it scales ``|x|`` by
+``10**(16 - e)``, where ``e`` is the decimal exponent, so that the 17
+significant digits are the integer part of the product ``y``.  The power of
+ten is held in two parts, ``hi + lo``, and ``|x| * hi`` is formed exactly as
+a sum of two doubles by Dekker's product (Dekker 1971, *Numer. Math.*
+18:224).  That fixes ``y`` to about 1e-13, far below the 1e-9 margin from a
+rounding tie that the kernel asks for.  For ``|e| > 270``, subnormals
+included, ``|x|`` is first scaled by the exact power of two ``2**-600``
+(``e > 270``) or ``2**600`` (``e < -270``), whose inverse ``hi`` and ``lo``
+carry, so that Dekker's split never overflows and no partial product
+underflows.  ``floor(log10|x|)`` can be one off next to a power of ten, so
+a ``y`` outside ``[1e16, 1e17)`` is scaled again with the neighbouring
+exponent and its power of two.  The 17 digits are then laid
 out by the ``%g`` rules with word-wide bit operations: fixed notation for
 ``-4 <= e < 17`` and exponent notation otherwise, trailing zeros and a bare
 point dropped, and the exponent given with at least two digits.  The
@@ -18,8 +22,7 @@ per process, when a block first needs them; each formatting pass gathers
 those of its own exponents, one more on either side for the corrections.
 
 Python's own ``%`` (Gay's correctly rounded dtoa) formats only the cells the
-kernel cannot certify: ``y`` within 1e-9 of a rounding tie, and finite
-non-zero magnitudes outside the range above (subnormals included).  ``nan``
+kernel cannot certify: ``y`` within 1e-9 of a rounding tie.  ``nan``
 (whatever its sign bit), ``inf``, ``-inf``, ``0`` and ``-0`` are laid out by
 the kernel.
 
@@ -36,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -45,7 +49,7 @@ __all__ = ["format_float", "write_csv"]
 
 _FLOAT = "%.17g"  # locale-independent, round-trips every double
 _CHUNK = 1 << 13  # cells per formatting pass: temporaries of about 1 MiB
-_SURE_MIN, _SURE_MAX = 1e-270, 1e270  # magnitudes the kernel formats itself
+_PRESCALE = 270  # beyond this decimal exponent |x| is first scaled by 2**-+600
 _TIE = 1e-9  # digits this close to a rounding tie are left to ``%``
 _SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 _SLOT = 32  # bytes of one formatted cell, zero bytes dropped on output
@@ -75,13 +79,13 @@ def format_float(x: float) -> str:
 def write_csv(
     target: str | Path | IO[str],
     header: str,
-    rows: np.ndarray | Iterable[Sequence[float] | np.ndarray],
+    rows: np.ndarray | Iterable[np.ndarray],
 ) -> None:
     """Write ``header`` and then one line per row, each cell exactly
     ``"%.17g" % x``, to a path or an open text handle.
 
-    ``rows`` is a 2-D array, or an iterable of rows (sequences of floats)
-    and 2-D blocks of rows, in output order.  The cells are formatted by the
+    ``rows`` is a 2-D array, or an iterable of 2-D arrays (blocks of rows
+    of one width) in output order.  The cells are formatted by the
     array kernel described in the module docstring, in passes of at most
     ``2**13`` cells (whole rows; a wider row is one pass), so the writer
     streams and its temporaries stay near 1 MiB.  The header and each pass
@@ -96,7 +100,7 @@ def write_csv(
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             return write_csv(handle, header, rows)
     write = _line_writer(target, header)
-    for block in _blocks(rows):
+    for block in [rows] if isinstance(rows, np.ndarray) else rows:
         step = max(1, _CHUNK // max(block.shape[1], 1))
         for start in range(0, len(block), step):
             write(_format_rows(block[start : start + step]))
@@ -117,36 +121,13 @@ def _line_writer(target: IO[str], header: str) -> Callable[[bytes], object]:
     return lambda data: target.write(data.decode("ascii"))
 
 
-def _blocks(rows) -> Iterator[np.ndarray]:
-    """``rows`` as 2-D float arrays: an array whole; from an iterable, each
-    2-D array item whole and each run of other items (rows) stacked a pass
-    at a time."""
-    if isinstance(rows, np.ndarray):
-        yield rows.astype(float, copy=False)
-        return
-    run: list = []
-    for item in rows:
-        if isinstance(item, np.ndarray) and item.ndim == 2:
-            if run:
-                yield np.array(run, dtype=float)
-                run = []
-            yield item.astype(float, copy=False)
-        else:
-            run.append(item)
-            if len(run) * len(item) >= _CHUNK:
-                yield np.array(run, dtype=float)
-                run = []
-    if run:
-        yield np.array(run, dtype=float)
-
-
 def _format_rows(block: np.ndarray) -> bytes:
     """The CSV lines of one 2-D block as ASCII: its cells' slots, zero bytes
     dropped, each run of equal cells down a column formatted once."""
     rows, width = block.shape
     ends = np.full(width, ord(","), np.uint64)
     ends[-1] = ord("\n")
-    x = np.ascontiguousarray(block)
+    x = np.ascontiguousarray(block, dtype=np.float64)
     bits = x.view(np.uint64)
     # column-major, where the cells of a run follow its first cell
     fresh = np.empty((width, rows), bool)
@@ -160,23 +141,27 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 # The per-exponent columns of ``_window``, in ``_exponent_row`` order.
 _ROW_COLUMNS = (
-    ("hi", np.float64), ("hi_head", np.float64), ("hi_tail", np.float64),
-    ("lo", np.float64), ("point", np.int64), ("lead", np.int64),
-    ("prefix", np.uint64), ("expo", np.uint64),
+    ("scale", np.float64), ("hi", np.float64), ("hi_head", np.float64),
+    ("hi_tail", np.float64), ("lo", np.float64), ("point", np.int64),
+    ("lead", np.int64), ("prefix", np.uint64), ("expo", np.uint64),
 )
 
 
 @functools.cache
-def _exponent_row(e: int) -> tuple[float, float, float, float, int, int, int, int]:
+def _exponent_row(e: int) -> tuple[float, ...]:
     """The kernel's constants for the decimal exponent ``e``, computed once.
 
-    ``hi``, ``hi_head``, ``hi_tail`` and ``lo`` of ``10**(16 - e) = hi + lo``
-    (``hi`` correctly rounded, ``lo`` the correctly rounded remainder,
-    ``hi_head + hi_tail = hi`` its Dekker split); ``point``, the digits
-    before the point (17, none, in ``0.000ddd``); ``lead``, the digits always
-    shown; ``prefix`` and ``expo``, the slot bytes 1-5 and 24-28.
+    ``scale``, the power of two ``|x|`` is first multiplied by (1 unless
+    ``|e| > 270``); ``hi``, ``hi_head``, ``hi_tail`` and ``lo`` of
+    ``10**(16 - e) / scale = hi + lo`` (``hi`` correctly rounded, ``lo`` the
+    correctly rounded remainder, ``hi_head + hi_tail = hi`` its Dekker
+    split); ``point``, the digits before the point (17, none, in
+    ``0.000ddd``); ``lead``, the digits always shown; ``prefix`` and
+    ``expo``, the slot bytes 1-5 and 24-28.
     """
+    shift = 600 * ((e > _PRESCALE) - (e < -_PRESCALE))  # scale = 2**-shift
     num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+    num, den = (num << shift, den) if shift > 0 else (num, den << -shift)
     hi = num / den  # int true division rounds correctly
     hi_num, hi_den = hi.as_integer_ratio()
     lo = (num * hi_den - hi_num * den) / (den * hi_den)
@@ -189,17 +174,21 @@ def _exponent_row(e: int) -> tuple[float, float, float, float, int, int, int, in
     else:  # d.ddde+XX
         point, lead, head_bytes, tail_bytes = 1, 1, b"", b"e%+03d" % e
     prefix, expo = (int.from_bytes(b, "little") for b in (head_bytes, tail_bytes))
-    return hi, head, hi - head, lo, point, lead, prefix, expo
+    return math.ldexp(1.0, -shift), hi, head, hi - head, lo, point, lead, prefix, expo
 
 
 def _window(first: int, last: int) -> dict[str, np.ndarray]:
     """The ``_exponent_row`` columns of the exponents ``first..last``, each
-    an array indexed by ``e - first``."""
+    an array indexed by ``e - first``; ``scale`` only where one exponent
+    lies beyond 270 in magnitude, as it is 1 for all others."""
     columns = zip(*map(_exponent_row, range(first, last + 1)))
-    return {
+    table = {
         name: np.array(column, dtype)
         for (name, dtype), column in zip(_ROW_COLUMNS, columns)
     }
+    if -_PRESCALE <= first and last <= _PRESCALE:
+        del table["scale"]
+    return table
 
 
 @functools.cache
@@ -244,10 +233,13 @@ def _scaled(
     """``floor(y)`` as int64 and ``y - floor(y)`` for ``y = ax * 10**(16 - e)``,
     with the constants of ``e`` at index ``i`` of the ``_window`` ``consts``.
 
+    ``ax`` is first multiplied by ``scale`` where the window has one.
     ``ax * hi = p + err`` exactly (Dekker's product with 26-bit halves), and
     ``ax * lo`` adds the rest; for ``y < 2**63`` the fraction is within about
     1e-13 of the exact one.
     """
+    if "scale" in consts:
+        ax = ax * consts["scale"][i]
     hi, head, tail = consts["hi"][i], consts["hi_head"][i], consts["hi_tail"][i]
     p = ax * hi
     c = _SPLIT * ax
@@ -271,8 +263,8 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     followed by its separator ``sep`` (character codes), zero-padded."""
     t = _digit_tables()
     ax = np.abs(x)
-    sure = (ax >= _SURE_MIN) & (ax <= _SURE_MAX)  # false for nan
-    ax = np.where(sure, ax, 1.0)
+    digits = (ax > 0.0) & (ax < np.inf)  # false for 0, inf and nan
+    ax = np.where(digits, ax, 1.0)  # laid out below; its frac is 0, no tie
     e = np.floor(np.log10(ax)).astype(np.int64)
     # the block's exponents, one more each side for the corrections below
     e0 = int(e.min()) - 1
@@ -320,15 +312,13 @@ def _cells(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
         )
     slots[0] |= consts["prefix"][i]
     slots[3] = consts["expo"][i]
-    if not sure.all():
-        k = np.flatnonzero((x == 0.0) | ~np.isfinite(x))
+    if not digits.all():
+        k = np.flatnonzero(~digits)
         slots[:, k] = 0
         slots[3, k] = np.where(np.isnan(x[k]), _NAN, np.where(x[k] == 0.0, _ZERO, _INF))
     slots[0] |= (np.signbit(x) & ~np.isnan(x)) * np.uint64(ord("-"))
     slots[3] |= sep << _SEP_SHIFT
-    for k in np.flatnonzero(
-        np.isfinite(x) & (x != 0.0) & (~sure | (np.abs(frac - 0.5) < _TIE))
-    ).tolist():
+    for k in np.flatnonzero(np.abs(frac - 0.5) < _TIE).tolist():
         cell = (_FLOAT % x[k]).encode() + bytes([int(sep[k])])
         slots[:, k] = np.frombuffer(cell.ljust(_SLOT, b"\0"), _WORDS)
     return cells

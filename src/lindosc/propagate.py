@@ -306,9 +306,15 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
 
     sigma is grouped so that no terms of size ``C^2`` cancel at ``mu = 0``:
     it starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``;
-    constant in the closed system, at every ``C``.  s_pq is cov(q, p) of the
-    moment system, so at ``t = 0`` it is ``+hbar*r/(2*sqrt(1-r^2))``; it
-    oscillates at twice the shifted frequency and decays to zero.  NumPy
+    constant in the closed system, at every ``C``.  Where ``C^2`` overflows
+    (``C`` above about 1.34e154), its two terms are taken together as
+    ``C (C (F^2 - 4 mu^2 E s^2))``: sigma is ``hbar^2/4`` at ``t = 0`` and
+    ``+inf`` wherever it overflows, never ``nan`` (``sweep`` and ``window``
+    read +inf there; ``trajectory --route closed`` is a numeric failure).
+    s_pq is cov(q, p) of the moment system, so at ``t = 0`` it is
+    ``+hbar*r/(2*sqrt(1-r^2))``; it oscillates at twice the shifted
+    frequency and decays to zero.  It forms ``2 mu omega (C - k_+/2)``, the
+    bits of ``mu omega (2C - k_+)`` without overflowing ``2C``.  NumPy
     stays silent; entries at invalid points (``p.valid`` False) carry no
     meaning, and every caller masks or rejects them.
     """
@@ -325,10 +331,16 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
             + 2.0 * r * w * s * s / root
         )
         bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
+        huge = np.isinf(coth * coth) & np.isfinite(coth)
+        if huge.any():  # C^2 overflows: its two terms as one product, never nan
+            inner = mu * s * s * k_plus + k_minus * s * c + 2.0 * r * w * s * s / root
+            square = coth * (coth * (f * f - 4.0 * mu * mu * e * s * s))
+            grouped = e * e + square + coth * e * (k_plus * f + 2.0 * mu * inner)
+            bracket = np.where(huge, grouped, bracket)
         sigma = (p.hbar * p.hbar / 4.0) * bracket
         bracket = (
             r / root
-            + s * s * (mu * w * (2.0 * coth - k_plus) - 2.0 * w * w * r / root)
+            + s * s * (2.0 * mu * w * (coth - 0.5 * k_plus) - 2.0 * w * w * r / root)
             - w * k_minus * s * c
         )
         return sigma, (p.hbar / 2.0) * decay * decay * bracket

@@ -957,6 +957,22 @@ def test_sweep_at_overflowing_phase_agrees_between_routes(tmp_path, lam, omega, 
         assert math.isfinite(t_deco)
 
 
+def test_sweep_at_huge_c_reads_no_nan(tmp_path):
+    # above about 1.34e154 C^2 overflows: sigma = hbar^2/4 at t = 0 and +inf
+    # once it overflows, and 2C overflows in s_pq from about 9e307 on
+    base = ["sweep", *HUGE_C, "--axis", "C:1e160:1e308:2", "--record"]
+    records = "sigma_det,delta_qd,sigma_pq"
+    out = tmp_path / "huge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*base, records, "--t", "0", "--out", str(out)]) == 0
+        assert out.read_text() == f"C,{records}\n1e+160,0.25,1,0\n1e+308,0.25,1,0\n"
+        assert main([*base, records, "--t", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["1e+160", "inf", "0"], ["1e+308", "inf", "0"]]
+    assert all(math.isfinite(float(row[3])) for row in rows)
+
+
 @pytest.mark.parametrize(
     "axis", ["t:0:nan:3", "t:0:inf:3", "C:2:nan:2", "C:2:3:2 --t nan", "C:2:3:2 --t inf"]
 )
@@ -1032,6 +1048,20 @@ def test_fpe_rejects_dt_above_stable_step(tmp_path, capsys):
     argv = ["fpe", *SQUEEZED, "--grid-n", "128", "--t-end", "1", "--dt", "0.0053"]
     assert main(argv + ["--out-dir", str(out)]) == 1
     assert "stable step 0.00126523" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fpe_rejects_cells_wider_than_the_initial_state(tmp_path, capsys):
+    # at C = 1e300 the box covers the long-time state, about 1e150 wide, so
+    # the initial Gaussian would fall between the cell centres
+    out = tmp_path / "run"
+    argv = ["fpe", *HOT, "--grid-n", "16", "--t-end", "0.1", "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "lindosc: grid cell 5.3033e+149 x 5.3033e+149 is wider than twice the"
+        " initial state's standard deviations 1.41421 x 0.353553\n"
+    )
     assert not out.exists()
 
 
@@ -1135,6 +1165,7 @@ def test_overflowing_damping_is_one_numeric_failure(tmp_path, capsys, argv):
 
 CANCELLING = [*MODEL, "--delta-sq", "1e20", "--t-end", "2", "--dt", "0.5"]
 HOT = ["--lambda", "0.2", "--mu", "0.1", "--coth", "1e300", "--delta-sq", "4"]
+HUGE_C = ["--lambda", "0.2", "--mu", "0.1", "--coth", "1e160", "--delta-sq", "4"]
 
 
 @pytest.mark.parametrize(
@@ -1150,12 +1181,14 @@ HOT = ["--lambda", "0.2", "--mu", "0.1", "--coth", "1e300", "--delta-sq", "4"]
         ["trajectory", "--route", "lyapunov", *HOT, "--t-end", "0.2", "--dt", "0.1"],
         ["trajectory", "--route", "rk4", *HOT, "--t-end", "0.2", "--dt", "0.1"],
         ["trajectory", "--route", "all", *HOT, "--t-end", "0.2", "--dt", "0.1"],
+        # C^2 overflows, so the closed-form sigma is inf from t = 0.5 on
+        ["trajectory", "--route", "closed", *HUGE_C, "--t-end", "1", "--dt", "0.5"],
         # the decoherence rate overflows to inf
         ["deco", *HUGE_DAMPING],
     ],
     ids=[
         "cancel-lyapunov", "cancel-all", "cancel-rk4", "cancel-metrics", "nan-metrics",
-        "nan-lyapunov", "nan-rk4", "nan-all", "deco-rate",
+        "nan-lyapunov", "nan-rk4", "nan-all", "inf-closed", "deco-rate",
     ],
 )
 def test_moments_that_are_no_gaussian_state_are_one_numeric_failure(capsys, argv):

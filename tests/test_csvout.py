@@ -6,7 +6,9 @@ infinities among them), powers of ten and their neighbours (the doubles
 nearest 10**k that lie below it round up to the next power), exact rounding
 ties at the 17th digit, dyadic rationals, integers and a linspace.  Before
 them, one call writes blocks whose decimal exponents lie far apart, so each
-formatting pass reads the kernel's constants for its own exponents.
+formatting pass reads the kernel's constants for its own exponents.  With
+``%`` cut to three digits, subnormals and the largest magnitudes must still
+read 17: the kernel formats them.
 
 A Hypothesis test then draws tables made of runs of equal cells, which the
 writer formats once per run: constant columns, runs across the boundary of
@@ -20,6 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lindosc import csvout
 from lindosc.csvout import write_csv
 
 WIDTH = 8
@@ -69,7 +72,9 @@ def _blocks() -> list[np.ndarray]:
     # rescales them with the neighbouring exponent
     powers = np.array([float(f"1e{k}") for k in range(20, 60)])
     exact = np.concatenate([powers, np.nextafter(powers, -np.inf)])
-    # all left to ``%``: subnormals and the doubles next to the sure range
+    # beyond decimal exponent 270 in magnitude, subnormals among them, the
+    # kernel scales |x| by 2**-+600 first; the doubles next to 1e+-270 lie
+    # on either side of that boundary
     edges = np.concatenate([
         np.ldexp(rng.integers(1, 2**52, size=WIDTH * 6).astype(float), -1074),
         np.nextafter([1e-270, -1e-270], 0.0),
@@ -102,6 +107,23 @@ def test_write_csv_matches_format_17g_on_a_million_doubles():
     for mine, ref in zip(got.splitlines(), expected.splitlines()):
         assert mine == ref  # names the first differing row
     assert got == expected
+
+
+def test_the_kernel_formats_the_extreme_magnitudes(monkeypatch):
+    # subnormals, magnitudes near 1e-300 and 1e300 and the largest double:
+    # with ``%`` cut to three digits they still read 17, so the kernel, not
+    # ``%``, formatted them (none of them is a rounding tie)
+    rng = np.random.default_rng(20261020)
+    near = 10.0 ** rng.uniform(-0.5, 0.5, size=62)
+    subnormal = np.ldexp(rng.integers(1, 2**52, size=62).astype(float), -1074)
+    x = np.concatenate([subnormal, near * 1e-300, near * 1e300,
+                        [1.7976931348623157e308, 5e-324]])
+    table = np.concatenate([x, -x]).reshape(-1, WIDTH)
+    expected = ["h"] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    monkeypatch.setattr(csvout, "_FLOAT", "%.3g")
+    handle = io.StringIO()
+    write_csv(handle, "h", table)
+    assert handle.getvalue().splitlines() == expected
 
 
 PASS = 1 << 13  # cells per formatting pass of the writer
@@ -170,14 +192,15 @@ def _mixed_runs() -> np.ndarray:
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(table=run_tables(), as_rows=st.booleans())
-@example(table=_mixed_runs(), as_rows=False)
-@example(table=_mixed_runs(), as_rows=True)
-def test_write_csv_matches_format_17g_on_runs(table, as_rows):
+@given(table=run_tables(), pieces=st.integers(0, 4))
+@example(table=_mixed_runs(), pieces=0)
+@example(table=_mixed_runs(), pieces=3)
+def test_write_csv_matches_format_17g_on_runs(table, pieces):
     expected = "h\n" + "".join(
         ",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()
     )
-    rows = table.tolist() if as_rows else table
+    # the table whole, or cut into that many blocks, some of them empty
+    rows = np.array_split(table, pieces) if pieces else table
     text = io.StringIO()
     write_csv(text, "h", rows)
     # as lines, so that a failure names the first differing row

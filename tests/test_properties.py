@@ -108,7 +108,8 @@ def test_write_csv_matches_format_17g(table):
         ",".join(format(x, ".17g") for x in row) + "\n" for row in rows
     )
     array = np.array(rows, dtype=float).reshape(len(rows), width)
-    for given_rows in (rows, iter(rows), array, [array[:1], *rows[1:]]):
+    blocks = [array[k : k + 1] for k in range(len(array))]
+    for given_rows in (blocks, iter(blocks), array, [array[:1], array[1:]]):
         handle = io.StringIO()
         write_csv(handle, header, given_rows)
         assert handle.getvalue() == expected
