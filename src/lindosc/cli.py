@@ -48,6 +48,7 @@ from .decoherence import (
 )
 from .fpe import FpeRunSpec, grid_linf_diff, run_fpe
 from .model import (
+    GaussianState,
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
@@ -579,24 +580,30 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
+def _require_fine_cells(geom: GridGeometry, state: GaussianState) -> None:
+    """Reject a grid whose cells are wider than twice the initial state's
+    standard deviation along either axis: there a cell sum of the Gaussian
+    misses its mass by about 2 exp(-pi^2/2) = 1.4 %, beyond the solver's 1e-3."""
+    width_q, width_p = math.sqrt(state.s_qq), math.sqrt(state.s_pp)
+    if geom.dq > 2.0 * width_q or geom.dp > 2.0 * width_p:
+        raise ValueError(
+            f"grid cell {geom.dq:.6g} x {geom.dp:.6g} is wider than twice the"
+            f" initial state's standard deviations {width_q:.6g} x {width_p:.6g}"
+        )
+
+
 def _cmd_fpe(args) -> int:
     cfg, spec = _model_from_args(args)
     d = thermal_coefficients(cfg)
     if args.stationary:
         w0 = stationary_grid(cfg, args.grid_n, coverage=args.coverage)
+        _require_fine_cells(w0.geom, asymptotic_covariance(cfg))
         initial_desc: dict[str, object] = {"stationary": True}
     else:
         state0 = initial_state(spec, cfg)
         cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
         geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
-        # at two standard deviations a cell sum of the Gaussian misses its
-        # mass by about 2 exp(-pi^2/2) = 1.4 %, beyond the solver's 1e-3
-        width_q, width_p = math.sqrt(state0.s_qq), math.sqrt(state0.s_pp)
-        if geom.dq > 2.0 * width_q or geom.dp > 2.0 * width_p:
-            raise ValueError(
-                f"grid cell {geom.dq:.6g} x {geom.dp:.6g} is wider than twice the"
-                f" initial state's standard deviations {width_q:.6g} x {width_p:.6g}"
-            )
+        _require_fine_cells(geom, state0)
         w0 = render_grid(state0, geom)
         initial_desc = {
             "stationary": False,

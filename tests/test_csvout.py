@@ -17,6 +17,8 @@ and rounding ties inside runs.
 """
 
 import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -214,6 +216,12 @@ def test_write_csv_matches_format_17g_on_runs(table, pieces):
         write_csv(handle, "h", rows)
         handle.flush()
         assert raw.getvalue().decode().splitlines(keepends=True) == lines
+    # and a path, which the writer opens itself
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, "h", rows)
+        with open(path, "rb") as f:
+            assert f.read().decode().splitlines(keepends=True) == lines
 
 
 class _Tee(io.TextIOWrapper):
