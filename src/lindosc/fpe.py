@@ -26,6 +26,14 @@ that table against shifted views of one of two preallocated grids, padded by
 ghost rows only, and writes the interior of the other (``_Stepper``); a tap
 that would read past either end of a row has weight zero.
 
+On a box symmetric about the origin the equation keeps central symmetry,
+W(q, p) = W(-q, -p), since its drift is linear without a constant term and
+its diffusion constant.  A grid that equals its reflection bit for bit, such
+as every Gaussian centred at 0 renders, is therefore stepped on its first
+``ceil(n_q/2)`` rows only (the rows q < 0, and q = 0 for odd ``n_q``); the
+lower ghost rows hold the rows that central symmetry maps there, and the
+grids ``run_fpe`` returns are assembled by reflection.
+
 This solver is deliberately independent of the closed-form machinery in
 ``propagate``/``states`` so the two can be compared as oracles.
 """
@@ -180,19 +188,28 @@ class _Stepper:
     are ``-h`` times those of ``L``, and the tap on the cell itself gains 1.
     A run therefore builds one stepper per segment of equal steps.
 
-    The grid lives in two buffers of ``n_q + 4`` rows of ``n_p`` cells: two
-    ghost rows of zeros on each side of the interior (the zero-inflow
-    boundary in q), and no ghost columns, so the interior is one contiguous
-    block.  On a flattened buffer each tap is a fixed shift, by one row per
-    q cell and by one element per p cell, so a group of taps is one
-    read-only strided view and one ``np.einsum`` call sums weight times cell
-    over the group.  A p shift past either end of a row lands on the
-    neighbouring row, so the taps that would cross there (-2 in columns 0
-    and 1, -1 in column 0, +1 in column n_p-1, +2 in columns n_p-2 and
-    n_p-1, and the diagonal taps of columns 0 and n_p-1 on their outer side)
-    have weight zero: the zero-inflow boundary in p, the same sum the ghost
-    zeros would give.  ``step`` reads one buffer and writes the interior of
-    the other, so the ghost rows stay zero, and the two swap every step.
+    With ``mirror`` the grid must be centrally symmetric on a box symmetric
+    about 0 (see ``run_fpe``), and the stepper computes only its first
+    ``rows = ceil(n_q/2)`` rows: the table covers those rows, and ``rows``
+    is ``n_q`` otherwise.  Grid row g just past them holds row ``n_q - 1 -
+    g`` reversed in p, or zeros for ``g >= n_q``, and for odd ``n_q`` the
+    p > 0 half of the middle row is its p < 0 half reversed; ``_Buffer``
+    refreshes both after each step, so the half grid steps as the whole one.
+
+    The grid lives in two buffers of ``rows + 4`` rows of ``n_p`` cells: two
+    ghost rows on each side of the interior (zeros, the zero-inflow boundary
+    in q, except the mirrored rows above), and no ghost columns, so the
+    interior is one contiguous block.  On a flattened buffer each tap is a
+    fixed shift, by one row per q cell and by one element per p cell, so a
+    group of taps is one read-only strided view and one ``np.einsum`` call
+    sums weight times cell over the group.  A p shift past either end of a
+    row lands on the neighbouring row, so the taps that would cross there
+    (-2 in columns 0 and 1, -1 in column 0, +1 in column n_p-1, +2 in
+    columns n_p-2 and n_p-1, and the diagonal taps of columns 0 and n_p-1 on
+    their outer side) have weight zero: the zero-inflow boundary in p, the
+    same sum the ghost zeros would give.  ``step`` reads one buffer and
+    writes the interior of the other, so the ghost rows of zeros stay zero,
+    and the two swap every step.
     """
 
     def __init__(
@@ -201,21 +218,24 @@ class _Stepper:
         cfg: OscillatorConfig,
         d: DiffusionCoefficients,
         h: float,
+        mirror: bool = False,
     ) -> None:
         nq, npp = geom.n_q, geom.n_p
         dq, dp = geom.dq, geom.dp
-        n_cells = nq * npp
+        rows = (nq + 1) // 2 if mirror else nq
+        n_cells = rows * npp
         self.h = h
+        self.rows = rows
         # Taps -2, -1, 0, +1, +2 rows along q, then -2, -1, +1, +2 along p.
-        table = np.zeros((9, nq, npp))
-        q = geom.q_centers()
+        table = np.zeros((9, rows, npp))
+        q = geom.q_centers()[:rows]
         p = geom.p_centers()
-        q_faces = geom.q_min + dq * np.arange(nq + 1)
+        q_faces = geom.q_min + dq * np.arange(rows + 1)
         p_faces = geom.p_min + dp * np.arange(npp + 1)
-        # v_q on q-faces: shape (n_q + 1, n_p)
+        # v_q on q-faces: shape (rows + 1, n_p)
         vq = q_faces[:, None] * (-(cfg.lam - cfg.mu)) + p[None, :] / cfg.m
         _add_divergence_taps(table[:5], vq, d.d_qq, dq, axis=0)
-        # v_p on p-faces: shape (n_q, n_p + 1); the centre tap is shared
+        # v_p on p-faces: shape (rows, n_p + 1); the centre tap is shared
         vp = -cfg.m * cfg.omega**2 * q[:, None] - (cfg.lam + cfg.mu) * p_faces[None, :]
         _add_divergence_taps([table[k] for k in (5, 6, 2, 7, 8)], vp, d.d_pp, dp, axis=1)
         # the p taps that would read across a row end
@@ -227,25 +247,28 @@ class _Stepper:
         self.corners = None
         if d.d_pq != 0.0:
             # one weight per column, the same on every row: (2, 2, 1, n_p)
-            # broadcasts over the rows instead of storing n_q copies
+            # broadcasts over the rows instead of storing one per row
             k = -d.d_pq / (4.0 * dq * dp)
             signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # rows i-1, i+1; columns j-1, j+1
             self.corners = np.empty((2, 2, 1, npp))
             self.corners[...] = (-h * 2.0 * k * signs)[:, :, None, None]
             # likewise the diagonal taps that would read across a row end
             self.corners[:, 0, 0, 0] = self.corners[:, 1, 0, -1] = 0.0
-        self.buffers = (_Buffer(nq, npp), _Buffer(nq, npp))
+        self.buffers = (_Buffer(nq, npp, rows), _Buffer(nq, npp, rows))
         self.term = np.empty(n_cells)
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        """Advance ``w`` by one step and return the new grid.
+        """Advance the grid by one step and return its first ``rows`` rows.
 
-        The result is the interior of one of the stepper's buffers, which
-        the call after next overwrites; passing it back in saves copying it.
+        ``w`` holds the grid's first ``rows`` rows or more; the rest follow
+        from them.  The result is the interior of one of the stepper's
+        buffers, which the call after next overwrites; passing it back in
+        saves copying it.
         """
         src, dst = self.buffers
         if w is not src.w:
-            src.w[...] = w
+            src.w[...] = w[: self.rows]
+            src.reflect()
         rows, term = dst.rows, self.term
         # order="F" puts the tap axis innermost, so einsum accumulates each
         # cell's taps in one sweep: on NumPy 2.4 a 5-tap group at 256^2 takes
@@ -263,18 +286,27 @@ class _Stepper:
                 out=term.reshape(dst.w.shape), order="K",
             )
             rows += term
+        dst.reflect()
         self.buffers = dst, src
         return dst.w
 
 
 class _Buffer:
-    """One of ``_Stepper``'s two grids: ``padded`` holds two ghost rows of
-    zeros above and below the interior ``w`` of ``n_q`` rows of ``n_p``
-    cells, which ``rows`` flattens; the ``*_cells`` are read-only views of
-    ``padded`` with one leading axis per tap group (see ``_Stepper``)."""
+    """One of ``_Stepper``'s two grids: ``padded`` holds two ghost rows
+    above and below the interior ``w``, the first ``rows`` of the ``n_q``
+    rows of ``n_p`` cells, which ``rows`` flattens; the ``*_cells`` are
+    read-only views of ``padded`` with one leading axis per tap group (see
+    ``_Stepper``).  The ghost rows hold zeros, except that with ``rows <
+    n_q`` (a centrally symmetric grid) ``reflect`` fills the lower ones."""
 
-    def __init__(self, nq: int, npp: int) -> None:
-        self.padded = np.zeros((nq + 4, npp))
+    def __init__(self, nq: int, npp: int, rows: int) -> None:
+        self.padded = np.zeros((rows + 4, npp))
+        # grid row g past the interior is row n_q - 1 - g reversed, or zero
+        # past the grid; padded row g + 2 holds grid row g
+        self.mirrored = [(g + 2, nq - 1 - g) for g in (rows, rows + 1) if g < nq]
+        # an odd n_q has its middle row, q = 0, in the interior: its p > 0
+        # half mirrors its p < 0 half
+        self.middle = self.padded[rows + 1] if rows < nq and nq % 2 else None
         flat = self.padded.ravel()
         start = 2 * npp  # the first interior cell
 
@@ -290,9 +322,19 @@ class _Buffer:
 
         self.w = self.padded[2:-2]
         self.rows = self.w.reshape(-1)
-        self.q_cells = cells(-2 * npp, (npp, 1), (5, nq * npp))
-        self.p_cells = cells(-2, (3, 1, 1), (2, 2, nq * npp))
-        self.corner_cells = cells(-npp - 1, (2 * npp, 2, npp, 1), (2, 2, nq, npp))
+        self.q_cells = cells(-2 * npp, (npp, 1), (5, rows * npp))
+        self.p_cells = cells(-2, (3, 1, 1), (2, 2, rows * npp))
+        self.corner_cells = cells(-npp - 1, (2 * npp, 2, npp, 1), (2, 2, rows, npp))
+
+    def reflect(self) -> None:
+        """Fill the mirrored ghost rows, and the p > 0 half of an odd grid's
+        middle row, from the interior by central symmetry, W(q, p) =
+        W(-q, -p); a no-op when the interior is the whole grid."""
+        for ghost, row in self.mirrored:
+            self.padded[ghost] = self.w[row, ::-1]
+        if self.middle is not None:
+            half = len(self.middle) // 2
+            self.middle[-half:] = self.middle[half - 1 :: -1]
 
 
 def _add_divergence_taps(
@@ -371,6 +413,15 @@ def run_fpe(
 ) -> FpeResult:
     """Integrate the transport equation from ``w0`` to ``run.t_end``.
 
+    On a box symmetric about the origin the equation keeps central symmetry,
+    W(q, p) = W(-q, -p): its drift is linear without a constant term and its
+    diffusion constant.  So where ``w0`` equals its reflection
+    ``values[::-1, ::-1]`` bit for bit, as a Gaussian centred at 0 renders
+    (``GridGeometry.q_centers``), the run steps only the first
+    ``ceil(n_q/2)`` rows (``_Stepper``) and fills in the rest by reflection;
+    the grids it returns equal their reflections bit for bit.  Every other
+    input steps every row.
+
     Raises ``ValueError`` for an unnormalized or non-finite initial grid
     (|mass - 1| > 1e-3, or a NaN or infinite mass), a ``run.dt`` above
     ``stable_dt`` or a step count ``t_end / dt`` that is not finite, and
@@ -400,6 +451,11 @@ def run_fpe(
         events = [t for t in events if t > 0.0]
 
     w = w0.values  # read only: the stepper copies it into its own buffer
+    mirror = (
+        geom.q_min == -geom.q_max
+        and geom.p_min == -geom.p_max
+        and np.array_equal(w, w[::-1, ::-1])
+    )
     min_value = float(w.min())
     snapshots: list[tuple[float, PhaseSpaceGrid]] = []
     steps = 0
@@ -409,7 +465,7 @@ def run_fpe(
         n = max(1, math.ceil(span / dt - 1e-12))
         h = span / n
         stepper = None  # free the last segment's table before building this one's
-        stepper = _Stepper(geom, cfg, d, h)
+        stepper = _Stepper(geom, cfg, d, h, mirror)
         # an unstable run overflows before the finite check trips; keep numpy
         # quiet about it so the NumericError below is the only signal
         with np.errstate(over="ignore", invalid="ignore"):
@@ -426,8 +482,8 @@ def run_fpe(
                     min_value = lo
         t_cur = t_event
         if t_event in run.snapshot_times:
-            snapshots.append((t_event, PhaseSpaceGrid(geom, w.copy())))
-    final = PhaseSpaceGrid(geom, w.copy())
+            snapshots.append((t_event, _unfold(w, geom)))
+    final = _unfold(w, geom)
     return FpeResult(
         final=final,
         snapshots=tuple(snapshots),
@@ -438,6 +494,13 @@ def run_fpe(
         mass_final=final.mass(),
         min_value=min_value,
     )
+
+
+def _unfold(w: np.ndarray, geom: GridGeometry) -> PhaseSpaceGrid:
+    """A new grid from the first rows ``w`` of a run's grid: all of them, or
+    the first ``ceil(n_q/2)`` of a centrally symmetric one, whose others are
+    those reflected."""
+    return PhaseSpaceGrid(geom, np.concatenate((w, w[: geom.n_q - len(w)][::-1, ::-1])))
 
 
 def grid_moments(grid: PhaseSpaceGrid, t: float = 0.0) -> GaussianState:

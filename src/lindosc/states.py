@@ -226,10 +226,22 @@ class GridGeometry:
         return (self.p_max - self.p_min) / self.n_p
 
     def q_centers(self) -> np.ndarray:
-        return self.q_min + (np.arange(self.n_q) + 0.5) * self.dq
+        """Cell centres along q in the midpoint form ``0.5 lo + 0.5 hi + (i -
+        (n - 1)/2) d``: the offsets are exact half-integers, so on a box
+        with ``q_min == -q_max`` the centres are exactly antisymmetric, and a
+        Gaussian centred at 0 renders exactly centrally symmetric (which
+        lets ``run_fpe`` step half the rows).  Elsewhere they agree with
+        ``q_min + (i + 1/2) dq`` to within a few ulps of the bounds."""
+        return _centers(self.q_min, self.q_max, self.n_q)
 
     def p_centers(self) -> np.ndarray:
-        return self.p_min + (np.arange(self.n_p) + 0.5) * self.dp
+        """Cell centres along p, in the form of ``q_centers``."""
+        return _centers(self.p_min, self.p_max, self.n_p)
+
+
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    # halving each bound first keeps lo + hi from overflowing
+    return (0.5 * lo + 0.5 * hi) + (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -469,12 +469,29 @@ CONTRACTS = [
     # at C = 1e300 the box covers the long-time state, about 1e150 wide, so
     # the initial Gaussian would fall between the cell centres
     C(f"fpe {HOT} --grid-n 16 --t-end 0.1 --out-dir OUT", 1,
-      "grid cell 5.3033e+149 x 5.3033e+149 is wider than twice the"
-      " initial state's standard deviations 1.41421 x 0.353553"),
-    # four cells over +/- 6 standard deviations are 3 of them wide
-    C(f"fpe {MODEL} --stationary --grid-n 4 --t-end 0.1 --out-dir OUT", 1,
-      "grid cell 3.67423 x 3.67423 is wider than twice the"
-      " initial state's standard deviations 1.22474 x 1.22474"),
+      "grid cell 5.3033e+149 x 5.3033e+149 is too coarse for the initial state's"
+      " standard deviations 1.41421 x 0.353553: a cell sum can miss its mass by"
+      " more than 0.001"),
+    # n cells over +/- 6 standard deviations are 12/n of them wide: 3, 2 and
+    # 12/7 miss the mass by 50 %, 2.9 % and 0.48 %, 1.5 by 0.062 %
+    *(C(f"fpe {MODEL} --stationary --grid-n {n} --t-end 0.1 --out-dir OUT", 1,
+        f"grid cell {cell} x {cell} is too coarse for the initial state's standard"
+        " deviations 1.22474 x 1.22474: a cell sum can miss its mass by more than 0.001")
+      for n, cell in ((4, "3.67423"), (6, "2.44949"), (7, "2.09956"))),
+    C(f"fpe {MODEL} --stationary --grid-n 8 --t-end 0.1 --out-dir OUT",
+      check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
+    # correlation r = 0.6 puts the largest alias on the diagonal (k, l) =
+    # (1, -1): 0.14 % at n = 13, against 0.090 % along the two axes
+    C(f"fpe {MODEL} --corr-r 0.6 --grid-n 13 --t-end 0.1 --out-dir OUT", 1,
+      "grid cell 1.13053 x 1.13053 is too coarse for the initial state's standard"
+      " deviations 0.707107 x 0.883883: a cell sum can miss its mass by more than 0.001"),
+    C(f"fpe {MODEL} --corr-r 0.6 --grid-n 14 --t-end 0.1 --out-dir OUT",
+      check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
+    # at r = 0.99 the largest alias lies far off the axes, at (k, l) = (-5, 1):
+    # found only in a reduced basis of the lattice
+    C(f"fpe {MODEL} --delta-sq 0.1 --corr-r 0.99 --grid-n 44 --t-end 0.1 --out-dir OUT", 1,
+      "grid cell 0.334021 x 4.32302 is too coarse for the initial state's standard"
+      " deviations 0.223607 x 15.8511: a cell sum can miss its mass by more than 0.001"),
     C(f"fpe {MODEL} --stationary --grid-n 16 --t-end 1e308 --out-dir OUT", 1,
       "*not a finite step count*"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,

@@ -1,6 +1,7 @@
 """Finite-volume phase-space solver: stability, conservation, accuracy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,11 +123,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="stable step 0.00126523"):
             run_fpe(render_grid(state, geom), CFG, D, FpeRunSpec(t_end=1.0, dt=0.0053))
 
-    def test_numeric_blowup_reports_step(self, monkeypatch):
+    @pytest.mark.parametrize("centred", [True, False], ids=["half_rows", "all_rows"])
+    def test_numeric_blowup_reports_step(self, monkeypatch, centred):
         # a cell turns non-finite in step 7 or 8 (the two steps write
         # different buffers): the run stops there and reports that step and
-        # its time
-        grid = stationary_grid(CFG, 64)
+        # its time, whether the run steps half the rows or all of them
+        if centred:
+            grid = stationary_grid(CFG, 64)
+        else:
+            state = initial_state(InitialStateSpec(spread=2.0, correlation=0.0, center_q=0.5), CFG)
+            grid = render_grid(state, geometry_for_states([state, asymptotic_covariance(CFG)], 64))
         # one segment of equal steps h = t_end / n: step k ends at k * h
         h = 0.1 / math.ceil(0.1 / stable_dt(grid.geom, CFG, D) - 1e-12)
         step = fpe._Stepper.step
@@ -136,6 +142,7 @@ class TestGuards:
 
                 def failing_step(self, w):
                     w = step(self, w)
+                    assert self.rows == (32 if centred else 64)
                     taken.append(self.h)
                     written.append(w.base)
                     if len(taken) == failing:
@@ -435,6 +442,83 @@ class TestStepKernel:
         assert [stepper.h for stepper in steppers] == [h1, h2]
         for stepper in steppers:
             _assert_ghost_rows_zero(stepper)
+
+
+class TestSymmetricPath:
+    """A centrally symmetric grid on a box symmetric about 0 steps its first
+    ceil(n_q/2) rows and mirrors the rest; anything else steps every row."""
+
+    @staticmethod
+    def _grid(n_q, n_p, center_q=0.0):
+        # a correlated state, so the rows are not symmetric in p on their own
+        state = initial_state(
+            InitialStateSpec(spread=2.0, correlation=0.4, center_q=center_q), CFG
+        )
+        geom = GridGeometry(-3.0, 3.0, -2.5, 2.5, n_q, n_p)
+        w = render_grid(state, geom).values
+        return PhaseSpaceGrid(geom, w / (w.sum() * geom.dq * geom.dp))
+
+    @staticmethod
+    def _run(grid, d, run, monkeypatch):
+        """``run_fpe`` and the rows each of its steppers computes."""
+        rows = []
+
+        class Recording(_Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rows.append(self.rows)
+
+        monkeypatch.setattr(fpe, "_Stepper", Recording)
+        return run_fpe(grid, CFG, d, run), rows
+
+    @pytest.mark.parametrize("d_pq", [0.0, 0.1, -0.1])
+    @pytest.mark.parametrize("n_q, n_p", [(3, 3), (4, 5), (5, 4), (16, 21), (17, 12)])
+    def test_matches_direct_steps_on_the_whole_grid(self, n_q, n_p, d_pq, monkeypatch):
+        d = DiffusionCoefficients(d_pp=D.d_pp, d_qq=D.d_qq, d_pq=d_pq)
+        grid = self._grid(n_q, n_p)
+        assert np.array_equal(grid.values, grid.values[::-1, ::-1])
+        dt = stable_dt(grid.geom, CFG, d)
+        run = FpeRunSpec(t_end=0.05, dt=dt, snapshot_times=(0.013,))
+        result, rows = self._run(grid, d, run, monkeypatch)
+        assert rows == [(n_q + 1) // 2] * 2
+
+        direct = _direct_step(grid.geom, CFG, d)
+        want, t_prev, lowest, wanted = grid.values, 0.0, grid.values.min(), []
+        for t_event in (0.013, 0.05):
+            n = math.ceil((t_event - t_prev) / dt - 1e-12)
+            for _ in range(n):
+                want = direct(want, (t_event - t_prev) / n)
+                lowest = min(lowest, want.min())
+            wanted.append(want)
+            t_prev = t_event
+        (_, snap), = result.snapshots
+        peak = np.abs(grid.values).max()
+        for got, want in ((snap.values, wanted[0]), (result.final.values, wanted[1])):
+            assert np.abs(got - want).max() <= 1e-13 * peak
+            assert np.array_equal(got, got[::-1, ::-1])
+        assert result.min_value == pytest.approx(lowest, abs=1e-13 * peak)
+        assert np.abs(wanted[1] - grid.values).max() > 1e-3 * peak  # it moved
+
+    def test_asymmetric_inputs_step_every_row(self, monkeypatch):
+        run = FpeRunSpec(t_end=0.02)
+        grid = self._grid(16, 21)
+        symmetric, rows = self._run(grid, D, run, monkeypatch)
+        assert rows == [8]
+        # one ulp off symmetry
+        values = grid.values.copy()
+        values[3, 5] = np.nextafter(values[3, 5], np.inf)
+        nudged, rows = self._run(PhaseSpaceGrid(grid.geom, values), D, run, monkeypatch)
+        assert rows == [16]
+        assert np.abs(nudged.final.values - symmetric.final.values).max() <= (
+            1e-13 * np.abs(grid.values).max()
+        )
+        # an off-centre state
+        _, rows = self._run(self._grid(16, 21, center_q=0.3), D, run, monkeypatch)
+        assert rows == [16]
+        # symmetric values on a box that is not symmetric about 0
+        shifted = replace(grid.geom, q_min=-2.5, q_max=3.5)
+        _, rows = self._run(PhaseSpaceGrid(shifted, grid.values), D, run, monkeypatch)
+        assert rows == [16]
 
 
 def _assert_ghost_rows_zero(stepper):

@@ -1,5 +1,5 @@
 """Property-based checks of the shared kernels: the time grid, the CSV writer,
-the classicality degrees, the array forms of the closed-form moments, the
+the grid cell centres, the classicality degrees, the array forms of the closed-form moments, the
 agreement of the three propagation routes at the edges of the domain, the
 window finder and the validation of trajectory rows.
 
@@ -49,6 +49,7 @@ from lindosc.propagate import (
     time_grid,
     trajectory_lyapunov,
 )
+from lindosc.states import GridGeometry
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -118,6 +119,35 @@ def test_write_csv_matches_format_17g(table):
         write_csv(path, header, array)
         with open(path, "rb") as f:
             assert f.read() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# grid cell centres
+# ---------------------------------------------------------------------------
+
+# every positive half-width whose cells stay finite, subnormals included
+HALF_WIDTHS = st.floats(min_value=5e-324, max_value=8e307)
+BOUNDS = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@PROFILE
+@given(q_half=HALF_WIDTHS, p_half=HALF_WIDTHS, n_q=st.integers(3, 400), n_p=st.integers(3, 400))
+@example(q_half=5e-324, p_half=1.0, n_q=3, n_p=4)
+def test_cell_centres_are_antisymmetric_on_a_symmetric_box(q_half, p_half, n_q, n_p):
+    # what lets run_fpe evolve a centred Gaussian on half its rows
+    geom = GridGeometry(-q_half, q_half, -p_half, p_half, n_q, n_p)
+    for centres in (geom.q_centers(), geom.p_centers()):
+        assert np.array_equal(centres, -centres[::-1])
+
+
+@PROFILE
+@given(lo=BOUNDS, hi=BOUNDS, n=st.integers(3, 400))
+def test_cell_centres_match_the_offset_form(lo, hi, n):
+    assume(hi > lo)
+    geom = GridGeometry(lo, hi, -1.0, 1.0, n, 3)
+    offset_form = lo + (np.arange(n) + 0.5) * geom.dq
+    ulp = np.spacing(max(abs(lo), abs(hi)))
+    assert np.abs(geom.q_centers() - offset_form).max() <= 4.0 * ulp
 
 
 # ---------------------------------------------------------------------------
