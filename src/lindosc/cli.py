@@ -75,7 +75,6 @@ from .states import (
     density_grid,
     geometry_for_states,
     render_grid,
-    stationary_grid,
 )
 
 PROG = "lindosc"
@@ -580,6 +579,29 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
+def _require_wide_box(geom: GridGeometry, state: GaussianState, coverage: float) -> None:
+    """Reject a box, ``coverage`` standard deviations of the states it
+    covers, too narrow for the initial Gaussian: where the mass of its two
+    marginals outside the box, which bounds the mass the grid leaves out,
+    exceeds ``run_fpe``'s 1e-3.  Over +/- c standard deviations on both axes
+    that is ``2 erfc(c/sqrt(2))``: ``--stationary`` needs ``--coverage``
+    3.481 or more.  Checked before the cell rule and before rendering, so a
+    box of no width (``--coverage 5e-324``) gets this message too."""
+    tail = 0.0
+    for lo, hi, mean, var in (
+        (geom.q_min, geom.q_max, state.mean_q, state.s_qq),
+        (geom.p_min, geom.p_max, state.mean_p, state.s_pp),
+    ):
+        width = math.sqrt(2.0) * math.sqrt(var)
+        tail += 0.5 * (math.erfc((mean - lo) / width) + math.erfc((hi - mean) / width))
+    if tail > _MASS_TOL:
+        raise ValueError(
+            f"--coverage {coverage:.6g} is too narrow for the initial state: the"
+            f" mass of its two marginals outside the grid sums to {tail:.6g}, more"
+            f" than {_MASS_TOL}"
+        )
+
+
 def _require_fine_cells(geom: GridGeometry, state: GaussianState) -> None:
     """Reject a grid whose cells are too coarse for the initial Gaussian:
     where its cell sum may miss the mass by more than ``run_fpe``'s 1e-3.
@@ -638,15 +660,12 @@ def _cmd_fpe(args) -> int:
     cfg, spec = _model_from_args(args)
     d = thermal_coefficients(cfg)
     if args.stationary:
-        w0 = stationary_grid(cfg, args.grid_n, coverage=args.coverage)
-        _require_fine_cells(w0.geom, asymptotic_covariance(cfg))
+        state0 = asymptotic_covariance(cfg)
+        cover = [state0]
         initial_desc: dict[str, object] = {"stationary": True}
     else:
         state0 = initial_state(spec, cfg)
         cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
-        geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
-        _require_fine_cells(geom, state0)
-        w0 = render_grid(state0, geom)
         initial_desc = {
             "stationary": False,
             "delta": spec.spread,
@@ -654,6 +673,10 @@ def _cmd_fpe(args) -> int:
             "q0": spec.center_q,
             "p0": spec.center_p,
         }
+    geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
+    _require_wide_box(geom, state0, args.coverage)
+    _require_fine_cells(geom, state0)
+    w0 = render_grid(state0, geom)
 
     snapshots: tuple[float, ...] = ()
     if args.snapshots:

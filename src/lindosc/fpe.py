@@ -8,13 +8,15 @@ The equation is integrated in conservative flux form,
     F_p = v_p W - d_pp dW/dp - d_pq dW/dq,   v_p = -m omega^2 q - (lam + mu) p,
 
 which contains all seven generator terms: the two unitary drift terms, the two
-friction terms, and the three diffusion terms.  Faces use second-order linear
-upwind reconstruction for advection (two-cell stencil on the upwind side) and
-centered differences for diffusion; time stepping is forward Euler with
-the step ``stable_dt`` (derived there), which is also the largest explicit
-step a run accepts.  The boundary is zero-inflow Dirichlet: W = 0 outside
-the grid, so nothing is advected in and diffusion may leak mass out through
-the tails (tracked and reported).
+friction terms, and the three diffusion terms.  Faces take the upwind-biased
+kappa = 1/3 value for advection (two cells on the upwind side, one on the
+downwind side; van Leer 1985, Koren 1993), so the advective flux difference
+is the third-order upwind derivative, and centered differences for
+diffusion, which are second order and set the order of a damped run; time
+stepping is forward Euler with the step ``stable_dt`` (derived there), which
+is also the largest explicit step a run accepts.  The boundary is
+zero-inflow Dirichlet: W = 0 outside the grid, so nothing is advected in and
+diffusion may leak mass out through the tails (tracked and reported).
 
 The operator ``L`` is linear and time-invariant, so a step of size ``h`` is
 one linear map ``W <- (I - h L) W``.  The upwind choice, the diffusion terms,
@@ -110,34 +112,44 @@ def stable_dt(
 
     attained at the corners, and follow one Fourier mode with phase step
     ``theta`` per cell along an axis of width ``dx``.  Per time unit the
-    linear-upwind advection multiplies it by
+    kappa = 1/3 advection (``_Stepper``) multiplies it by
 
-        -(v/dx) (1.5 - 2 e^{-i theta} + 0.5 e^{-2 i theta})
-            = -(v/dx) (i theta + i theta^3/3 + theta^4/4 + ...),
+        -(v/dx) (e^{-2 i theta} - 6 e^{-i theta} + 3 + 2 e^{i theta}) / 6
+            = -(v/dx) ((1 - cos theta)^2 / 3 + i sin theta (4 - cos theta) / 3)
+            = -(v/dx) (i theta + theta^4/12 + ...),
 
     and centered diffusion by ``-(4 D/dx^2) sin^2(theta/2)``; a step
     multiplies it by ``g = 1 + dt`` times the sum over both axes, and is
     stable while ``|g| <= 1`` for every mode.  That gives two conditions.
 
     * Sawtooth: at the odd-even mode (``theta = pi`` on both axes) each
-      advection factor is ``-4 v/dx`` and each diffusion factor
-      ``-4 D/dx^2``, all real, so they add: ``g = 1 - 4 dt S`` with
-      ``S = v_q/dq + v_p/dp + D_qq/dq^2 + D_pp/dp^2``, and ``|g| <= 1``
-      needs ``dt <= 0.5 / S``.
+      advection factor is ``-(4/3) v/dx`` and each diffusion factor
+      ``-4 D/dx^2``, all real, so they add: ``g = 1 - dt (4/3 (v_q/dq +
+      v_p/dp) + 4 (D_qq/dq^2 + D_pp/dp^2))``.  With ``S = v_q/dq + v_p/dp +
+      D_qq/dq^2 + D_pp/dp^2`` that is at least ``1 - 4 dt S``, so ``dt <=
+      0.5 / S`` keeps ``|g| <= 1``.  This over-bounds each advection rate
+      by a factor 3; the looser term would change the step count of every
+      run, and is not taken.
     * Long-wave guard: for small ``theta`` along one axis, with Courant
       number ``c = v dt/dx``, ``|g|^2 = 1 + (c^2 - 2 dt D/dx^2) theta^2 +
       O(theta^4)``, so the long waves do not grow while ``dt <= 2 D / v^2``.
-      An axis without diffusion has no such guard: its long waves grow by at
-      most about ``c^3/4`` per step, negligible for the short runs this
-      solver targets.
+      An axis without diffusion has no such guard: its modes near ``theta^2
+      = 3c`` grow by about ``3 c^3 / 4`` per step (``c^3 / 4`` with
+      linear-upwind faces).  In the closed system (``--delta-sq 4``, 128^2,
+      t = 20, 21,760 steps) that costs no accuracy: the L2 error against the
+      exact Gaussian is 0.059 (0.18 with linear-upwind faces).
 
     The textbook per-axis limits ``dx / v`` and ``dx^2 / (2 D)`` of one rate
     alone need no term of their own: ``S`` holds every rate, so the sawtooth
     term never exceeds them.
 
     The step is half the smallest of these terms.  The factor 1/2 is the
-    margin for what the analysis leaves out: coefficients that vary over
-    the grid, the cross-diffusion taps and the zero-inflow boundary.
+    margin for what the analysis leaves out: modes between the sawtooth and
+    the long waves, coefficients that vary over the grid, the
+    cross-diffusion taps and the zero-inflow boundary.  On the README model
+    and the edge baths of ``tests/test_fpe.py``, the frozen-coefficient
+    symbol keeps ``|g| <= 1`` on every mode up to 1.04 times this step or
+    more.
     """
     q_abs = max(abs(geom.q_min), abs(geom.q_max))
     p_abs = max(abs(geom.p_min), abs(geom.p_max))
@@ -164,14 +176,17 @@ class _Stepper:
     is a fixed four-cell stencil along the face normal (``_face_coefficients``),
 
         F_f / dx = a W[f-2] + b W[f-1] + c W[f] + e W[f+1],
-        a = -v+ / (2 dx),  b = (1.5 v+ + D/dx) / dx,
-        c = (1.5 v- - D/dx) / dx,  e = -v- / (2 dx),
+        a = -v+ / (6 dx),  b = (5 v+ / 6 + v- / 3 + D/dx) / dx,
+        c = (v+ / 3 + 5 v- / 6 - D/dx) / dx,  e = -v- / (6 dx),
 
-    with v+ = max(v, 0) and v- = min(v, 0): the two-cell linear-upwind
-    extrapolation from the side the face velocity blows from, plus the
-    centered diffusive flux.  Face f lies on the low side of cell f, so the
-    divergence ``F[x+1] - F[x]`` of cell x along one axis is a five-cell
-    stencil.  Its tap on cell x+s is the weight with which the high face
+    with v+ = max(v, 0) and v- = min(v, 0): the kappa = 1/3 face value
+    ``(-W[f-2] + 5 W[f-1] + 2 W[f]) / 6`` for a face velocity v > 0, and
+    ``(2 W[f-1] + 5 W[f] - W[f+1]) / 6`` for v < 0, plus the centered
+    diffusive flux.  For a constant v > 0 the advective part of the
+    divergence below is ``v (W[x-2] - 6 W[x-1] + 3 W[x] + 2 W[x+1]) / (6
+    dx)``, the third-order upwind derivative.  Face f lies on the low side
+    of cell f, so the divergence ``F[x+1] - F[x]`` of cell x along one axis
+    is a five-cell stencil.  Its tap on cell x+s is the weight with which the high face
     reads that cell minus the weight with which the low face reads it:
 
         s = -2: -a[x]          s = -1: a[x+1] - b[x]     s = 0: b[x+1] - c[x]
@@ -356,15 +371,19 @@ def _add_divergence_taps(
 
 def _face_coefficients(v: np.ndarray, diff: float, dx: float) -> Iterator[np.ndarray]:
     """The stencil weights a, b, c, e of ``_Stepper``'s face flux for face
-    velocities ``v``, each of the shape of ``v``, one at a time so that the
-    four are never held at once."""
-    v_side = np.maximum(v, 0.0)
+    velocities ``v`` (the kappa = 1/3 upwind-biased face value times ``v``,
+    plus the centered diffusive flux, over ``dx``), each of the shape of
+    ``v``, one at a time.  At each face one of ``up`` and ``down`` is zero,
+    so the velocity ``-v`` gives the weights ``-e, -c, -b, -a`` of ``v`` bit
+    for bit: the step commutes with the reflection of ``run_fpe``'s half
+    path."""
+    up = np.maximum(v, 0.0)
+    down = np.minimum(v, 0.0)
     g = diff / dx
-    yield -v_side / (2.0 * dx)
-    yield (1.5 * v_side + g) / dx
-    v_side = np.minimum(v, 0.0, out=v_side)
-    yield (1.5 * v_side - g) / dx
-    yield -v_side / (2.0 * dx)
+    yield -up / (6.0 * dx)
+    yield (5.0 / 6.0 * up + down / 3.0 + g) / dx
+    yield (up / 3.0 + 5.0 / 6.0 * down - g) / dx
+    yield -down / (6.0 * dx)
 
 
 @dataclass(frozen=True)

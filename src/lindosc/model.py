@@ -276,18 +276,34 @@ class DiffusionCoefficients:
         )
 
 
-def _lindblad_bath(lam, mu, coth, strict: bool = False):
-    """The bath rule, broadcast: True where the diffusion is positive or zero,
-    the closed system ``lam = mu = 0`` at any ``C`` or ``lam > |mu|`` with a
-    finite ``C``; a Lindblad generator also needs the fluctuation bound of
-    :func:`validate`.  ``strict`` raises its ``ValueError`` at a False scalar."""
+def _thermal_diffusion(cfg: OscillatorConfig, lam, mu, coth) -> tuple:
+    """``(d_pp, d_qq)`` of :func:`thermal_coefficients` for the bath ``(lam,
+    mu, coth)`` and the oscillator of ``cfg``, broadcast; silent where they
+    overflow."""
+    scale = cfg.m * cfg.omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (0.5 * (lam + mu) * cfg.hbar * scale * coth,
+                0.5 * (lam - mu) * cfg.hbar / scale * coth)
+
+
+def _lindblad_bath(cfg: OscillatorConfig, lam, mu, coth, strict: bool = False):
+    """The bath rule, broadcast: True where the diffusion of the bath ``(lam,
+    mu, coth)`` on the oscillator of ``cfg`` is positive or zero, and finite:
+    the closed system ``lam = mu = 0`` at any ``C``, or ``lam > |mu|`` with
+    finite ``d_pp`` and ``d_qq`` (so a finite ``C``); a Lindblad generator
+    also needs the fluctuation bound of :func:`validate`.  ``strict`` raises
+    its ``ValueError`` at a False scalar."""
     closed = (lam == 0.0) & (mu == 0.0)
-    damped, finite = closed | (lam > np.abs(mu)), closed | ~np.isinf(coth)
+    damped = closed | (lam > np.abs(mu))
+    d_pp, d_qq = _thermal_diffusion(cfg, lam, mu, coth)
+    finite = closed | (np.isfinite(d_pp) & np.isfinite(d_qq))
     if strict and not damped:
         raise ValueError("thermal coefficients need lam > |mu| for positive diffusion; "
                          f"got lam={lam!r}, mu={mu!r}")
     if strict and not finite:
-        raise ValueError("thermal coefficients diverge at infinite temperature")
+        if math.isinf(coth):
+            raise ValueError("thermal coefficients diverge at infinite temperature")
+        raise ValueError(f"thermal coefficients overflow: d_pp={d_pp:.6g}, d_qq={d_qq:.6g}")
     return damped & finite
 
 
@@ -299,21 +315,16 @@ def thermal_coefficients(cfg: OscillatorConfig) -> DiffusionCoefficients:
         d_pq = 0
 
     with ``C`` the thermal coth factor.  ``ValueError`` unless the bath
-    passes the bath rule: ``lam > |mu|`` (both coefficients positive) with a
-    finite ``C``, or the closed system ``lam = mu = 0``, which returns zeros.
+    passes the bath rule: ``lam > |mu|`` (both coefficients positive) with
+    both coefficients finite, or the closed system ``lam = mu = 0``, which
+    returns zeros.
     """
     c = cfg.coth_epsilon
-    _lindblad_bath(cfg.lam, cfg.mu, c, strict=True)
+    _lindblad_bath(cfg, cfg.lam, cfg.mu, c, strict=True)
     if cfg.closed_system:
         return DiffusionCoefficients.zero()
-    half_sum = 0.5 * (cfg.lam + cfg.mu)
-    half_diff = 0.5 * (cfg.lam - cfg.mu)
-    scale = cfg.m * cfg.omega
-    return DiffusionCoefficients(
-        d_pp=half_sum * cfg.hbar * scale * c,
-        d_qq=half_diff * cfg.hbar / scale * c,
-        d_pq=0.0,
-    )
+    d_pp, d_qq = _thermal_diffusion(cfg, cfg.lam, cfg.mu, c)
+    return DiffusionCoefficients(d_pp=d_pp, d_qq=d_qq, d_pq=0.0)
 
 
 @dataclass(frozen=True)
@@ -465,7 +476,7 @@ def parameter_table(
     ``valid`` is False where the constructors or :func:`thermal_coefficients`
     would reject the point: a field outside its range (the table of
     ``_in_range``), or a bath that breaks the bath rule, one other than the
-    closed system ``lam = mu = 0`` or ``lam > |mu|`` with a finite ``C``.
+    closed system ``lam = mu = 0`` or ``lam > |mu|`` with finite coefficients.
 
     Closed-system points (``lam = mu = 0``) read every ``C`` as 1: without a
     bath, ``C`` enters only terms that also carry ``lam = mu = 0`` or ``1 -
@@ -485,7 +496,7 @@ def parameter_table(
     spread, r = axis(spread, spec.spread), axis(correlation, spec.correlation)
     closed = (lam == 0.0) & (mu == 0.0)
     fields = {"lam": lam, "mu": mu, "coth_value": given_c, "spread": spread, "correlation": r}
-    valid = _in_range(fields, cfg.omega) & _lindblad_bath(lam, mu, given_c)
+    valid = _in_range(fields, cfg.omega) & _lindblad_bath(cfg, lam, mu, given_c)
     c = np.where(closed, 1.0, given_c)
     with np.errstate(all="ignore"):  # 1/C overflows at a subnormal C < 1
         eps = np.arctanh(1.0 / c)  # inf at C = 1, 0 at C = inf
@@ -496,7 +507,7 @@ def parameter_table(
 
 def _lindblad_table(cfg: OscillatorConfig, spec: InitialStateSpec) -> ParameterTable:
     """:func:`parameter_table` of ``(cfg, spec)``, raising by the bath rule."""
-    _lindblad_bath(cfg.lam, cfg.mu, cfg.coth_epsilon, strict=True)
+    _lindblad_bath(cfg, cfg.lam, cfg.mu, cfg.coth_epsilon, strict=True)
     return parameter_table(cfg, spec)
 
 

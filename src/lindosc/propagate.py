@@ -217,7 +217,7 @@ def asymptotic_covariance(cfg: OscillatorConfig) -> GaussianState:
     if cfg.closed_system:
         raise ValueError("no asymptotic state without damping (lam > 0 required)")
     c = cfg.coth_epsilon
-    _lindblad_bath(cfg.lam, cfg.mu, c, strict=True)
+    _lindblad_bath(cfg, cfg.lam, cfg.mu, c, strict=True)
     scale = cfg.m * cfg.omega
     return GaussianState(
         mean_q=0.0,

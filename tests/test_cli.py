@@ -163,6 +163,7 @@ def report(*lines: str) -> Callable[[Run], bool]:
 TRAJECTORY_HEADER = "t,mean_q,mean_p,s_qq,s_pp,s_pq,sigma_det"
 NEED_LAM = "thermal coefficients need lam > |mu| for positive diffusion; got lam={}, mu={}"
 INFINITE_C = "thermal coefficients diverge at infinite temperature"
+OVERFLOW_D = "thermal coefficients overflow: d_pp=inf, d_qq=inf"
 _CLOSED = "pass  diffusion_positive: closed system, zero diffusion"
 _WEAK = "FAIL  weak_coupling (advisory): lam=0.2 vs omega/10=0.1"
 _NO_DAMPING = "pass  weak_coupling (advisory): lam=0 vs omega/10=0.1"
@@ -411,6 +412,13 @@ CONTRACTS = [
     # a relaxation time that overflows is inf; a rate that overflows fails
     C("deco --lambda 1e-310 --mu 0 --coth 3 --delta-sq 4", check=has("t_rel = inf")),
     C(f"deco {HUGE_DAMPING}", 2, "numeric failure: *"),
+    # C is finite but d_pp = d_qq = 2e308 overflow: the bath rule fails
+    # (at mu = 0.1, C = 3 above, d_pp = 1.5e308 is finite)
+    C("deco --lambda 1e308 --mu 0 --coth 4", 1, OVERFLOW_D),
+    C("validate --lambda 1e308 --mu 0 --coth 4", 1, None, report(
+        "FAIL  diffusion_positive: " + OVERFLOW_D,
+        "pass  thermal_constraint: (lam^2 - mu^2)*C^2 = inf vs lam^2 = inf",
+        "FAIL  weak_coupling (advisory): lam=1e+308 vs omega/10=0.1")),
     # -- figdata
     C("figdata 1 --out-dir OUT --t-samples 15", check=_fig1),
     C("figdata 2a --out-dir OUT --t-samples 3",
@@ -452,6 +460,10 @@ CONTRACTS = [
     # a rate that overflows records nan in its time, not 0
     C(f"sweep {SQUEEZED} --axis lambda:1e308:1e308:1 --record t_deco,t_d --out OUT",
       check=lambda r: r.lines()[1] == "1e+308,nan,nan"),
+    # where the coefficients overflow the point breaks the bath rule: nan in
+    # every record
+    C("sweep --mu 0 --coth 4 --axis lambda:1e307:1e308:2 --t 1 --record delta_qd,t_deco",
+      check=lambda r: r.lines()[2] == "1e+308,nan,nan"),
     *(C(f"sweep {MODEL} --axis t:0:{bound}:3 --record delta_qd,t_deco --out OUT", 1,
         "axis 't': bounds and values must be finite") for bound in ("nan", "inf")),
     C(f"sweep {MODEL} --axis C:2:nan:2 --record delta_qd,t_deco --out OUT", 1,
@@ -496,6 +508,22 @@ CONTRACTS = [
       "*not a finite step count*"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
         "grid range *") for coverage in ("inf", "1e308")),
+    # a box too narrow for the initial state is named before anything is
+    # rendered: 2 erfc(c/sqrt(2)) > 1e-3 below c = 3.481 on the stationary box
+    *(C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage {coverage}"
+        " --out-dir OUT", 1, f"--coverage {coverage} is too narrow for the initial state:"
+        f" the mass of its two marginals outside the grid sums to {tail}, more than 0.001")
+      for coverage, tail in (("4.94066e-324", "2"), ("1e-308", "2"), ("0.5", "1.23415"),
+                             ("2", "0.0910005"), ("3.48", "0.00100283"))),
+    C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage 3.49 --out-dir OUT",
+      check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
+    # the squeezed state's box also covers the wider long-time state
+    C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage 2 --out-dir OUT", 1,
+      "--coverage 2 is too narrow for the initial state: the mass of its two marginals"
+      " outside the grid sums to 0.00106401, more than 0.001"),
+    # cells 1e299 wide are named before the stationary state is rendered on them
+    C(f"fpe {MODEL} --stationary --grid-n 16 --t-end 0.1 --coverage 1e300 --out-dir OUT", 1,
+      "grid cell 1.53093e+299 x 1.53093e+299 is too coarse *"),
     # -- selftest: the ten acceptance criteria
     C("selftest", check=lambda r: r.lines()[10:] == ["10/10 criteria passed"]
       and all(line.startswith("PASS  ") for line in r.lines()[:10])),

@@ -88,6 +88,61 @@ class TestStableDt:
         dts = [stable_dt(geometry_for_states([state], n), CFG, D) for n in (64, 128, 256)]
         assert dts[0] > dts[1] > dts[2]
 
+    # the README model and baths at the edges: lam -> 0+, |mu| -> lam at
+    # large C, large C, strong damping, and C near its thermal bound
+    BATHS = [(0.2, 0.1, 3.0), (1e-4, 0.0, 1.0), (0.2, 0.19999, 100.0),
+             (0.2, -0.19999, 100.0), (0.2, 0.1, 1e4), (3.0, 0.9, 1.5), (0.2, 0.1, 1.2)]
+
+    @staticmethod
+    def _largest_gain(geom, cfg, d, dt):
+        """Largest |g| of one step of ``dt`` over the Fourier modes of the
+        frozen-coefficient scheme, its face weights read from
+        ``fpe._face_coefficients``.  For velocities of one sign ``g`` is
+        affine in (v_q, v_p), so ``|g|`` peaks at a corner of the box of
+        velocities; a sign flip is a flip of theta, which the grid of theta
+        in [-pi, pi] covers, so v = 0 and the largest v per axis suffice."""
+        theta = np.linspace(-np.pi, np.pi, 257)
+        shift = np.exp(1j * theta)
+
+        def symbol(v, diff, dx):
+            # the face flux over dx reads W[f-2..f+1]; the divergence of a mode
+            # is (e^{i theta} - 1) times the face's
+            a, b, c, e = (float(w[0]) for w in fpe._face_coefficients(np.array([v]), diff, dx))
+            return -(shift - 1.0) * (a / shift**2 + b / shift + c + e * shift)
+
+        q = max(abs(geom.q_min), abs(geom.q_max))
+        p = max(abs(geom.p_min), abs(geom.p_max))
+        vq = p / cfg.m + abs(cfg.lam - cfg.mu) * q
+        vp = cfg.m * cfg.omega**2 * q + (cfg.lam + cfg.mu) * p
+        return max(
+            np.abs(1.0 + dt * (symbol(uq, d.d_qq, geom.dq)[:, None]
+                               + symbol(up, d.d_pp, geom.dp)[None, :])).max()
+            for uq in (0.0, vq) for up in (0.0, vp)
+        )
+
+    @pytest.mark.parametrize("lam, mu, c", BATHS)
+    def test_frozen_coefficient_symbol_is_stable(self, lam, mu, c):
+        # von Neumann: at stable_dt no mode of the frozen-coefficient scheme
+        # grows, on the stationary box and on the box of the delta = 4 run
+        cfg = make_cfg(c=c, lam=lam, mu=mu)
+        d = thermal_coefficients(cfg)
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
+        for cover in ([asymptotic_covariance(cfg)], [state, asymptotic_covariance(cfg)]):
+            for n in (32, 64, 128, 256):
+                geom = geometry_for_states(cover, n)
+                assert self._largest_gain(geom, cfg, d, stable_dt(geom, cfg, d)) <= 1.0 + 1e-12
+
+    def test_frozen_coefficient_margin_is_small_somewhere(self):
+        # the check above can fail: near C's thermal bound at 64^2 a step
+        # 10 % above stable_dt grows a mode (the limit there is 1.04 times it)
+        cfg = make_cfg(c=1.2)
+        d = thermal_coefficients(cfg)
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), cfg)
+        geom = geometry_for_states([state, asymptotic_covariance(cfg)], 64)
+        dt = stable_dt(geom, cfg, d)
+        assert self._largest_gain(geom, cfg, d, dt) <= 1.0 + 1e-12
+        assert self._largest_gain(geom, cfg, d, 1.1 * dt) > 1.0 + 1e-6
+
 
 # ---------------------------------------------------------------------------
 # guard rails
@@ -114,14 +169,20 @@ class TestGuards:
             run_fpe(grid, CFG, D, FpeRunSpec(t_end=0.1, dt=dt))
 
     def test_rejects_dt_that_blows_up_under_four_term_bound(self):
-        # the squeezed run of the README model: dt = 0.0053 is 4.2x the
-        # stable step yet within the per-axis bound, and a run with it blows
-        # up (min_value -1.3e27 by t = 1)
-        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), CFG)
-        geom = geometry_for_states([state, asymptotic_covariance(CFG)], 128)
-        assert 0.0053 < _four_term_bound(geom, CFG, D)
-        with pytest.raises(ValueError, match="stable step 0.00126523"):
-            run_fpe(render_grid(state, geom), CFG, D, FpeRunSpec(t_end=1.0, dt=0.0053))
+        # the stationary run at lam = 1, mu = 0, C = 3 on 128^2: dt = 0.0021
+        # is 4.1x the stable step yet within the per-axis bound, and the
+        # step with it blows up by t = 1
+        cfg = make_cfg(c=3.0, lam=1.0, mu=0.0)
+        d = thermal_coefficients(cfg)
+        grid = stationary_grid(cfg, 128)
+        assert 0.0021 < _four_term_bound(grid.geom, cfg, d)
+        with pytest.raises(ValueError, match="stable step 0.000517004"):
+            run_fpe(grid, cfg, d, FpeRunSpec(t_end=1.0, dt=0.0021))
+        stepper, w = _Stepper(grid.geom, cfg, d, 0.0021), grid.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(476):
+                w = stepper.step(w)
+        assert not w.min() > -1e10  # also true once it is nan
 
     @pytest.mark.parametrize("centred", [True, False], ids=["half_rows", "all_rows"])
     def test_numeric_blowup_reports_step(self, monkeypatch, centred):
@@ -229,6 +290,34 @@ class TestPhysics:
         assert got.s_pp == pytest.approx(want.s_pp, rel=2e-3)
         assert got.s_pq == pytest.approx(want.s_pq, abs=2e-3)
 
+    @pytest.mark.parametrize("n, l2_bound, floor", [(64, 7e-4, -3e-6), (128, 3.2e-4, -2e-12)])
+    def test_squeezed_run_error_and_minimum(self, n, l2_bound, floor):
+        # the README run at t = 1 with the automatic step: L2 error 6.9e-4 and
+        # 3.1e-4, smallest cell -2.5e-6 and -1.7e-12 (linear-upwind faces gave
+        # 4.8e-3 and 1.3e-3, and -2.8e-4 and -3.8e-7)
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), CFG)
+        geom = geometry_for_states([state, asymptotic_covariance(CFG)], n)
+        result = run_fpe(render_grid(state, geom), CFG, D, FpeRunSpec(t_end=1.0))
+        exact = render_grid(covariance_lyapunov(state, CFG, D, 1.0), geom)
+        assert grid_l2_diff(result.final, exact) < l2_bound
+        assert result.min_value > floor
+
+    def test_advection_converges_at_third_order(self):
+        # diffusion off, so the kappa = 1/3 faces alone set the spatial error;
+        # dt = 1e-4 is small enough that the time error does not show
+        d = DiffusionCoefficients.zero()
+        state = initial_state(InitialStateSpec(spread=4.0, correlation=0.0), CFG)
+        errors = []
+        for n in (32, 64, 128):
+            geom = geometry_for_states([state, asymptotic_covariance(CFG)], n)
+            result = run_fpe(render_grid(state, geom), CFG, d, FpeRunSpec(t_end=0.1, dt=1e-4))
+            exact = render_grid(covariance_lyapunov(state, CFG, d, 0.1), geom)
+            errors.append(grid_l2_diff(result.final, exact))
+        # halving the cell widths divides the error by 5.31, then 6.52, on the way
+        # to 8 (linear upwind: 2.56 and 3.30)
+        assert errors[0] / errors[1] == pytest.approx(5.3082, rel=1e-3)
+        assert errors[1] / errors[2] == pytest.approx(6.5218, rel=1e-3)
+
     def test_positivity_preserved_for_thermal_run(self):
         state = initial_state(InitialStateSpec(spread=2.0, correlation=0.3), CFG)
         cover = [state, asymptotic_covariance(CFG)]
@@ -290,14 +379,14 @@ class TestPhysics:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel against the direct upwind form
+# the step kernel against the direct upwind-biased form
 # ---------------------------------------------------------------------------
 
 
 def _direct_step(geom, cfg, d):
     """The forward-Euler step written out directly: zero-padded copies of
-    the grid per axis, both linear-upwind branches selected with np.where,
-    diffusion and cross diffusion as separate face terms."""
+    the grid per axis, both kappa = 1/3 upwind-biased face values selected
+    with np.where, diffusion and cross diffusion as separate face terms."""
     nq, npp = geom.n_q, geom.n_p
     dq, dp = geom.dq, geom.dp
     q = geom.q_centers()
@@ -312,8 +401,8 @@ def _direct_step(geom, cfg, d):
         pq[2:-2, :] = w
         adv_q = np.where(
             vq >= 0.0,
-            1.5 * pq[1 : nq + 2, :] - 0.5 * pq[0 : nq + 1, :],
-            1.5 * pq[2 : nq + 3, :] - 0.5 * pq[3 : nq + 4, :],
+            (-pq[0 : nq + 1, :] + 5.0 * pq[1 : nq + 2, :] + 2.0 * pq[2 : nq + 3, :]) / 6.0,
+            (2.0 * pq[1 : nq + 2, :] + 5.0 * pq[2 : nq + 3, :] - pq[3 : nq + 4, :]) / 6.0,
         )
         flux_q = vq * adv_q - d.d_qq * (pq[2 : nq + 3, :] - pq[1 : nq + 2, :]) / dq
 
@@ -321,8 +410,8 @@ def _direct_step(geom, cfg, d):
         pp[:, 2:-2] = w
         adv_p = np.where(
             vp >= 0.0,
-            1.5 * pp[:, 1 : npp + 2] - 0.5 * pp[:, 0 : npp + 1],
-            1.5 * pp[:, 2 : npp + 3] - 0.5 * pp[:, 3 : npp + 4],
+            (-pp[:, 0 : npp + 1] + 5.0 * pp[:, 1 : npp + 2] + 2.0 * pp[:, 2 : npp + 3]) / 6.0,
+            (2.0 * pp[:, 1 : npp + 2] + 5.0 * pp[:, 2 : npp + 3] - pp[:, 3 : npp + 4]) / 6.0,
         )
         flux_p = vp * adv_p - d.d_pp * (pp[:, 2 : npp + 3] - pp[:, 1 : npp + 2]) / dp
 

@@ -277,6 +277,9 @@ def _with_field(cfg, spec, field, value):
          point=UNCHANGED)
 @example(cfg=OscillatorConfig.reference(), point=("lam", math.inf))
 @example(cfg=OscillatorConfig.reference(), point=("spread", math.inf))
+# C finite, but d_pp = d_qq = 2e308 overflow
+@example(cfg=OscillatorConfig(lam=0.2, mu=0.0, temp=TemperatureSpec.from_coth(4.0)),
+         point=("lam", 1e308))
 def test_parameter_table_valid_is_the_bath_rule(cfg, point):
     # valid where the constructors accept the point's field and
     # thermal_coefficients has coefficients, and exactly there the scalar
