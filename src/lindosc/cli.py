@@ -46,9 +46,8 @@ from .decoherence import (
     time_from_rate,
     time_scales,
 )
-from .fpe import _MASS_TOL, FpeRunSpec, grid_linf_diff, run_fpe
+from .fpe import FpeRunSpec, grid_linf_diff, grid_mass_budget, run_fpe
 from .model import (
-    GaussianState,
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
@@ -579,83 +578,6 @@ def _cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _require_wide_box(geom: GridGeometry, state: GaussianState, coverage: float) -> None:
-    """Reject a box, ``coverage`` standard deviations of the states it
-    covers, too narrow for the initial Gaussian: where the mass of its two
-    marginals outside the box, which bounds the mass the grid leaves out,
-    exceeds ``run_fpe``'s 1e-3.  Over +/- c standard deviations on both axes
-    that is ``2 erfc(c/sqrt(2))``: ``--stationary`` needs ``--coverage``
-    3.481 or more.  Checked before the cell rule and before rendering, so a
-    box of no width (``--coverage 5e-324``) gets this message too."""
-    tail = 0.0
-    for lo, hi, mean, var in (
-        (geom.q_min, geom.q_max, state.mean_q, state.s_qq),
-        (geom.p_min, geom.p_max, state.mean_p, state.s_pp),
-    ):
-        width = math.sqrt(2.0) * math.sqrt(var)
-        tail += 0.5 * (math.erfc((mean - lo) / width) + math.erfc((hi - mean) / width))
-    if tail > _MASS_TOL:
-        raise ValueError(
-            f"--coverage {coverage:.6g} is too narrow for the initial state: the"
-            f" mass of its two marginals outside the grid sums to {tail:.6g}, more"
-            f" than {_MASS_TOL}"
-        )
-
-
-def _require_fine_cells(geom: GridGeometry, state: GaussianState) -> None:
-    """Reject a grid whose cells are too coarse for the initial Gaussian:
-    where its cell sum may miss the mass by more than ``run_fpe``'s 1e-3.
-
-    By Poisson summation the cell sum of a Gaussian of covariance S over
-    cells dq x dp is a sum over integer (k, l) of ``exp(-2 pi^2 Q(k, l))``,
-    with ``Q = K^T S K`` at ``K = (k/dq, l/dp)``, each term times a phase set
-    by where the mean falls between cell centres.  The term (0, 0) is the
-    mass, so the sum E of the others bounds the error (and is the error for
-    a mean on a cell centre).  Along one axis the two nearest terms are each
-    ``exp(-2 pi^2 s_qq/dq^2)``: over two axes, cells of 2 and 12/7 standard
-    deviations miss by 2.9 % and 0.48 % (``fpe --stationary --grid-n 6``
-    and ``7``), cells of 1.5 by 0.062 % (``--grid-n 8``).
-
-    With correlation the largest term need not lie on an axis.  Q(k, l) is
-    ``|k u + l v|^2`` on the plane lattice of ``u = (a, 0)``, ``v = (b, c)``,
-    ``a = sqrt(s_qq)/dq``, ``b = s_pq/(sqrt(s_qq) dp)``, ``c =
-    sqrt(sigma/s_qq)/dp`` (the Cholesky factor of S in cell units).
-    Lagrange's reduction makes ``|u| <= |v|`` and ``2|u.v| <= |u|^2``, so
-    ``|m u + n v|^2 >= (m^2 + n^2) |u|^2 / 2``.  Once the two terms of u
-    alone stay below 1e-3, ``|u|^2 > 0.385`` and every term with |m| or |n|
-    above 2 is below 2e-15: E sums the 24 terms with |m|, |n| <= 2.  A form
-    that overflows (cells finer than the state by about 1e154) is left to
-    the mass check of ``run_fpe``.
-    """
-    width_q, width_p = math.sqrt(state.s_qq), math.sqrt(state.s_pp)
-    # the plane as complex numbers: |z|^2 is Q, (conj(z) w).real the dot product
-    u = complex(width_q / geom.dq, 0.0)
-    v = complex(state.s_pq / width_q / geom.dp, math.sqrt(state.sigma_det) / width_q / geom.dp)
-    if not math.isfinite(abs(u) * abs(v)):
-        return
-    shortest = math.log(2.0 / _MASS_TOL) / (2.0 * math.pi**2)
-    while True:
-        if abs(v) < abs(u):
-            u, v = v, u
-        uu = abs(u) * abs(u)
-        if uu < shortest:  # its two terms alone exceed the tolerance
-            break
-        m = round((u.conjugate() * v).real / uu)
-        if not m:
-            break
-        v -= m * u
-    alias = math.fsum(
-        math.exp(-2.0 * math.pi**2 * abs(z) * abs(z))
-        for z in (i * u + j * v for i in range(-2, 3) for j in range(-2, 3) if i or j)
-    )
-    if alias > _MASS_TOL:
-        raise ValueError(
-            f"grid cell {geom.dq:.6g} x {geom.dp:.6g} is too coarse for the initial"
-            f" state's standard deviations {width_q:.6g} x {width_p:.6g}: a cell"
-            f" sum can miss its mass by more than {_MASS_TOL}"
-        )
-
-
 def _cmd_fpe(args) -> int:
     cfg, spec = _model_from_args(args)
     d = thermal_coefficients(cfg)
@@ -673,14 +595,17 @@ def _cmd_fpe(args) -> int:
             "q0": spec.center_q,
             "p0": spec.center_p,
         }
+    if not args.coverage > 0.0:  # also rejects nan
+        raise ValueError(f"--coverage must be positive, got {args.coverage:g}")
     geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
-    _require_wide_box(geom, state0, args.coverage)
-    _require_fine_cells(geom, state0)
+    grid_mass_budget(state0, geom)
     w0 = render_grid(state0, geom)
-
-    snapshots: tuple[float, ...] = ()
-    if args.snapshots:
-        snapshots = tuple(float(x) for x in args.snapshots.split(","))
+    snapshots = []
+    for entry in args.snapshots.split(",") if args.snapshots else ():
+        try:
+            snapshots.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--snapshots entry {entry!r} is not a number") from None
     run = FpeRunSpec(t_end=args.t_end, dt=args.dt, snapshot_times=snapshots)
     result = run_fpe(w0, cfg, d, run)
 

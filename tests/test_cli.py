@@ -481,49 +481,84 @@ CONTRACTS = [
     # at C = 1e300 the box covers the long-time state, about 1e150 wide, so
     # the initial Gaussian would fall between the cell centres
     C(f"fpe {HOT} --grid-n 16 --t-end 0.1 --out-dir OUT", 1,
-      "grid cell 5.3033e+149 x 5.3033e+149 is too coarse for the initial state's"
-      " standard deviations 1.41421 x 0.353553: a cell sum can miss its mass by"
-      " more than 0.001"),
+      "grid cell 5.3033e+149 x 5.3033e+149 too coarse for the initial state's standard"
+      " deviations 1.41421 x 0.353553 (--grid-n): its cell sum may miss 24 by aliasing,"
+      " more than 0 outside the box, 24 in all, over 0.001"),
     # n cells over +/- 6 standard deviations are 12/n of them wide: 3, 2 and
     # 12/7 miss the mass by 50 %, 2.9 % and 0.48 %, 1.5 by 0.062 %
     *(C(f"fpe {MODEL} --stationary --grid-n {n} --t-end 0.1 --out-dir OUT", 1,
-        f"grid cell {cell} x {cell} is too coarse for the initial state's standard"
-        " deviations 1.22474 x 1.22474: a cell sum can miss its mass by more than 0.001")
-      for n, cell in ((4, "3.67423"), (6, "2.44949"), (7, "2.09956"))),
+        f"grid cell {cell} x {cell} too coarse for the initial state's standard deviations"
+        f" 1.22474 x 1.22474 (--grid-n): its cell sum may miss {alias} by aliasing, more than"
+        f" {tail} outside the box, {total} in all, over 0.001")
+      for n, cell, alias, tail, total in (
+          (4, "3.67423", "0.496752", "4.93737e-09", "0.496752"),
+          (6, "2.44949", "0.0289744", "4.00353e-09", "0.0289744"),
+          (7, "2.09956", "0.00484741", "3.95592e-09", "0.00484742"))),
     C(f"fpe {MODEL} --stationary --grid-n 8 --t-end 0.1 --out-dir OUT",
       check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
     # correlation r = 0.6 puts the largest alias on the diagonal (k, l) =
     # (1, -1): 0.14 % at n = 13, against 0.090 % along the two axes
     C(f"fpe {MODEL} --corr-r 0.6 --grid-n 13 --t-end 0.1 --out-dir OUT", 1,
-      "grid cell 1.13053 x 1.13053 is too coarse for the initial state's standard"
-      " deviations 0.707107 x 0.883883: a cell sum can miss its mass by more than 0.001"),
+      "grid cell 1.13053 x 1.13053 too coarse for the initial state's standard deviations"
+      " 0.707107 x 0.883883 (--grid-n): its cell sum may miss 0.00144416 by aliasing, more"
+      " than 9.39835e-17 outside the box, 0.00144416 in all, over 0.001"),
     C(f"fpe {MODEL} --corr-r 0.6 --grid-n 14 --t-end 0.1 --out-dir OUT",
       check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
     # at r = 0.99 the largest alias lies far off the axes, at (k, l) = (-5, 1):
     # found only in a reduced basis of the lattice
     C(f"fpe {MODEL} --delta-sq 0.1 --corr-r 0.99 --grid-n 44 --t-end 0.1 --out-dir OUT", 1,
-      "grid cell 0.334021 x 4.32302 is too coarse for the initial state's standard"
-      " deviations 0.223607 x 15.8511: a cell sum can miss its mass by more than 0.001"),
+      "grid cell 0.334021 x 4.32302 too coarse for the initial state's standard deviations"
+      " 0.223607 x 15.8511 (--grid-n): its cell sum may miss 0.00291814 by aliasing, more"
+      " than 2.24756e-08 outside the box, 0.00291816 in all, over 0.001"),
     C(f"fpe {MODEL} --stationary --grid-n 16 --t-end 1e308 --out-dir OUT", 1,
       "*not a finite step count*"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
         "grid range *") for coverage in ("inf", "1e308")),
+    *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
+        f"--coverage must be positive, got {coverage}") for coverage in ("0", "-1", "nan")),
     # a box too narrow for the initial state is named before anything is
     # rendered: 2 erfc(c/sqrt(2)) > 1e-3 below c = 3.481 on the stationary box
     *(C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage {coverage}"
-        " --out-dir OUT", 1, f"--coverage {coverage} is too narrow for the initial state:"
-        f" the mass of its two marginals outside the grid sums to {tail}, more than 0.001")
+        " --out-dir OUT", 1, "box too narrow for the initial state (--coverage): its cell"
+        f" sum may miss {tail} outside the box, more than 0 by aliasing, {tail} in all, over"
+        " 0.001")
       for coverage, tail in (("4.94066e-324", "2"), ("1e-308", "2"), ("0.5", "1.23415"),
                              ("2", "0.0910005"), ("3.48", "0.00100283"))),
     C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage 3.49 --out-dir OUT",
       check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),
     # the squeezed state's box also covers the wider long-time state
     C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage 2 --out-dir OUT", 1,
-      "--coverage 2 is too narrow for the initial state: the mass of its two marginals"
-      " outside the grid sums to 0.00106401, more than 0.001"),
+      "box too narrow for the initial state (--coverage): its cell sum may miss 0.00106401"
+      " outside the box, more than 0 by aliasing, 0.00106401 in all, over 0.001"),
     # cells 1e299 wide are named before the stationary state is rendered on them
     C(f"fpe {MODEL} --stationary --grid-n 16 --t-end 0.1 --coverage 1e300 --out-dir OUT", 1,
-      "grid cell 1.53093e+299 x 1.53093e+299 is too coarse *"),
+      "grid cell 1.53093e+299 x 1.53093e+299 too coarse *"),
+    # the box and the cells each lose less than 1e-3 here, but together more:
+    # both figures are named, and the larger is blamed
+    C(f"fpe {SQUEEZED} --grid-n 16 --coverage 3.7 --t-end 0.001 --out-dir OUT", 1,
+      "grid cell 0.654074 x 0.566445 too coarse for the initial state's standard deviations"
+      " 1.41421 x 0.353553 (--grid-n): its cell sum may miss 0.000914778 by aliasing, more"
+      " than 0.000215797 outside the box, 0.00113057 in all, over 0.001"),
+    C(f"fpe {SQUEEZED} --grid-n 16 --coverage 3.3 --t-end 0.001 --out-dir OUT", 1,
+      "box too narrow for the initial state (--coverage): its cell sum may miss 0.000966971"
+      " outside the box, more than 0.000126654 by aliasing, 0.00109362 in all, over 0.001"),
+    C(f"fpe {MODEL} --delta-sq 0.25 --grid-n 16 --coverage 3.7 --t-end 0.001 --out-dir OUT", 1,
+      "grid cell 0.566445 x 0.654074 too coarse for the initial state's standard deviations"
+      " 0.353553 x 1.41421 (--grid-n): its cell sum may miss 0.000914778 by aliasing, more"
+      " than 0.000215797 outside the box, 0.00113057 in all, over 0.001"),
+    C(f"fpe {SQUEEZED} --q0 2 --grid-n 16 --coverage 3.7 --t-end 0.001 --out-dir OUT", 1,
+      "grid cell 0.735259 x 0.566445 too coarse for the initial state's standard deviations"
+      " 1.41421 x 0.353553 (--grid-n): its cell sum may miss 0.000914778 by aliasing, more"
+      " than 0.000109833 outside the box, 0.00102461 in all, over 0.001"),
+    # a narrow ridge crossing the box edge between cells: the cells outside
+    # hold 1.38e-3 of the mass, where the two marginals hold 9.7e-4 outside
+    C(f"fpe {MODEL} --delta-sq 0.1 --corr-r 0.99 --grid-n 48 --coverage 3.3 --t-end 0.001"
+      " --out-dir OUT", 1, "box too narrow for the initial state (--coverage): its cell sum"
+      " may miss 0.00290283 outside the box, more than 3.82425e-12 by aliasing, 0.00290283"
+      " in all, over 0.001"),
+    *(C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --snapshots {times} --out-dir OUT",
+        1, f"--snapshots entry {entry} is not a number")
+      for times, entry in (("0.05,", "''"), ("0.05,x", "'x'"))),
     # -- selftest: the ten acceptance criteria
     C("selftest", check=lambda r: r.lines()[10:] == ["10/10 criteria passed"]
       and all(line.startswith("PASS  ") for line in r.lines()[:10])),

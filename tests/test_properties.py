@@ -1,7 +1,8 @@
 """Property-based checks of the shared kernels: the time grid, the CSV writer,
-the grid cell centres, the classicality degrees, the array forms of the closed-form moments, the
-agreement of the three propagation routes at the edges of the domain, the
-window finder and the validation of trajectory rows.
+the grid cell centres, the grid mass budget, the classicality degrees, the
+array forms of the closed-form moments, the agreement of the three
+propagation routes at the edges of the domain, the window finder and the
+validation of trajectory rows.
 
 Hypothesis runs derandomised with a bounded example count, so the suite stays
 deterministic and fast.
@@ -10,6 +11,7 @@ deterministic and fast.
 import io
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from lindosc.decoherence import (
     relaxation_time,
     statistical_time,
 )
+from lindosc.fpe import grid_mass_budget
 from lindosc.model import (
     GaussianState,
     InitialStateSpec,
@@ -42,6 +45,7 @@ from lindosc.model import (
 )
 from lindosc.propagate import (
     Trajectory,
+    asymptotic_covariance,
     integrate_moments_rk4,
     mean_closed_form,
     sigma_det_closed,
@@ -49,7 +53,7 @@ from lindosc.propagate import (
     time_grid,
     trajectory_lyapunov,
 )
-from lindosc.states import GridGeometry
+from lindosc.states import GridGeometry, geometry_for_states, render_grid
 
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -148,6 +152,49 @@ def test_cell_centres_match_the_offset_form(lo, hi, n):
     offset_form = lo + (np.arange(n) + 0.5) * geom.dq
     ulp = np.spacing(max(abs(lo), abs(hi)))
     assert np.abs(geom.q_centers() - offset_form).max() <= 4.0 * ulp
+
+
+# ---------------------------------------------------------------------------
+# the grid mass budget
+# ---------------------------------------------------------------------------
+
+
+@PROFILE
+@given(
+    log_spread=st.floats(-1.5, 1.5),
+    corr=st.floats(-0.99, 0.99),
+    q0=st.floats(-3.0, 3.0),
+    coverage=st.floats(3.0, 6.0),
+    n=st.integers(8, 64),
+)
+# each share alone is under 1e-3 here, and their sum is not
+@example(log_spread=math.log10(4.0), corr=0.0, q0=0.0, coverage=3.7, n=16)
+@example(log_spread=math.log10(4.0), corr=0.0, q0=0.0, coverage=3.3, n=16)
+@example(log_spread=math.log10(0.25), corr=0.0, q0=0.0, coverage=3.7, n=16)
+@example(log_spread=math.log10(4.0), corr=0.0, q0=2.0, coverage=3.7, n=16)
+# a narrow ridge: its marginals put under 1e-3 outside the box, and the
+# cells outside hold more
+@example(log_spread=-1.0, corr=0.99, q0=0.0, coverage=3.3, n=48)
+def test_grid_mass_budget_admits_only_grids_that_hold_their_mass(
+    log_spread, corr, q0, coverage, n
+):
+    # the grid of `lindosc fpe` from the initial state at the reference bath
+    cfg = OscillatorConfig.reference()
+    spec = InitialStateSpec(spread=10.0**log_spread, correlation=corr, center_q=q0)
+    state = initial_state(spec, cfg)
+    geom = geometry_for_states([state, asymptotic_covariance(cfg)], n, coverage=coverage)
+    try:
+        tail, alias = grid_mass_budget(state, geom)
+    except ValueError as exc:
+        # the message names both bounds, and they sum past the budget
+        figures = re.search(r"miss (\S+) .*, more than (\S+) .*, (\S+) in all", str(exc))
+        first, second, total = (float(x) for x in figures.groups())
+        assert first >= second
+        assert first + second == pytest.approx(total, rel=1e-5)
+        assert total > 1e-3
+    else:
+        assert tail + alias <= 1e-3
+        assert abs(render_grid(state, geom).mass() - 1.0) <= tail + alias + 1e-12
 
 
 # ---------------------------------------------------------------------------
