@@ -36,7 +36,7 @@ from .classicality import (
     find_windows,
     one_sigma_contour,
 )
-from .config_io import ConfigError, build_model, load_config_file
+from .config_io import PARAMETERS, ConfigError, build_model, load_config_file
 from .csvout import format_float, write_csv
 from .decoherence import (
     decoherence_rate,
@@ -68,6 +68,7 @@ from .propagate import (
     whole_steps,
 )
 from .states import (
+    DEFAULT_COVERAGE,
     GridGeometry,
     PhaseSpaceGrid,
     alpha_beta_gamma,
@@ -139,27 +140,8 @@ def _emit_report(payload: dict, target: str | None, as_json: bool) -> None:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters")
     group.add_argument("--config", metavar="FILE", help="key=value config file")
-    group.add_argument("--m", type=float, help="mass (default 1)")
-    group.add_argument("--omega", type=float, help="oscillator frequency (default 1)")
-    group.add_argument(
-        "--lambda", dest="lam", type=float, help="friction constant (default 0)"
-    )
-    group.add_argument("--mu", type=float, help="friction asymmetry (default 0)")
-    group.add_argument("--hbar", type=float, help="hbar (default 1)")
-    group.add_argument(
-        "--coth", type=float, help="thermal coth factor C (exclusive with --temp)"
-    )
-    group.add_argument(
-        "--temp", type=float, help="bath temperature (exclusive with --coth)"
-    )
-    group.add_argument(
-        "--delta-sq", dest="spread", type=float, help="initial squeezing delta"
-    )
-    group.add_argument(
-        "--corr-r", dest="corr", type=float, help="initial correlation r"
-    )
-    group.add_argument("--q0", type=float, help="initial mean coordinate")
-    group.add_argument("--p0", type=float, help="initial mean momentum")
+    for row in PARAMETERS:
+        group.add_argument(row.flag, dest=row.dest, type=float, help=row.help)
     group.add_argument(
         "--closed",
         action="store_true",
@@ -169,19 +151,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _model_from_args(args) -> tuple[OscillatorConfig, InitialStateSpec]:
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "m": args.m,
-        "omega": args.omega,
-        "lambda": args.lam,
-        "mu": args.mu,
-        "hbar": args.hbar,
-        "temp.C": args.coth,
-        "temp.T": args.temp,
-        "init.delta": args.spread,
-        "init.r": args.corr,
-        "init.q0": args.q0,
-        "init.p0": args.p0,
-    }
+    overrides = {row.key: getattr(args, row.dest) for row in PARAMETERS}
     if args.closed:
         for key in ("lambda", "mu"):
             if overrides[key] not in (None, 0.0):
@@ -392,7 +362,7 @@ def _grid_figure(which: str, n: int) -> PhaseSpaceGrid:
         state = asymptotic_covariance(cfg)
     if which.startswith("4"):
         return render_grid(state, geometry_for_states([state], n))
-    bound = 6.0 * math.sqrt(state.s_qq)
+    bound = DEFAULT_COVERAGE * math.sqrt(state.s_qq)
     geom = GridGeometry(-bound, bound, -bound, bound, n, n)
     return PhaseSpaceGrid(geom, np.abs(density_grid(state, geom, cfg.hbar)))
 
@@ -746,7 +716,7 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
 
 def _fpe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-n", dest="grid_n", type=int, default=256)
-    p.add_argument("--coverage", type=float, default=6.0)
+    p.add_argument("--coverage", type=float, default=DEFAULT_COVERAGE)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p.add_argument("--dt", type=float, help="time step, at most the automatic one")
     p.add_argument("--snapshots", help="comma-separated snapshot times")

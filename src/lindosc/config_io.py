@@ -1,13 +1,9 @@
 """Key=value config-file parsing and assembly into model objects.
 
 The file format is deliberately tiny: one ``key = value`` pair per line,
-``#`` starts a comment, blank lines ignored.  Recognized keys:
-
-    m, omega, lambda, mu, hbar        oscillator parameters
-    temp.C | temp.T                   bath temperature (coth factor or kelvin
-                                      in natural units; mutually exclusive)
-    init.delta, init.r                initial squeezing and correlation
-    init.q0, init.p0                  initial expectation values
+``#`` starts a comment, blank lines ignored.  The keys are those of
+``PARAMETERS``, which also gives each one's command-line flag; ``temp.C``
+and ``temp.T`` (coth factor or temperature) are mutually exclusive.
 
 Values are parsed exactly as decimals (``Decimal``), so config files never
 pick up binary round-off beyond the final float conversion; ``inf`` is
@@ -21,12 +17,14 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import InitialStateSpec, OscillatorConfig, TemperatureSpec
 
 __all__ = [
     "ConfigError",
     "CONFIG_KEYS",
+    "PARAMETERS",
     "parse_config_text",
     "load_config_file",
     "build_model",
@@ -37,22 +35,36 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-# Each config key and the constructor field it sets; keys left out take the
-# dataclass defaults.
-_FIELDS = {
-    "m": (OscillatorConfig, "m"),
-    "omega": (OscillatorConfig, "omega"),
-    "lambda": (OscillatorConfig, "lam"),
-    "mu": (OscillatorConfig, "mu"),
-    "hbar": (OscillatorConfig, "hbar"),
-    "temp.C": (TemperatureSpec, "coth_value"),
-    "temp.T": (TemperatureSpec, "temperature"),
-    "init.delta": (InitialStateSpec, "spread"),
-    "init.r": (InitialStateSpec, "correlation"),
-    "init.q0": (InitialStateSpec, "center_q"),
-    "init.p0": (InitialStateSpec, "center_p"),
-}
+class Parameter(NamedTuple):
+    """One model parameter: its config key, its command-line flag, argparse
+    dest and help line, and the constructor field it sets."""
 
+    key: str
+    flag: str
+    dest: str
+    help: str
+    owner: type
+    field: str
+
+
+# Every model parameter, in the order of the CLI's help; keys left out of a
+# config or a call take the dataclass defaults.
+PARAMETERS = tuple(Parameter(*row) for row in (
+    ("m", "--m", "m", "mass (default 1)", OscillatorConfig, "m"),
+    ("omega", "--omega", "omega", "oscillator frequency (default 1)", OscillatorConfig, "omega"),
+    ("lambda", "--lambda", "lam", "friction constant (default 0)", OscillatorConfig, "lam"),
+    ("mu", "--mu", "mu", "friction asymmetry (default 0)", OscillatorConfig, "mu"),
+    ("hbar", "--hbar", "hbar", "hbar (default 1)", OscillatorConfig, "hbar"),
+    ("temp.C", "--coth", "coth", "thermal coth factor C (exclusive with --temp)",
+     TemperatureSpec, "coth_value"),
+    ("temp.T", "--temp", "temp", "bath temperature (exclusive with --coth)",
+     TemperatureSpec, "temperature"),
+    ("init.delta", "--delta-sq", "spread", "initial squeezing delta", InitialStateSpec, "spread"),
+    ("init.r", "--corr-r", "corr", "initial correlation r", InitialStateSpec, "correlation"),
+    ("init.q0", "--q0", "q0", "initial mean coordinate", InitialStateSpec, "center_q"),
+    ("init.p0", "--p0", "p0", "initial mean momentum", InitialStateSpec, "center_p"),
+))
+_FIELDS = {row.key: (row.owner, row.field) for row in PARAMETERS}
 CONFIG_KEYS = tuple(_FIELDS)
 
 

@@ -129,7 +129,7 @@ def grid_mass_budget(state: GaussianState, geom: GridGeometry) -> tuple[float, f
       ``tail`` sums that mass times ``coth(x/2)`` over both axes: about 1
       without correlation, more where a narrow ridge crosses the box edge.
     """
-    dq, dp = geom.dq or 5e-324, geom.dp or 5e-324  # a width that underflowed to 0
+    dq, dp = geom.dq, geom.dp
     tail = 0.0
     for lo, hi, mean, var, d in (
         (geom.q_min, geom.q_max, state.mean_q, state.s_qq, dp),

@@ -47,6 +47,7 @@ __all__ = [
     "PhaseSpaceGrid",
     "render_grid",
     "density_grid",
+    "DEFAULT_COVERAGE",
     "geometry_for_states",
     "stationary_grid",
 ]
@@ -210,11 +211,12 @@ class GridGeometry:
             raise ValueError("degenerate grid range")
         if self.n_q < 3 or self.n_p < 3:
             raise ValueError("grid sizes must be >= 3")
-        # an infinite bound makes a width infinite, and so can finite bounds far apart
-        if not (math.isfinite(self.dq) and math.isfinite(self.dp)):
+        # an infinite bound makes a width infinite, and so can finite bounds far
+        # apart; bounds a few subnormals apart make it underflow to 0
+        if not (0.0 < self.dq < math.inf and 0.0 < self.dp < math.inf):
             raise ValueError(
                 "grid range q [%r, %r], p [%r, %r] must be finite, with finite "
-                "cell widths" % (self.q_min, self.q_max, self.p_min, self.p_max)
+                "cell widths > 0" % (self.q_min, self.q_max, self.p_min, self.p_max)
             )
 
     @property
@@ -301,10 +303,14 @@ def density_grid(state: GaussianState, geom: GridGeometry, hbar: float = 1.0) ->
     return density_matrix(state, geom.q_centers()[:, None], geom.p_centers()[None, :], hbar)
 
 
+# standard deviations a default box spans on each side of the mean
+DEFAULT_COVERAGE = 6.0
+
+
 def geometry_for_states(
     states: Sequence[GaussianState] | Iterable[GaussianState],
     n: int,
-    coverage: float = 6.0,
+    coverage: float = DEFAULT_COVERAGE,
 ) -> GridGeometry:
     """Smallest n x n box, symmetric per axis, covering mean +/- coverage * std
     of every given state (the domain-sizing rule used by the grid solver)."""
@@ -318,7 +324,7 @@ def geometry_for_states(
     return GridGeometry(q_min=q_lo, q_max=q_hi, p_min=p_lo, p_max=p_hi, n_q=n, n_p=n)
 
 
-def stationary_grid(cfg: OscillatorConfig, n: int, coverage: float = 6.0) -> PhaseSpaceGrid:
-    """Stationary Wigner function rendered over its own +/- coverage std box."""
+def stationary_grid(cfg: OscillatorConfig, n: int) -> PhaseSpaceGrid:
+    """Stationary Wigner function rendered over its own default box."""
     state = asymptotic_covariance(cfg)
-    return render_grid(state, geometry_for_states([state], n, coverage=coverage))
+    return render_grid(state, geometry_for_states([state], n))

@@ -59,6 +59,23 @@ MODEL_FLAGS = {
     "--config", "--m", "--omega", "--lambda", "--mu", "--hbar", "--coth",
     "--temp", "--delta-sq", "--corr-r", "--q0", "--p0", "--closed",
 }
+# the model group, last in the help of every subcommand that takes it, as
+# `lindosc trajectory --help` prints it at 80 columns
+MODEL_HELP = """\
+  --config FILE         key=value config file
+  --m M                 mass (default 1)
+  --omega OMEGA         oscillator frequency (default 1)
+  --lambda LAM          friction constant (default 0)
+  --mu MU               friction asymmetry (default 0)
+  --hbar HBAR           hbar (default 1)
+  --coth COTH           thermal coth factor C (exclusive with --temp)
+  --temp TEMP           bath temperature (exclusive with --coth)
+  --delta-sq SPREAD     initial squeezing delta
+  --corr-r CORR         initial correlation r
+  --q0 Q0               initial mean coordinate
+  --p0 P0               initial mean momentum
+  --closed              closed system (forces lambda = mu = 0)
+"""
 # each subcommand's own flags, and whether it takes the model flags
 COMMAND_FLAGS = {
     "coeffs": ({"--json", "--out"}, True),
@@ -95,12 +112,16 @@ def test_top_level_help_lists_all_ten_subcommands(capsys):
 
 
 @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
-def test_subcommand_help_names_its_flags(capsys, command):
+def test_subcommand_help_names_its_flags(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
     own, model = COMMAND_FLAGS[command]
     out = _help_text(capsys, command, "--help")
     assert out.startswith(f"usage: lindosc {command} ")
     flags = set(re.findall(r"(?<![\w-])--[\w-]+", out))
     assert flags == {"--help"} | own | (MODEL_FLAGS if model else set())
+    # the help column is set by the widest flag of the whole parser
+    group = out.partition("\n\nmodel parameters:\n")[2]
+    assert re.sub(" {2,}", "  ", group) == (re.sub(" {2,}", "  ", MODEL_HELP) if model else "")
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +535,9 @@ CONTRACTS = [
       "*not a finite step count*"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
         "grid range *") for coverage in ("inf", "1e308")),
+    # a box a few subnormals wide has cells of zero width
+    C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage 4.94066e-324"
+      " --out-dir OUT", 1, "grid range *cell widths > 0"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
         f"--coverage must be positive, got {coverage}") for coverage in ("0", "-1", "nan")),
     # a box too narrow for the initial state is named before anything is
@@ -522,7 +546,7 @@ CONTRACTS = [
         " --out-dir OUT", 1, "box too narrow for the initial state (--coverage): its cell"
         f" sum may miss {tail} outside the box, more than 0 by aliasing, {tail} in all, over"
         " 0.001")
-      for coverage, tail in (("4.94066e-324", "2"), ("1e-308", "2"), ("0.5", "1.23415"),
+      for coverage, tail in (("1e-308", "2"), ("0.5", "1.23415"),
                              ("2", "0.0910005"), ("3.48", "0.00100283"))),
     C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --coverage 3.49 --out-dir OUT",
       check=lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] > 0),

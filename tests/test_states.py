@@ -296,8 +296,9 @@ class TestGrids:
 
     @pytest.mark.parametrize(
         "bounds",
-        [(-math.inf, math.inf, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf), (-1e308, 1e308, -1.0, 1.0)],
-        ids=["q_inf", "p_max_inf", "dq_overflows"],
+        [(-math.inf, math.inf, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf), (-1e308, 1e308, -1.0, 1.0),
+         (-5e-324, 5e-324, -1.0, 1.0), (-1.0, 1.0, -5e-324, 5e-324)],
+        ids=["q_inf", "p_max_inf", "dq_overflows", "dq_underflows", "dp_underflows"],
     )
     def test_geometry_rejects_non_finite_range(self, bounds):
         with pytest.raises(ValueError, match="grid range"):
