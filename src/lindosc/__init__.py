@@ -5,143 +5,15 @@ thermal bath, density-matrix and Wigner-function evaluation, decoherence and
 classical-correlation metrics with their time scales, and two independent
 numerical oracles (a fixed-step moment integrator and a phase-space
 finite-difference solver) that cross-check every closed form.
+
+The package exports the names each library module lists in its
+``__all__``, and no others.
 """
 
-from .classicality import (
-    ClassicalityMetrics,
-    delta_cc,
-    delta_qd,
-    delta_qd_asymptotic,
-    find_windows,
-    metrics_from_state,
-    one_sigma_contour,
-    write_metrics_csv,
-)
-from .config_io import ConfigError, build_model, load_config_file, parse_config_text
-from .decoherence import (
-    RegimeReport,
-    TimeScales,
-    decoherence_rate,
-    decoherence_time,
-    decoherence_time_high_temperature,
-    rate_ratio,
-    regime_report,
-    relaxation_time,
-    statistical_time,
-    time_scales,
-)
-from .fpe import (
-    FpeResult,
-    FpeRunSpec,
-    grid_l2_diff,
-    grid_linf_diff,
-    grid_moments,
-    run_fpe,
-    stable_dt,
-)
-from .model import (
-    CheckResult,
-    DiffusionCoefficients,
-    GaussianState,
-    InitialStateSpec,
-    NumericError,
-    OscillatorConfig,
-    TemperatureSpec,
-    ValidationReport,
-    initial_state,
-    thermal_coefficients,
-    validate,
-)
-from .propagate import (
-    Trajectory,
-    asymptotic_covariance,
-    covariance_lyapunov,
-    drift_matrix,
-    integrate_moments_rk4,
-    mean_closed_form,
-    sigma_det_closed,
-    sigma_pq_closed,
-    steady_state_covariance,
-    trajectory_lyapunov,
-)
-from .states import (
-    AlphaBetaGamma,
-    GridGeometry,
-    PhaseSpaceGrid,
-    alpha_beta_gamma,
-    density_grid,
-    density_matrix,
-    geometry_for_states,
-    render_grid,
-    stationary_density,
-    stationary_grid,
-    wigner,
-    wigner_from_density,
-)
+from . import classicality, config_io, decoherence, fpe, model, propagate, states, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaBetaGamma",
-    "CheckResult",
-    "ClassicalityMetrics",
-    "ConfigError",
-    "DiffusionCoefficients",
-    "FpeResult",
-    "FpeRunSpec",
-    "GaussianState",
-    "GridGeometry",
-    "InitialStateSpec",
-    "NumericError",
-    "OscillatorConfig",
-    "PhaseSpaceGrid",
-    "RegimeReport",
-    "TemperatureSpec",
-    "TimeScales",
-    "Trajectory",
-    "ValidationReport",
-    "alpha_beta_gamma",
-    "asymptotic_covariance",
-    "build_model",
-    "covariance_lyapunov",
-    "decoherence_rate",
-    "decoherence_time",
-    "decoherence_time_high_temperature",
-    "delta_cc",
-    "delta_qd",
-    "delta_qd_asymptotic",
-    "density_grid",
-    "density_matrix",
-    "drift_matrix",
-    "find_windows",
-    "geometry_for_states",
-    "grid_l2_diff",
-    "grid_linf_diff",
-    "grid_moments",
-    "initial_state",
-    "integrate_moments_rk4",
-    "load_config_file",
-    "mean_closed_form",
-    "metrics_from_state",
-    "one_sigma_contour",
-    "parse_config_text",
-    "rate_ratio",
-    "regime_report",
-    "relaxation_time",
-    "render_grid",
-    "run_fpe",
-    "sigma_det_closed",
-    "sigma_pq_closed",
-    "stable_dt",
-    "stationary_density",
-    "stationary_grid",
-    "statistical_time",
-    "steady_state_covariance",
-    "thermal_coefficients",
-    "time_scales",
-    "trajectory_lyapunov",
-    "validate",
-    "wigner",
-    "wigner_from_density",
-    "write_metrics_csv",
-]
+_MODULES = (model, propagate, states, classicality, decoherence, fpe, config_io, sweep)
+globals().update({name: getattr(m, name) for m in _MODULES for name in m.__all__})
+__all__ = sorted(name for m in _MODULES for name in m.__all__)

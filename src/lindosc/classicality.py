@@ -30,7 +30,7 @@ from .model import (
     _lindblad_table,
     float_or_array,
 )
-from .propagate import closed_forms, time_grid
+from .propagate import Trajectory, closed_forms, time_grid
 from .states import alpha_beta_gamma
 
 __all__ = [
@@ -87,7 +87,8 @@ def delta_cc(state: GaussianState) -> float:
 
 @dataclass(frozen=True)
 class ClassicalityMetrics:
-    """Classicality measures of one state sample."""
+    """Classicality measures of one state sample (floats), or of every
+    sample of a trajectory (columns)."""
 
     t: float
     delta_qd: float
@@ -97,7 +98,11 @@ class ClassicalityMetrics:
     sigma_pq: float
 
 
-def metrics_from_state(state: GaussianState, hbar: float = 1.0) -> ClassicalityMetrics:
+def metrics_from_state(
+    state: GaussianState | Trajectory, hbar: float = 1.0
+) -> ClassicalityMetrics:
+    """The metrics of a state, or of a trajectory's columns by the same
+    formulas."""
     coeff = alpha_beta_gamma(state, hbar)
     qd, cc = classicality_degrees(state.sigma_det, state.s_pq, hbar)
     return ClassicalityMetrics(
@@ -113,12 +118,14 @@ def metrics_from_state(state: GaussianState, hbar: float = 1.0) -> ClassicalityM
 def write_metrics_csv(
     metrics: Iterable[ClassicalityMetrics], target: str | Path | IO[str]
 ) -> None:
-    """Metrics CSV with infinity serialized as the literal ``inf``."""
+    """Metrics CSV with infinity serialized as the literal ``inf``: one row
+    per sample, the samples of each item in order, whether it holds one
+    sample or columns."""
     rows = [
-        (m.t, m.delta_qd, m.delta_cc, m.gamma, m.sigma_det, m.sigma_pq)
+        np.column_stack([m.t, m.delta_qd, m.delta_cc, m.gamma, m.sigma_det, m.sigma_pq])
         for m in metrics
     ]
-    write_csv(target, METRICS_HEADER, np.array(rows, dtype=float).reshape(-1, 6))
+    write_csv(target, METRICS_HEADER, np.concatenate(rows or [np.empty((0, 6))], dtype=float))
 
 
 def one_sigma_contour(state: GaussianState, n_points: int = 256) -> np.ndarray:

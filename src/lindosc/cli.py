@@ -24,28 +24,20 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .classicality import (
-    METRICS_HEADER,
-    classicality_degrees,
     find_windows,
+    metrics_from_state,
     one_sigma_contour,
+    write_metrics_csv,
 )
 from .config_io import PARAMETERS, ConfigError, build_model, load_config_file
 from .csvout import format_float, write_csv
-from .decoherence import (
-    decoherence_rate,
-    rate_ratio,
-    rates,
-    regime_report,
-    time_from_rate,
-    time_scales,
-)
+from .decoherence import decoherence_rate, rate_ratio, regime_report, time_scales
 from .fpe import FpeRunSpec, grid_linf_diff, grid_mass_budget, run_fpe
 from .model import (
     InitialStateSpec,
@@ -53,7 +45,6 @@ from .model import (
     OscillatorConfig,
     _lindblad_table,
     initial_state,
-    parameter_table,
     thermal_coefficients,
     validate,
 )
@@ -71,11 +62,11 @@ from .states import (
     DEFAULT_COVERAGE,
     GridGeometry,
     PhaseSpaceGrid,
-    alpha_beta_gamma,
     density_grid,
     geometry_for_states,
     render_grid,
 )
+from .sweep import AXES, RECORDS, SweepSpec, parse_sweep_axis, run_sweep, write_sweep_csv
 
 PROG = "lindosc"
 
@@ -281,12 +272,9 @@ def _cmd_metrics(args) -> int:
     d = thermal_coefficients(cfg)
     state0 = initial_state(spec, cfg)
     times = time_grid(args.t_end, args.dt)
-    traj = trajectory_lyapunov(state0, cfg, d, times)
-    qd, cc = classicality_degrees(traj.sigma_det, traj.s_pq, cfg.hbar)
-    gamma = alpha_beta_gamma(traj, cfg.hbar).gamma  # the state formula, on columns
-    rows = np.column_stack([traj.times, qd, cc, gamma, traj.sigma_det, traj.s_pq])
+    metrics = metrics_from_state(trajectory_lyapunov(state0, cfg, d, times), cfg.hbar)
     with _open_out(args.out) as handle:
-        write_csv(handle, METRICS_HEADER, rows)
+        write_metrics_csv([metrics], handle)
     return 0
 
 
@@ -340,15 +328,14 @@ def _write_fig1(out_dir: Path, n_time: int) -> list[Path]:
 
 
 def _write_fig2(out_dir: Path, which: str, n_time: int) -> list[Path]:
-    cfg = OscillatorConfig.reference()
-    c_values = (1.0 + 5.0 * np.arange(51) / 50)[:, None]
-    t_values = 20.0 * np.arange(n_time) / (n_time - 1)
-    table = parameter_table(cfg, InitialStateSpec(spread=4.0), coth=c_values)
-    qd, cc = classicality_degrees(*closed_forms(table, t_values), cfg.hbar)
-    column = "delta_qd" if which == "2a" else "delta_cc"
-    grids = np.broadcast_arrays(c_values, t_values, qd if which == "2a" else cc)
+    axes = {
+        "C": 1.0 + 5.0 * np.arange(51) / 50,
+        "t": 20.0 * np.arange(n_time) / (n_time - 1),
+    }
+    record = "delta_qd" if which == "2a" else "delta_cc"
     path = out_dir / f"fig{which}.csv"
-    write_csv(path, f"C,t,{column}", np.column_stack([g.ravel() for g in grids]))
+    cfg, spec = OscillatorConfig.reference(), InitialStateSpec(spread=4.0)
+    write_sweep_csv(path, axes, (record,), cfg, spec)
     return [path]
 
 
@@ -393,142 +380,6 @@ def _cmd_figdata(args) -> int:
 # --------------------------------------------------------------------------- #
 # sweep
 # --------------------------------------------------------------------------- #
-
-_SWEEP_AXES = ("lambda", "mu", "delta", "r", "C", "t")
-_T_RECORDS = ("delta_qd", "delta_cc", "sigma_det", "sigma_pq")  # depend on t
-_SWEEP_RECORDS = _T_RECORDS + ("t_deco", "t_d", "t_rel")
-# the parameter_table axis of each swept parameter but t
-_TABLE_AXES = {
-    "lambda": "lam", "mu": "mu", "delta": "spread", "r": "correlation", "C": "coth"
-}
-_SWEEP_BLOCK = 1 << 13  # sweep points per evaluation pass
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    """One swept parameter: name, inclusive bounds, sample count, spacing."""
-
-    name: str
-    lo: float
-    hi: float
-    count: int
-    log: bool = False
-
-    def __post_init__(self) -> None:
-        if self.name not in _SWEEP_AXES:
-            raise ValueError(
-                f"unknown sweep axis {self.name!r}; choose from {_SWEEP_AXES}"
-            )
-        if self.count < 1:
-            raise ValueError("axis count must be >= 1")
-        if self.log and (self.lo <= 0.0 or self.hi <= 0.0):
-            raise ValueError("log spacing needs positive bounds")
-        if not all(map(math.isfinite, [self.lo, self.hi, *self.values()])):
-            raise ValueError(f"axis {self.name!r}: bounds and values must be finite")
-
-    def values(self) -> list[float]:
-        if self.count == 1:
-            return [self.lo]
-        if self.log:
-            ratio = (self.hi / self.lo) ** (1.0 / (self.count - 1))
-            return [self.lo * ratio**i for i in range(self.count)]
-        step = (self.hi - self.lo) / (self.count - 1)
-        return [self.lo + step * i for i in range(self.count)]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Axes (1 or 2), quantities to record, and the evaluation time for the
-    state-dependent quantities."""
-
-    axes: tuple[SweepAxis, ...]
-    records: tuple[str, ...]
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.axes) <= 2:
-            raise ValueError("sweeps take one or two axes")
-        names = [axis.name for axis in self.axes]
-        if len(set(names)) != len(names):
-            raise ValueError("sweep axes must be distinct")
-        if not self.records:
-            raise ValueError("nothing to record")
-        for record in self.records:
-            if record not in _SWEEP_RECORDS:
-                raise ValueError(
-                    f"unknown record {record!r}; choose from {_SWEEP_RECORDS}"
-                )
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t!r}")
-
-
-def parse_sweep_axis(text: str) -> SweepAxis:
-    """Parse ``name:min:max:count[:log]``."""
-    parts = text.split(":")
-    if len(parts) not in (4, 5):
-        raise ValueError(f"axis spec {text!r} is not name:min:max:count[:log]")
-    log = False
-    if len(parts) == 5:
-        if parts[4] != "log":
-            raise ValueError(f"axis spec {text!r}: fifth field must be 'log'")
-        log = True
-    try:
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise ValueError(f"axis spec {text!r}: bad numbers") from exc
-    return SweepAxis(name=parts[0], lo=lo, hi=hi, count=count, log=log)
-
-
-def run_sweep(
-    sweep: SweepSpec,
-    base_cfg: OscillatorConfig,
-    base_spec: InitialStateSpec,
-    handle: IO[str],
-) -> None:
-    """Evaluate the sweep grid row-major (first axis slow) into CSV.
-
-    Points that :func:`~lindosc.model.parameter_table` marks invalid (e.g.
-    ``|mu| >= omega``, or a bath that breaks the bath rule) record ``nan``
-    for every quantity rather than aborting the sweep; so do points at
-    ``t < 0`` when a t-dependent quantity is recorded.
-
-    The flat row-major point index is evaluated in passes of
-    ``_SWEEP_BLOCK`` points, each one broadcast call of the closed forms and
-    the rates over the points' parameters and times (``sweep.t`` without a
-    ``t`` axis).
-    """
-    names = [axis.name for axis in sweep.axes]
-    grids = [np.array(axis.values()) for axis in sweep.axes]
-    shape = tuple(grid.size for grid in grids)
-    t_dependent = not set(_T_RECORDS).isdisjoint(sweep.records)
-
-    def evaluate(index: np.ndarray) -> np.ndarray:
-        """The CSV rows of the points at ``index`` in the flat grid."""
-        point = {
-            name: grid[i]
-            for name, grid, i in zip(names, grids, np.unravel_index(index, shape))
-        }
-        axes = {_TABLE_AXES[name]: v for name, v in point.items() if name != "t"}
-        table = parameter_table(base_cfg, base_spec, **axes)
-        t = point.get("t", sweep.t)
-        valid = table.valid & ((t >= 0.0) | (not t_dependent))
-        values = {}
-        if t_dependent:  # invalid rows, t < 0 among them, are nan: take t = 0
-            sigma, s_pq = closed_forms(table, np.where(valid, t, 0.0))
-            qd, cc = classicality_degrees(sigma, s_pq, table.hbar)
-            values.update(delta_qd=qd, delta_cc=cc, sigma_det=sigma, sigma_pq=s_pq)
-        if not set(sweep.records).issubset(_T_RECORDS):
-            deco, _, statistical = (time_from_rate(x) for x in rates(table))
-            values.update(t_deco=deco, t_d=statistical, t_rel=time_from_rate(table.lam))
-        recorded = [np.where(valid, values[record], math.nan) for record in sweep.records]
-        return np.column_stack([point[name] for name in names] + recorded)
-
-    total = math.prod(shape)
-    blocks = (
-        evaluate(np.arange(start, min(start + _SWEEP_BLOCK, total)))
-        for start in range(0, total, _SWEEP_BLOCK)
-    )
-    write_csv(handle, ",".join(names + list(sweep.records)), blocks)
 
 
 def _cmd_sweep(args) -> int:
@@ -701,14 +552,14 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
         action="append",
         required=True,
         metavar="NAME:MIN:MAX:COUNT[:log]",
-        help=f"swept parameter, one or two axes; names: {', '.join(_SWEEP_AXES)}",
+        help=f"swept parameter, one or two axes; names: {', '.join(AXES)}",
     )
     p.add_argument(
         "--record",
         action="append",
         required=True,
         metavar="NAME[,NAME...]",
-        help=f"quantities to record: {', '.join(_SWEEP_RECORDS)}",
+        help=f"quantities to record: {', '.join(RECORDS)}",
     )
     p.add_argument("--t", type=float, default=0.0, help="evaluation time")
     p.add_argument("--out", default="-")

@@ -32,7 +32,6 @@ __all__ = [
     "RegimeReport",
     "decoherence_rate",
     "decoherence_time",
-    "decoherence_time_high_temperature",
     "statistical_time",
     "relaxation_time",
     "rate_ratio",
@@ -91,14 +90,6 @@ def decoherence_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:
     """Reciprocal of :func:`decoherence_rate`; ``+inf`` when the rate is <= 0
     (the state never loses coherence — e.g. spread=1, r=0 at T=0)."""
     return float(time_from_rate(decoherence_rate(spec, cfg)))
-
-
-def decoherence_time_high_temperature(
-    spec: InitialStateSpec, cfg: OscillatorConfig
-) -> float:
-    """High-temperature decoherence time, the reciprocal of the second rate
-    of :func:`rates`; ``1/(2 (lam + mu) spread tau)`` for r=0."""
-    return float(time_from_rate(rates(_lindblad_table(cfg, spec))[1]))
 
 
 def statistical_time(spec: InitialStateSpec, cfg: OscillatorConfig) -> float:

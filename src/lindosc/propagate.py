@@ -378,7 +378,7 @@ class Trajectory:
             raise ValueError("trajectory needs an (n >= 1, 6) array of samples")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        t = self.times
+        t = self.t
         if np.isnan(t).any():
             raise ValueError("t must not be NaN")
         if (fault := _moment_fault(rows[:, 1:])) is not None:
@@ -386,7 +386,7 @@ class Trajectory:
         if (t[1:] <= t[:-1]).any():
             raise ValueError("trajectory times must be strictly increasing")
 
-    times = property(lambda self: self.rows[:, 0])
+    t = property(lambda self: self.rows[:, 0])
     mean_q = property(lambda self: self.rows[:, 1])
     mean_p = property(lambda self: self.rows[:, 2])
     s_qq = property(lambda self: self.rows[:, 3])

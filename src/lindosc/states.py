@@ -39,7 +39,6 @@ __all__ = [
     "density_matrix",
     "density_sigma_delta",
     "wigner",
-    "wigner_from_coefficients",
     "wigner_from_density",
     "gaussian_trapezoid",
     "stationary_density",
@@ -121,30 +120,6 @@ def wigner(state: GaussianState, q, p):
     return np.exp(-quad / (2.0 * sigma)) / (2.0 * math.pi * math.sqrt(sigma))
 
 
-def wigner_from_coefficients(state: GaussianState, q, p, hbar: float = 1.0):
-    """Wigner function written through the spread coefficients:
-
-        W = (1/pi hbar) sqrt(alpha/(4 gamma))
-            * exp(-alpha (q - <q>)^2 - (p - <p> - hbar beta (q - <q>))^2/(4 hbar^2 gamma))
-
-    Pointwise identical to :func:`wigner`; kept as an independent evaluation
-    route for consistency tests.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    coeff = alpha_beta_gamma(state, hbar)
-    dq = q - state.mean_q
-    shifted = p - state.mean_p - hbar * coeff.beta * dq
-    return (
-        math.sqrt(coeff.alpha / (4.0 * coeff.gamma))
-        / (math.pi * hbar)
-        * np.exp(
-            -coeff.alpha * dq * dq
-            - shifted * shifted / (4.0 * hbar * hbar * coeff.gamma)
-        )
-    )
-
-
 def gaussian_trapezoid(f, center: float, width: float, frequency: float = 0.0):
     """Trapezoidal sum for the integral over the line of ``f``, a Gaussian of
     standard deviation ``width`` around ``center`` times ``exp(i frequency x)``.
@@ -207,12 +182,11 @@ class GridGeometry:
     n_p: int
 
     def __post_init__(self) -> None:
-        if not (self.q_max > self.q_min and self.p_max > self.p_min):
-            raise ValueError("degenerate grid range")
         if self.n_q < 3 or self.n_p < 3:
             raise ValueError("grid sizes must be >= 3")
-        # an infinite bound makes a width infinite, and so can finite bounds far
-        # apart; bounds a few subnormals apart make it underflow to 0
+        # an inverted range makes a width negative, an infinite bound makes it
+        # infinite, and so can finite bounds far apart; bounds a few subnormals
+        # apart make it underflow to 0
         if not (0.0 < self.dq < math.inf and 0.0 < self.dp < math.inf):
             raise ValueError(
                 "grid range q [%r, %r], p [%r, %r] must be finite, with finite "

@@ -26,7 +26,7 @@ from lindosc.classicality import (
     metrics_from_state,
     write_metrics_csv,
 )
-from lindosc.cli import SweepAxis, SweepSpec, main, parse_sweep_axis, run_sweep
+from lindosc.cli import main
 from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
 from lindosc.model import (
     InitialStateSpec,
@@ -41,6 +41,7 @@ from lindosc.propagate import (
     time_grid,
     trajectory_lyapunov,
 )
+from lindosc.sweep import SweepAxis, SweepSpec, parse_sweep_axis, run_sweep
 
 MODEL = "--lambda 0.2 --mu 0.1 --coth 3"
 SQUEEZED = MODEL + " --delta-sq 4"
@@ -961,6 +962,19 @@ def test_sweep_rows_are_the_scalar_calls(base, axes, records):
         row = [math.nan] * len(records) if ref is None else [ref[2][r] for r in records]
         lines.append(",".join("%.17g" % x for x in [*values, *row]))
     assert handle.getvalue() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 3, 11], ids=["point", "part-row", "rows"])
+def test_sweep_passes_do_not_change_the_rows(monkeypatch, block):
+    # a pass is whole 5-point rows (11), or parts of one row (1, 3)
+    axes = (parse_sweep_axis("C:0.5:4:4"), parse_sweep_axis("t:-1:1:5"))
+    plan = SweepSpec(axes=axes, records=tuple(SWEEP_RECORDS.split(",")))
+    cfg, spec = OscillatorConfig.reference(3.0), InitialStateSpec(spread=4.0, correlation=0.3)
+    whole, passes = io.StringIO(), io.StringIO()
+    run_sweep(plan, cfg, spec, whole)
+    monkeypatch.setattr("lindosc.sweep._SWEEP_BLOCK", block)
+    run_sweep(plan, cfg, spec, passes)
+    assert passes.getvalue() == whole.getvalue()
 
 
 @pytest.mark.parametrize(

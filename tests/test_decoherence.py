@@ -10,7 +10,6 @@ from lindosc.decoherence import (
     TimeScales,
     decoherence_rate,
     decoherence_time,
-    decoherence_time_high_temperature,
     rate_ratio,
     regime_report,
     relaxation_time,
@@ -110,13 +109,13 @@ class TestHighTemperatureLimits:
             temp=TemperatureSpec.from_epsilon(0.1),
         )
         # tau = 10; delta = 4, r = 0: 1/(2*10*(0.2*4 + 0.1*4))
-        assert decoherence_time_high_temperature(spec_of(4.0), cfg) == pytest.approx(
+        assert time_scales(spec_of(4.0), cfg, high_temperature=True).t_deco == pytest.approx(
             1.0 / 24.0, rel=1e-13
         )
 
     def test_high_temperature_coherent_state(self):
         # tau = 1/artanh(1/3) = 2.8854 at C = 3
-        assert decoherence_time_high_temperature(spec_of(1.0), CFG) == pytest.approx(
+        assert time_scales(spec_of(1.0), CFG, high_temperature=True).t_deco == pytest.approx(
             0.57763, abs=1e-5
         )
 
@@ -178,11 +177,12 @@ def test_time_scales_builds_one_table_and_gives_the_scalar_times(monkeypatch):
     build = decoherence._lindblad_table
     monkeypatch.setattr(decoherence, "_lindblad_table", lambda *a: tables.append(a) or build(*a))
     spec = spec_of(4.0, r=0.3)
-    for high_t, t_deco in ((False, decoherence_time), (True, decoherence_time_high_temperature)):
+    for high_t in (False, True):
         tables.clear()
         scales = time_scales(spec, CFG, high_temperature=high_t)
         assert len(tables) == 1
-        assert (scales.t_deco, scales.t_d) == (t_deco(spec, CFG), statistical_time(spec, CFG))
+        assert scales.t_d == statistical_time(spec, CFG)
+    assert time_scales(spec, CFG).t_deco == decoherence_time(spec, CFG)
 
 
 def test_overflowing_rate_has_no_time():

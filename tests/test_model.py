@@ -14,7 +14,6 @@ from lindosc.cli import _closed_columns
 from lindosc.decoherence import (
     decoherence_rate,
     decoherence_time,
-    decoherence_time_high_temperature,
     statistical_time,
     time_scales,
 )
@@ -156,11 +155,9 @@ BATH_ENTRY_POINTS = {
     "sigma_pq_closed": lambda cfg: sigma_pq_closed(SPEC, cfg, np.array([0.0, 1.0])),
     "decoherence_rate": lambda cfg: decoherence_rate(SPEC, cfg),
     "decoherence_time": lambda cfg: decoherence_time(SPEC, cfg),
-    "decoherence_time_high_temperature": lambda cfg: decoherence_time_high_temperature(
-        SPEC, cfg
-    ),
     "statistical_time": lambda cfg: statistical_time(SPEC, cfg),
     "time_scales": lambda cfg: time_scales(SPEC, cfg),
+    "time_scales_high_temperature": lambda cfg: time_scales(SPEC, cfg, high_temperature=True),
     "closed_form_metric_evaluator": lambda cfg: closed_form_metric_evaluator(SPEC, cfg),
     "find_windows": lambda cfg: find_windows(SPEC, cfg, 20.0, 0.01, 0.9, 0.5),
     "closed_columns": lambda cfg: _closed_columns(SPEC, cfg, np.array([0.0, 1.0])),

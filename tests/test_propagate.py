@@ -416,7 +416,7 @@ def test_rk4_records_the_final_step_off_the_record_grid(monkeypatch):
         warnings.simplefilter("error")
         traj = integrate_moments_rk4(state0, REF, REF_D, 3.7, 0.1, record_every=5)
     ref = _sequential_rk4(state0, REF, REF_D, 0.1, 37)
-    assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.7]
+    assert traj.t.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.7]
     expected = ref[[*range(0, 36, 5), 37], 1:]
     np.testing.assert_allclose(traj.rows[:, 1:], expected, rtol=1e-13)
 
@@ -525,7 +525,7 @@ def test_trajectory_matches_pointwise_propagation():
     )
     times = [0.0, 0.37, 1.0, 2.5, 13.0, 150.0]
     traj = trajectory_lyapunov(state0, REF, REF_D, times)
-    assert list(traj.times) == times
+    assert list(traj.t) == times
     pointwise = [covariance_lyapunov(state0, REF, REF_D, t) for t in times]
     for attr in ("mean_q", "mean_p", "s_qq", "s_pp", "s_pq"):
         want = np.array([getattr(s, attr) for s in pointwise])

@@ -29,7 +29,6 @@ from lindosc.states import (
     stationary_density,
     stationary_grid,
     wigner,
-    wigner_from_coefficients,
     wigner_from_density,
 )
 
@@ -53,6 +52,28 @@ def pure_state(spread=1.0, correlation=0.0, q0=0.0, p0=0.0):
 def evolved_state(t=1.0, spread=4.0, correlation=0.3):
     d = thermal_coefficients(CFG)
     return covariance_lyapunov(pure_state(spread, correlation), CFG, d, t)
+
+
+def wigner_from_coefficients(state: GaussianState, q, p, hbar: float = 1.0):
+    """The Wigner function written through the spread coefficients, the
+    paper's cross-check of :func:`wigner`:
+
+        W = (1/pi hbar) sqrt(alpha/(4 gamma))
+            * exp(-alpha (q - <q>)^2 - (p - <p> - hbar beta (q - <q>))^2/(4 hbar^2 gamma))
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    coeff = alpha_beta_gamma(state, hbar)
+    dq = q - state.mean_q
+    shifted = p - state.mean_p - hbar * coeff.beta * dq
+    return (
+        math.sqrt(coeff.alpha / (4.0 * coeff.gamma))
+        / (math.pi * hbar)
+        * np.exp(
+            -coeff.alpha * dq * dq
+            - shifted * shifted / (4.0 * hbar * hbar * coeff.gamma)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +318,8 @@ class TestGrids:
     @pytest.mark.parametrize(
         "bounds",
         [(-math.inf, math.inf, -1.0, 1.0), (-1.0, 1.0, -1.0, math.inf), (-1e308, 1e308, -1.0, 1.0),
-         (-5e-324, 5e-324, -1.0, 1.0), (-1.0, 1.0, -5e-324, 5e-324)],
-        ids=["q_inf", "p_max_inf", "dq_overflows", "dq_underflows", "dp_underflows"],
+         (-5e-324, 5e-324, -1.0, 1.0), (-1.0, 1.0, -5e-324, 5e-324), (1.0, -1.0, -1.0, 1.0)],
+        ids=["q_inf", "p_max_inf", "dq_overflows", "dq_underflows", "dp_underflows", "q_inverted"],
     )
     def test_geometry_rejects_non_finite_range(self, bounds):
         with pytest.raises(ValueError, match="grid range"):
