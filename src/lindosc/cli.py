@@ -43,7 +43,6 @@ from .model import (
     InitialStateSpec,
     NumericError,
     OscillatorConfig,
-    _lindblad_table,
     initial_state,
     thermal_coefficients,
     validate,
@@ -51,12 +50,12 @@ from .model import (
 from .propagate import (
     TRAJECTORY_HEADER,
     asymptotic_covariance,
-    closed_forms,
     integrate_moments_rk4,
     mean_closed_form,
+    route_deviation,
     time_grid,
+    trajectory_closed,
     trajectory_lyapunov,
-    whole_steps,
 )
 from .states import (
     DEFAULT_COVERAGE,
@@ -151,6 +150,12 @@ def _model_from_args(args) -> tuple[OscillatorConfig, InitialStateSpec]:
     return build_model(file_values, overrides)
 
 
+def _config_fields(cfg: OscillatorConfig) -> dict[str, float]:
+    """The configuration's fields as the JSON reports name them."""
+    return {"m": cfg.m, "omega": cfg.omega, "lambda": cfg.lam, "mu": cfg.mu,
+            "hbar": cfg.hbar, "coth_C": cfg.coth_epsilon}
+
+
 # --------------------------------------------------------------------------- #
 # simple reports
 # --------------------------------------------------------------------------- #
@@ -159,7 +164,7 @@ def _model_from_args(args) -> tuple[OscillatorConfig, InitialStateSpec]:
 def _cmd_coeffs(args) -> int:
     cfg, _ = _model_from_args(args)
     d = thermal_coefficients(cfg)
-    _emit_report({"d_pp": d.d_pp, "d_qq": d.d_qq, "d_pq": d.d_pq}, args.out, args.json)
+    _emit_report(vars(d), args.out, args.json)
     return 0
 
 
@@ -176,12 +181,7 @@ def _cmd_deco(args) -> int:
     scales = time_scales(spec, cfg, high_temperature=args.high_t)
     regime = regime_report(cfg)
     payload: dict[str, object] = {
-        "m": cfg.m,
-        "omega": cfg.omega,
-        "lambda": cfg.lam,
-        "mu": cfg.mu,
-        "hbar": cfg.hbar,
-        "coth_C": cfg.coth_epsilon,
+        **_config_fields(cfg),
         "delta": spec.spread,
         "r": spec.correlation,
         "rate": decoherence_rate(spec, cfg),
@@ -206,64 +206,27 @@ def _cmd_deco(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _closed_columns(
-    spec: InitialStateSpec, cfg: OscillatorConfig, times: np.ndarray
-) -> np.ndarray:
-    """Trajectory columns from the closed forms; s_qq and s_pp are nan.
-    ``NumericError`` where sigma or s_pq is not finite (sigma overflows at
-    a huge C)."""
-    q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
-    sigma, s_pq = closed_forms(_lindblad_table(cfg, spec), times)
-    finite = np.isfinite(sigma) & np.isfinite(s_pq)
-    if not finite.all():
-        t = float(times[np.argmin(finite)])
-        raise NumericError(f"closed-form sigma_det or s_pq not finite at t={t}")
-    blank = np.full_like(times, math.nan)
-    return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
-
-
 def _cmd_trajectory(args) -> int:
     cfg, spec = _model_from_args(args)
+    if args.route == "all":  # the exact route with the cross-route deviation
+        rows = route_deviation(spec, cfg, args.t_end, args.dt)
+        with _open_out(args.out) as handle:
+            write_csv(handle, TRAJECTORY_HEADER + ",max_route_dev", rows)
+        return 0
+    # the bath rule and the initial state are blamed before the time grid
     d = thermal_coefficients(cfg)
     state0 = initial_state(spec, cfg)
     times = time_grid(args.t_end, args.dt)
-
     if args.route == "closed":
         with _open_out(args.out) as handle:
-            write_csv(handle, TRAJECTORY_HEADER, _closed_columns(spec, cfg, times))
+            write_csv(handle, TRAJECTORY_HEADER, trajectory_closed(spec, cfg, times))
         return 0
-    if args.route in ("lyapunov", "rk4"):
-        if args.route == "lyapunov":
-            traj = trajectory_lyapunov(state0, cfg, d, times)
-        else:
-            traj = integrate_moments_rk4(state0, cfg, d, args.t_end, args.dt)
-        with _open_out(args.out) as handle:
-            traj.to_csv(handle)
-        return 0
-
-    # route == "all": pinned columns from the exact propagation, plus the
-    # worst per-row cross-route deviation (amplitude-normalized per quantity).
-    if not whole_steps(args.t_end, args.dt)[1]:
-        raise ValueError("route=all needs t-end to be an integer multiple of dt")
-    lyap = trajectory_lyapunov(state0, cfg, d, times).table
-    closed = _closed_columns(spec, cfg, times)
-    sub = max(1, math.ceil(args.dt / 2e-3))
-    rk4 = integrate_moments_rk4(
-        state0, cfg, d, args.t_end, args.dt / sub, record_every=sub
-    ).table
-    if len(rk4) != len(times):
-        raise NumericError("route grids fell out of alignment")
-
-    # deviations in every moment column (t excluded); the closed forms leave
-    # s_qq and s_pp as nan, which nanmax skips
-    peak = np.abs(lyap[:, 1:]).max(axis=0)
-    scale = np.where(peak > 0.0, peak, 1.0)
-    to_closed = np.abs(lyap[:, 1:] - closed[:, 1:]) / scale
-    to_rk4 = np.abs(lyap[:, 1:] - rk4[:, 1:]) / scale
-    dev = np.nanmax(np.hstack([to_closed, to_rk4]), axis=1)
-    rows = np.column_stack([lyap, dev])
+    if args.route == "lyapunov":
+        traj = trajectory_lyapunov(state0, cfg, d, times)
+    else:
+        traj = integrate_moments_rk4(state0, cfg, d, args.t_end, args.dt)
     with _open_out(args.out) as handle:
-        write_csv(handle, TRAJECTORY_HEADER + ",max_route_dev", rows)
+        traj.to_csv(handle)
     return 0
 
 
@@ -441,16 +404,8 @@ def _cmd_fpe(args) -> int:
         snapshot_files[format_float(t)] = name
     drift = grid_linf_diff(result.final, w0)
     manifest = {
-        "config": {
-            "m": cfg.m,
-            "omega": cfg.omega,
-            "lambda": cfg.lam,
-            "mu": cfg.mu,
-            "hbar": cfg.hbar,
-            "coth_C": cfg.coth_epsilon,
-            "closed": cfg.closed_system,
-        },
-        "coefficients": {"d_pp": d.d_pp, "d_qq": d.d_qq, "d_pq": d.d_pq},
+        "config": {**_config_fields(cfg), "closed": cfg.closed_system},
+        "coefficients": vars(d),
         "initial": initial_desc,
         "run": result.summary(),
         "linf_drift_vs_initial": drift,

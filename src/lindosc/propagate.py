@@ -24,9 +24,10 @@
    1024 from the block start, so the steps are evaluated in array operations
    block by block, with each step still checked and at most one block held.
 
-All three must agree to tight tolerances; the test suite enforces this.
-The exact and RK4 routes return a :class:`Trajectory`, one validated array of
-the trajectory CSV columns; states are built on access only.
+All three must agree to tight tolerances; the test suite enforces this and
+:func:`route_deviation` measures it.  The exact and RK4 routes return a
+:class:`Trajectory`, one validated array of the trajectory CSV columns whose
+states are built on access only; :func:`trajectory_closed` the same columns.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .model import (
     _lindblad_table,
     _moment_fault,
     float_or_array,
+    initial_state,
     squeeze_terms,
+    thermal_coefficients,
 )
 
 __all__ = [
@@ -64,6 +67,8 @@ __all__ = [
     "integrate_moments_rk4",
     "Trajectory",
     "trajectory_lyapunov",
+    "trajectory_closed",
+    "route_deviation",
     "time_grid",
 ]
 
@@ -98,7 +103,7 @@ def whole_steps(t_end: float, dt: float) -> tuple[int, bool]:
     round(t_end / dt)`` has ``|n dt - t_end| <= 1e-12 t_end``, a slack far
     above the rounding of ``n dt``; otherwise ``n = floor(t_end / dt)``.  The
     one such rule, shared by :func:`time_grid`, :func:`integrate_moments_rk4`
-    and ``trajectory --route all``.  ``ValueError`` as :func:`_sample_count`."""
+    and :func:`route_deviation`.  ``ValueError`` as :func:`_sample_count`."""
     count = _sample_count(t_end, dt)
     n = round(count)
     if abs(n * dt - t_end) <= 1e-12 * t_end:
@@ -298,19 +303,21 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
     With the basis ``c``, ``s`` of :func:`_oscillation`, ``C`` the coth
     factor, ``E = e^{-2 lam t}`` and ``F = 1 - E`` (from ``expm1``)::
 
-        sigma = (hbar^2/4)[E^2 + C^2 F^2 + k_+ C E F
-                 + 2 mu C E (mu s^2 (k_+ - 2C) + k_- s c
+        sigma = (hbar^2/4)[E^2 + C (C (F^2 - 4 mu^2 E s^2)) + k_+ C E F
+                 + 2 mu C E (mu s^2 k_+ + k_- s c
                              + 2 r omega s^2 / sqrt(1 - r^2))]
         s_pq = (hbar/2) E[r/sqrt(1 - r^2) - omega k_- s c
                  + s^2 (mu omega (2C - k_+) - 2 omega^2 r / sqrt(1 - r^2))]
 
-    sigma is grouped so that no terms of size ``C^2`` cancel at ``mu = 0``:
-    it starts at exactly ``hbar^2/4`` and relaxes to ``(hbar^2/4) C^2``;
-    constant in the closed system, at every ``C``.  Where ``C^2`` overflows
-    (``C`` above about 1.34e154), its two terms are taken together as
-    ``C (C (F^2 - 4 mu^2 E s^2))``: sigma is ``hbar^2/4`` at ``t = 0`` and
-    ``+inf`` wherever it overflows, never ``nan`` (``sweep`` and ``window``
-    read +inf there; ``trajectory --route closed`` is a numeric failure).
+    sigma has one grouping for every ``C``: its two ``C^2`` terms form
+    ``C (C (F^2 - 4 mu^2 E s^2))``, and ``C^2`` alone never appears.  For
+    ``lam > |mu|``, ``|s| <= t`` and ``F = 2 e^{-lam t} sinh(lam t)`` make the
+    factor non-negative, so no ``inf - inf`` arises; it is exactly 0 at
+    ``t = 0``, where sigma is exactly ``hbar^2/4``, and the closed system
+    (``F = 0``, ``C`` read as 1) keeps ``hbar^2/4`` at every ``t``.  So sigma
+    is never ``nan``: it relaxes to ``(hbar^2/4) C^2``, or to ``+inf`` where
+    that overflows (``C`` above about 1.34e154; ``sweep`` and ``window`` read
+    +inf, ``trajectory --route closed`` is a numeric failure).
     s_pq is cov(q, p) of the moment system, so at ``t = 0`` it is
     ``+hbar*r/(2*sqrt(1-r^2))``; it oscillates at twice the shifted
     frequency and decays to zero.  It forms ``2 mu omega (C - k_+/2)``, the
@@ -325,18 +332,9 @@ def closed_forms(p: ParameterTable, t) -> tuple[np.ndarray, np.ndarray]:
         decay, c, s = _oscillation(p.lam, p.shifted_frequency, t)
         e = decay * decay
         f = -np.expm1(-2.0 * (p.lam * t))
-        inner = (
-            mu * s * s * (k_plus - 2.0 * coth)
-            + k_minus * s * c
-            + 2.0 * r * w * s * s / root
-        )
-        bracket = e * e + coth * coth * f * f + coth * e * (k_plus * f + 2.0 * mu * inner)
-        huge = np.isinf(coth * coth) & np.isfinite(coth)
-        if huge.any():  # C^2 overflows: its two terms as one product, never nan
-            inner = mu * s * s * k_plus + k_minus * s * c + 2.0 * r * w * s * s / root
-            square = coth * (coth * (f * f - 4.0 * mu * mu * e * s * s))
-            grouped = e * e + square + coth * e * (k_plus * f + 2.0 * mu * inner)
-            bracket = np.where(huge, grouped, bracket)
+        inner = mu * s * s * k_plus + k_minus * s * c + 2.0 * r * w * s * s / root
+        square = coth * (coth * (f * f - 4.0 * mu * mu * e * s * s))
+        bracket = e * e + square + coth * e * (k_plus * f + 2.0 * mu * inner)
         sigma = (p.hbar * p.hbar / 4.0) * bracket
         bracket = (
             r / root
@@ -359,6 +357,24 @@ def sigma_pq_closed(spec: InitialStateSpec, cfg: OscillatorConfig, t):
     initial-state value.  A float for a scalar ``t``, an array for an
     array; ``ValueError`` where the bath breaks the bath rule."""
     return float_or_array(closed_forms(_lindblad_table(cfg, spec), t)[1])
+
+
+def trajectory_closed(
+    spec: InitialStateSpec, cfg: OscillatorConfig, times: Sequence[float]
+) -> np.ndarray:
+    """The seven trajectory CSV columns from the closed forms, one row per
+    time; s_qq and s_pp have no closed form here and are ``nan``.
+    ``ValueError`` where the bath breaks the bath rule; ``NumericError``
+    where sigma or s_pq is not finite (sigma overflows at a huge C)."""
+    times = np.asarray(times, dtype=float)
+    q, p = mean_closed_form(initial_state(spec, cfg), cfg, times)
+    sigma, s_pq = closed_forms(_lindblad_table(cfg, spec), times)
+    finite = np.isfinite(sigma) & np.isfinite(s_pq)
+    if not finite.all():
+        t = float(times[np.argmin(finite)])
+        raise NumericError(f"closed-form sigma_det or s_pq not finite at t={t}")
+    blank = np.full_like(times, math.nan)
+    return np.column_stack([times, q, p, blank, blank, s_pq, sigma])
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,3 +566,31 @@ def integrate_moments_rk4(
             done += b
     rows[-1] = [t_end, *x[_ROW_ORDER]]
     return Trajectory(rows)
+
+
+def route_deviation(
+    spec: InitialStateSpec, cfg: OscillatorConfig, t_end: float, dt: float
+) -> np.ndarray:
+    """The exact route's seven trajectory CSV columns on :func:`time_grid`,
+    plus ``max_route_dev``: per row, the largest deviation of the closed
+    forms (their ``nan`` s_qq, s_pp skipped) and of RK4 (substeps <= 2e-3)
+    from the exact route over the moment columns, each over its peak.
+    Checks in order: the bath rule, the initial state, the time grid, that
+    ``t_end`` is an integer multiple of ``dt``, each route, the alignment.
+    """
+    d = thermal_coefficients(cfg)
+    state0 = initial_state(spec, cfg)
+    times = time_grid(t_end, dt)
+    if not whole_steps(t_end, dt)[1]:
+        raise ValueError("route=all needs t-end to be an integer multiple of dt")
+    exact = trajectory_lyapunov(state0, cfg, d, times).table
+    closed = trajectory_closed(spec, cfg, times)
+    sub = max(1, math.ceil(dt / 2e-3))
+    rk4 = integrate_moments_rk4(state0, cfg, d, t_end, dt / sub, record_every=sub).table
+    if len(rk4) != len(times):
+        raise NumericError("route grids fell out of alignment")
+    peak = np.abs(exact[:, 1:]).max(axis=0)
+    scale = np.where(peak > 0.0, peak, 1.0)
+    to_closed = np.abs(exact[:, 1:] - closed[:, 1:]) / scale
+    to_rk4 = np.abs(exact[:, 1:] - rk4[:, 1:]) / scale
+    return np.column_stack([exact, np.nanmax(np.hstack([to_closed, to_rk4]), axis=1)])

@@ -27,6 +27,7 @@ from lindosc.classicality import (
     write_metrics_csv,
 )
 from lindosc.cli import main
+from lindosc.csvout import write_csv
 from lindosc.decoherence import decoherence_time, relaxation_time, statistical_time
 from lindosc.model import (
     InitialStateSpec,
@@ -36,9 +37,12 @@ from lindosc.model import (
     thermal_coefficients,
 )
 from lindosc.propagate import (
+    TRAJECTORY_HEADER,
+    route_deviation,
     sigma_det_closed,
     sigma_pq_closed,
     time_grid,
+    trajectory_closed,
     trajectory_lyapunov,
 )
 from lindosc.sweep import SweepAxis, SweepSpec, parse_sweep_axis, run_sweep
@@ -708,6 +712,22 @@ def test_trajectory_determinism(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("route", ["closed", "all"])
+def test_trajectory_writes_the_library_table_unchanged(tmp_path, route):
+    # the handler adds nothing to the table of trajectory_closed or route_deviation
+    spec = InitialStateSpec(spread=4.0, correlation=0.3)
+    cfg = OscillatorConfig(lam=0.2, mu=0.1, temp=TemperatureSpec.from_coth(3.0))
+    out, lib = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    argv = ["trajectory", *MODEL.split(), "--delta-sq", "4", "--corr-r", "0.3"]
+    assert main([*argv, "--route", route, "--t-end", "3", "--dt", "0.05", "--out", str(out)]) == 0
+    if route == "closed":
+        write_csv(lib, TRAJECTORY_HEADER, trajectory_closed(spec, cfg, time_grid(3.0, 0.05)))
+    else:
+        header = TRAJECTORY_HEADER + ",max_route_dev"
+        write_csv(lib, header, route_deviation(spec, cfg, 3.0, 0.05))
+    assert out.read_bytes() == lib.read_bytes()
 
 
 # ---------------------------------------------------------------------------

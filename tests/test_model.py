@@ -10,7 +10,6 @@ from lindosc.classicality import (
     delta_qd_asymptotic,
     find_windows,
 )
-from lindosc.cli import _closed_columns
 from lindosc.decoherence import (
     decoherence_rate,
     decoherence_time,
@@ -27,7 +26,13 @@ from lindosc.model import (
     thermal_coefficients,
     validate,
 )
-from lindosc.propagate import asymptotic_covariance, sigma_det_closed, sigma_pq_closed
+from lindosc.propagate import (
+    asymptotic_covariance,
+    route_deviation,
+    sigma_det_closed,
+    sigma_pq_closed,
+    trajectory_closed,
+)
 from lindosc.states import stationary_density, stationary_grid
 
 
@@ -160,7 +165,8 @@ BATH_ENTRY_POINTS = {
     "time_scales_high_temperature": lambda cfg: time_scales(SPEC, cfg, high_temperature=True),
     "closed_form_metric_evaluator": lambda cfg: closed_form_metric_evaluator(SPEC, cfg),
     "find_windows": lambda cfg: find_windows(SPEC, cfg, 20.0, 0.01, 0.9, 0.5),
-    "closed_columns": lambda cfg: _closed_columns(SPEC, cfg, np.array([0.0, 1.0])),
+    "trajectory_closed": lambda cfg: trajectory_closed(SPEC, cfg, np.array([0.0, 1.0])),
+    "route_deviation": lambda cfg: route_deviation(SPEC, cfg, 1.0, 0.5),
     "delta_qd_asymptotic": delta_qd_asymptotic,
 }
 # these have no value in the closed system, which has no long-time state

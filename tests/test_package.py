@@ -1,5 +1,6 @@
 """The package namespace, and the names the benchmark's tracer hooks."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,18 @@ def test_tracer_hooks_find_every_name_they_patch():
     argv = [sys.executable, "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_imports_no_private_library_name():
+    # the CLI calls the library through its public names only; a private
+    # import means library code the CLI should not need
+    tree = ast.parse((ROOT / "src" / "lindosc" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "lindosc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
