@@ -176,16 +176,16 @@ def find_windows(
     ``delta_cc < cc_threshold`` hold simultaneously, from the closed forms.
 
     Membership is sampled on :func:`~lindosc.propagate.time_grid` ``(t_end,
-    dt)``; every change of membership between neighbouring samples is bisected
-    until its bracket is at most 1e-6 wide, and the edge is the bracket's
-    midpoint.  A window that opens at the first sample or closes at the last
+    dt)``, which also checks the span (``ValueError`` as
+    :func:`~lindosc.propagate.whole_steps`); ``t_end = 0`` samples the one
+    point ``t = 0``.  Every change of membership between neighbouring
+    samples is bisected until its bracket is at most 1e-6 wide, and the
+    edge is the bracket's midpoint.  A window that opens at the first sample or closes at the last
     one keeps that sample as its edge.  A window (or a gap) shorter than
     ``dt`` can be missed.  Returns an empty list when no sample is inside.
     ``ValueError`` unless both thresholds are finite and positive: no state
     has a negative degree, so no window could exist.
     """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ValueError("t_end and dt must be positive")
     for name, threshold in (("qd", qd_threshold), ("cc", cc_threshold)):
         if not (math.isfinite(threshold) and threshold > 0.0):
             raise ValueError(f"{name} threshold must be finite and > 0, got {threshold!r}")

@@ -365,20 +365,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_fpe(args) -> int:
     cfg, spec = _model_from_args(args)
     d = thermal_coefficients(cfg)
-    if args.stationary:
-        state0 = asymptotic_covariance(cfg)
-        cover = [state0]
-        initial_desc: dict[str, object] = {"stationary": True}
-    else:
-        state0 = initial_state(spec, cfg)
-        cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
-        initial_desc = {
-            "stationary": False,
-            "delta": spec.spread,
-            "r": spec.correlation,
-            "q0": spec.center_q,
-            "p0": spec.center_p,
-        }
+    state0 = asymptotic_covariance(cfg) if args.stationary else initial_state(spec, cfg)
+    # the box covers the state, and under a bath the long-time state too
+    cover = [state0] if cfg.closed_system else [state0, asymptotic_covariance(cfg)]
     if not args.coverage > 0.0:  # also rejects nan
         raise ValueError(f"--coverage must be positive, got {args.coverage:g}")
     geom = geometry_for_states(cover, args.grid_n, coverage=args.coverage)
@@ -406,7 +395,13 @@ def _cmd_fpe(args) -> int:
     manifest = {
         "config": {**_config_fields(cfg), "closed": cfg.closed_system},
         "coefficients": vars(d),
-        "initial": initial_desc,
+        "initial": {"stationary": True} if args.stationary else {
+            "stationary": False,
+            "delta": spec.spread,
+            "r": spec.correlation,
+            "q0": spec.center_q,
+            "p0": spec.center_p,
+        },
         "run": result.summary(),
         "linf_drift_vs_initial": drift,
         "files": {

@@ -57,6 +57,7 @@ from .model import (
     NumericError,
     OscillatorConfig,
 )
+from .propagate import whole_steps
 from .states import GridGeometry, PhaseSpaceGrid
 
 __all__ = [
@@ -79,7 +80,9 @@ class FpeRunSpec:
 
     ``dt=None`` steps with ``stable_dt``, the largest step the solver
     accepts; an explicit ``dt`` may be smaller but not larger (``run_fpe``
-    raises ``ValueError``).  ``snapshot_times`` are intermediate times (each
+    raises ``ValueError``).  ``t_end``, and ``dt`` when one is given, are
+    checked by :func:`~lindosc.propagate.whole_steps`, the span rule of every
+    run, with its messages.  ``snapshot_times`` are intermediate times (each
     in (0, t_end]) at which the grid is captured.  The boundary is always
     zero-inflow (see the module docstring).
     """
@@ -89,10 +92,8 @@ class FpeRunSpec:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t_end) or self.t_end < 0.0:
-            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if self.dt is not None and (not math.isfinite(self.dt) or self.dt <= 0.0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        # without a dt only t_end is checked here; run_fpe checks t_end/dt
+        whole_steps(self.t_end, 1.0 if self.dt is None else self.dt)
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         for t in self.snapshot_times:
             if not 0.0 < t <= self.t_end:
@@ -516,11 +517,15 @@ def run_fpe(
     the grids it returns equal their reflections bit for bit.  Every other
     input steps every row.
 
+    Each span between snapshots takes ``whole_steps(span, dt)`` equal steps
+    (:func:`~lindosc.propagate.whole_steps`), plus one where the span is not
+    a whole number of them, so no step is longer than ``dt``.
+
     Raises ``ValueError`` for an unnormalized or non-finite initial grid
     (|mass - 1| > 1e-3, or a NaN or infinite mass), a ``run.dt`` above
-    ``stable_dt`` or a step count ``t_end / dt`` that is not finite, and
-    ``NumericError`` (with the offending step index) if
-    the solution stops being finite mid-run.
+    ``stable_dt`` or a ``t_end/dt`` that is not finite (as ``whole_steps``),
+    and ``NumericError`` (with the offending step index) if the solution
+    stops being finite mid-run.
     """
     geom = w0.geom
     mass0 = w0.mass()
@@ -535,14 +540,10 @@ def run_fpe(
                 f"dt={run.dt:.6g} exceeds the stable step {dt:.6g} of this grid"
             )
         dt = run.dt
-    if not math.isfinite(run.t_end / dt):
-        raise ValueError(
-            f"t_end / dt = {run.t_end!r} / {dt:.6g} is not a finite step count"
-        )
+    whole_steps(run.t_end, dt)
 
-    events = sorted(set(run.snapshot_times) | {run.t_end})
-    if events and events[0] <= 0.0:  # t_end == 0: nothing to do
-        events = [t for t in events if t > 0.0]
+    # t_end == 0: nothing to do
+    events = [t for t in sorted(set(run.snapshot_times) | {run.t_end}) if t > 0.0]
 
     w = w0.values  # read only: the stepper copies it into its own buffer
     mirror = (
@@ -556,7 +557,8 @@ def run_fpe(
     t_cur = 0.0
     for t_event in events:
         span = t_event - t_cur
-        n = max(1, math.ceil(span / dt - 1e-12))
+        n, whole = whole_steps(span, dt)
+        n += not whole
         h = span / n
         stepper = None  # free the last segment's table before building this one's
         stepper = _Stepper(geom, cfg, d, h, mirror)

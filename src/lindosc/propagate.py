@@ -84,29 +84,28 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _sample_count(t_end: float, dt: float) -> float:
-    """``t_end / dt``, after checking that ``t_end >= 0``, ``dt > 0`` and the
-    ratio are finite (``ValueError`` otherwise)."""
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t-end must be finite and >= 0, got {t_end!r}")
+def whole_steps(span: float, dt: float) -> tuple[int, bool]:
+    """The number ``n`` of whole ``dt`` steps in the time ``span``, and
+    whether they make it up: ``span`` is an integer multiple of ``dt`` when
+    ``n = round(span/dt)`` has ``|n dt - span| <= 1e-12 span``, a slack far
+    above the rounding of ``n dt``; otherwise ``n = floor(span/dt)``.
+
+    The one rule for a time span, shared by :func:`time_grid` (so by
+    ``trajectory``, ``metrics`` and ``classicality.find_windows``),
+    :func:`integrate_moments_rk4`, :func:`route_deviation`, and by
+    ``fpe.FpeRunSpec`` and ``fpe.run_fpe``.  ``ValueError`` unless ``span``
+    (the ``t-end`` of a run) is finite and ``>= 0``, ``dt`` finite and
+    ``> 0``, and ``span/dt`` finite.
+    """
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ValueError(f"t-end must be finite and >= 0, got {span!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    count = t_end / dt
+    count = span / dt
     if not math.isfinite(count):
-        raise ValueError(f"t-end / dt = {t_end!r} / {dt!r} is not a finite sample count")
-    return count
-
-
-def whole_steps(t_end: float, dt: float) -> tuple[int, bool]:
-    """The number ``n`` of whole ``dt`` steps in ``t_end``, and whether they
-    make it up: ``t_end`` is an integer multiple of ``dt`` when ``n =
-    round(t_end / dt)`` has ``|n dt - t_end| <= 1e-12 t_end``, a slack far
-    above the rounding of ``n dt``; otherwise ``n = floor(t_end / dt)``.  The
-    one such rule, shared by :func:`time_grid`, :func:`integrate_moments_rk4`
-    and :func:`route_deviation`.  ``ValueError`` as :func:`_sample_count`."""
-    count = _sample_count(t_end, dt)
+        raise ValueError(f"t-end / dt = {span!r} / {dt!r} is not a finite sample count")
     n = round(count)
-    if abs(n * dt - t_end) <= 1e-12 * t_end:
+    if abs(n * dt - span) <= 1e-12 * span:
         return n, True
     return math.floor(count), False
 
@@ -117,8 +116,8 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
 
     If ``t_end`` is an integer multiple ``n dt`` (see :func:`whole_steps`),
     sample ``n`` is stamped ``t_end``, not the rounded ``n * dt``; otherwise
-    ``t_end`` follows the last multiple below it.  ``ValueError`` unless
-    ``t_end >= 0``, ``dt > 0`` and ``t_end / dt`` are finite.
+    ``t_end`` follows the last multiple below it.  ``ValueError`` as
+    :func:`whole_steps`.
     """
     n, whole = whole_steps(t_end, dt)
     times = np.arange(n + 1) * dt
@@ -512,9 +511,8 @@ def integrate_moments_rk4(
     the final row is at ``t_end`` itself.  Memory holds one block and the
     recorded rows, whatever the step count.  Aborts with :class:`NumericError`
     at the first step whose moments are non-finite or whose covariance is not
-    positive definite.  ``ValueError`` unless ``t_end >= 0``, ``dt > 0`` and
-    ``t_end / dt`` are finite and ``t_end`` is an integer multiple of ``dt``
-    (see :func:`whole_steps`).
+    positive definite.  ``ValueError`` as :func:`whole_steps`, and unless
+    ``t_end`` is an integer multiple of ``dt``.
     """
     n_steps, whole = whole_steps(t_end, dt)
     if record_every < 1:

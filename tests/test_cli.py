@@ -274,6 +274,22 @@ def _fpe_stationary_run(run: Run) -> bool:
     )
 
 
+# each command that takes a time span, its output flag, and the check of
+# its run at --t-end 0: one sample, or a grid run of no step
+SPAN_COMMANDS = (
+    ("trajectory", "--out OUT", lambda r: r.column("t") == ["0"]),
+    ("metrics", "--out OUT", lambda r: r.column("t") == ["0"]),
+    ("window", "--out OUT", lambda r: (r.json()["t_end"], r.json()["windows"]) == (0.0, [])),
+    ("fpe", "--grid-n 64 --out-dir OUT",
+     lambda r: json.loads(r.file("manifest.json"))["run"]["steps"] == 0),
+)
+BAD_SPANS = (
+    *((t_end, "0.001", f"t-end must be finite and >= 0, got {float(t_end)!r}")
+      for t_end in ("-1", "inf", "nan")),
+    *(("1", dt, f"dt must be finite and > 0, got {float(dt)!r}") for dt in ("0", "-1", "nan")),
+    ("1", "1e-320", "t-end / dt = 1.0 / 1e-320 is not a finite sample count"),
+)
+
 C = Contract
 CONTRACTS = [
     C("frobnicate", 1, "argument command: invalid choice: 'frobnicate' *"),
@@ -537,7 +553,7 @@ CONTRACTS = [
       " 0.223607 x 15.8511 (--grid-n): its cell sum may miss 0.00291814 by aliasing, more"
       " than 2.24756e-08 outside the box, 0.00291816 in all, over 0.001"),
     C(f"fpe {MODEL} --stationary --grid-n 16 --t-end 1e308 --out-dir OUT", 1,
-      "*not a finite step count*"),
+      "t-end / dt = 1e+308 / * is not a finite sample count"),
     *(C(f"fpe {MODEL} --grid-n 64 --t-end 0.1 --coverage {coverage} --out-dir OUT", 1,
         "grid range *") for coverage in ("inf", "1e308")),
     # a box a few subnormals wide has cells of zero width
@@ -588,6 +604,12 @@ CONTRACTS = [
     *(C(f"fpe {MODEL} --stationary --grid-n 64 --t-end 0.1 --snapshots {times} --out-dir OUT",
         1, f"--snapshots entry {entry} is not a number")
       for times, entry in (("0.05,", "''"), ("0.05,x", "'x'"))),
+    # -- one time-span rule: every command that takes --t-end/--dt admits the
+    # same spans and names a bad one with the same line
+    *(C(f"{command} {SQUEEZED} --t-end 0 --dt 0.001 {out}", check=check)
+      for command, out, check in SPAN_COMMANDS),
+    *(C(f"{command} {SQUEEZED} --t-end {t_end} --dt {dt} {out}", 1, message)
+      for command, out, _ in SPAN_COMMANDS for t_end, dt, message in BAD_SPANS),
     # -- selftest: the ten acceptance criteria
     C("selftest", check=lambda r: r.lines()[10:] == ["10/10 criteria passed"]
       and all(line.startswith("PASS  ") for line in r.lines()[:10])),

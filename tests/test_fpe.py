@@ -222,7 +222,9 @@ class TestGuards:
 
     def test_rejects_step_count_that_overflows(self):
         grid = stationary_grid(CFG, 16)
-        with pytest.raises(ValueError, match="not a finite step count"):
+        # the span rule and message of every run (propagate.whole_steps)
+        message = r"^t-end / dt = 1e\+308 / \S+ is not a finite sample count$"
+        with pytest.raises(ValueError, match=message):
             run_fpe(grid, CFG, D, FpeRunSpec(t_end=1e308))
 
     def test_accepts_large_finite_step_count(self, monkeypatch):
@@ -639,6 +641,14 @@ class TestBookkeeping:
         assert t == 0.1
         assert np.array_equal(snap.values, short.final.values)
         assert not np.array_equal(snap.values, long.final.values)
+
+    def test_span_takes_the_whole_steps_of_the_time_grid(self):
+        # 0.2/dt = 200 + 1e-11 lies within the relative slack 1e-12 of the
+        # whole multiple 200, as propagate.whole_steps and time_grid count it
+        cfg = OscillatorConfig.reference(3.0)
+        run = FpeRunSpec(t_end=0.2, dt=0.2 / (200 + 1e-11))
+        result = run_fpe(stationary_grid(cfg, 16), cfg, thermal_coefficients(cfg), run)
+        assert result.steps == 200
 
     def test_zero_time_run_returns_input(self):
         grid = stationary_grid(CFG, 64)

@@ -55,3 +55,20 @@ def test_cli_imports_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_fpe_takes_only_the_span_rule_from_propagate():
+    # the grid solver is an oracle for the exact route: of propagate it may
+    # share the rule for a time span, not a formula
+    tree = ast.parse((ROOT / "src" / "lindosc" / "fpe.py").read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module in ("propagate", "lindosc.propagate"):
+                taken += names
+            elif "propagate" in names:  # the module itself
+                taken.append("propagate")
+        elif isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if a.name.startswith("lindosc.propagate")]
+    assert taken == ["whole_steps"]
